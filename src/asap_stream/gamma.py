@@ -8,6 +8,7 @@ bound ``a`` whenever the raw rate exceeds it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,11 @@ class SlidingRateEstimator:
 
     The window is inclusive at its tail: events with
     ``t >= newest - window`` are counted. An empty estimator reports 0.
+
+    The windowed timestamps are kept as the batches they arrived in,
+    with a running count. An update drops the batches that fell out of
+    the window whole and searches only the oldest remaining one, so it
+    costs the size of the new batch, not of the window.
     """
 
     def __init__(self, window_us: int):
@@ -54,28 +60,37 @@ class SlidingRateEstimator:
                 f"rate window must be positive, got {window_us}",
                 key="gamma.rate_window_us")
         self.window_us = int(window_us)
-        self._tail = np.empty(0, dtype=np.int64)
+        self._batches: deque[np.ndarray] = deque()
+        self._count = 0
 
     def update(self, timestamps: np.ndarray) -> float:
         """Fold a batch of ordered timestamps in; returns the new estimate."""
-        t = np.asarray(timestamps, dtype=np.int64)
+        t = np.ascontiguousarray(timestamps, dtype=np.int64)
         if t.size:
-            if np.any(np.diff(t) < 0):
+            if (t[1:] < t[:-1]).any():
                 raise OrderingError("rate estimator requires ordered timestamps")
-            if self._tail.size and t[0] < self._tail[-1]:
+            batches = self._batches
+            if batches and t[0] < batches[-1][-1]:
                 raise OrderingError(
-                    f"timestamp {t[0]} is older than the newest seen {self._tail[-1]}"
-                )
-            merged = np.concatenate([self._tail, t]) if self._tail.size else t
-            cut = merged[-1] - self.window_us
-            self._tail = merged[np.searchsorted(merged, cut, side="left"):]
+                    f"timestamp {t[0]} is older than the newest seen "
+                    f"{batches[-1][-1]}")
+            batches.append(t)
+            self._count += t.size
+            cut = int(t[-1]) - self.window_us
+            # the newest batch ends inside the window, so this stops
+            while batches[0][-1] < cut:
+                self._count -= batches.popleft().size
+            outside = int(batches[0].searchsorted(cut, side="left"))
+            if outside:
+                batches[0] = batches[0][outside:]
+                self._count -= outside
         return self.rate_evps
 
     @property
     def rate_evps(self) -> float:
-        if self._tail.size == 0:
+        if self._count == 0:
             return 0.0
-        return self._tail.size / (self.window_us / _US)
+        return self._count / (self.window_us / _US)
 
 
 def estimate_rate(estimator: SlidingRateEstimator,
@@ -135,10 +150,17 @@ def apply_filter(state: GammaState, events: np.ndarray) -> np.ndarray:
     """Keep each event independently with probability ``state.gamma``.
 
     Returns the kept subsequence (order and fields untouched); the RNG
-    state advances by exactly one draw per input event.
+    state advances by exactly one draw per input event. At
+    ``gamma >= 1`` every draw would keep its event, since ``random()``
+    lies in [0, 1): the batch itself is returned, uncopied, and the
+    generator is advanced by ``n`` steps without drawing, which leaves
+    it in the state ``n`` ``random()`` draws would.
     """
     n = len(events)
     if n == 0:
+        return events
+    if state.gamma >= 1.0:
+        state.rng.bit_generator.advance(n)
         return events
     mask = state.rng.random(n) < state.gamma
     return events[mask]

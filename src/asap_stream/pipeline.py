@@ -115,6 +115,7 @@ class RunResult:
     dropped_by_overflow: int
     residual_events: int
     final_gamma: float
+    feedback_overwrites: int = 0       # realtime: stale reports discarded
 
     def conservation_holds(self) -> bool:
         return (self.source_events == self.packaged_events
@@ -149,6 +150,27 @@ def overflow_guard(buffer: np.ndarray, incoming: np.ndarray,
     if dropped:
         merged = merged[dropped:]
     return merged, dropped
+
+
+def _put_latest(q: queue.Queue, item) -> int:
+    """Enqueue ``item`` without blocking; when ``q`` is full, discard
+    the oldest queued item to make room. Returns how many were discarded.
+
+    The single reader may drain the queue between the two attempts, in
+    which case nothing is discarded. Only the calling thread writes, so
+    the put after a discard cannot find the queue full again.
+    """
+    discarded = 0
+    while True:
+        try:
+            q.put_nowait(item)
+            return discarded
+        except queue.Full:
+            try:
+                q.get_nowait()
+                discarded += 1
+            except queue.Empty:
+                pass
 
 
 def run(config: PipelineConfig, source: StreamSource,
@@ -242,7 +264,8 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
     feedback_q: queue.Queue = queue.Queue(maxsize=4)
     metrics: list[PackageMetrics] = []
     totals = {"source": 0, "packaged": 0, "filter": 0, "overflow": 0,
-              "pending_filter": 0, "pending_overflow": 0}
+              "pending_filter": 0, "pending_overflow": 0,
+              "feedback_overwrites": 0}
     errors: list[BaseException] = []
 
     def consume() -> None:
@@ -261,10 +284,9 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
                     drop_filter=dfil, drop_overflow=dov,
                     clock_us=emit_clock, emit_reason=reason))
                 totals["packaged"] += pkg.size
-                try:
-                    feedback_q.put_nowait(feedback)
-                except queue.Full:
-                    pass  # packager tolerates feedback lag
+                # the newest report describes the cost model best
+                totals["feedback_overwrites"] += _put_latest(feedback_q,
+                                                            feedback)
         except BaseException as exc:  # surfaced to the caller thread
             errors.append(exc)
 
@@ -333,7 +355,8 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
         packaged_events=totals["packaged"],
         dropped_by_filter=totals["filter"],
         dropped_by_overflow=totals["overflow"],
-        residual_events=packager.buffered, final_gamma=gfilter.gamma)
+        residual_events=packager.buffered, final_gamma=gfilter.gamma,
+        feedback_overwrites=totals["feedback_overwrites"])
 
 
 def write_metrics_csv(path, metrics: list[PackageMetrics]) -> None:

@@ -57,6 +57,59 @@ class TestRateEstimator:
             est.update(np.array([50], dtype=np.int64))
 
 
+def _brute_force_rate(seen, window_us):
+    """Rate over every timestamp seen, counted from scratch."""
+    t = np.asarray(seen, dtype=np.int64)
+    if t.size == 0:
+        return 0.0
+    return int(np.sum(t >= t[-1] - window_us)) / (window_us / 1e6)
+
+
+_ordered = st.lists(st.integers(min_value=0, max_value=5_000),
+                    max_size=200).map(sorted)
+
+
+class TestRateEstimatorProperties:
+    @given(t=_ordered, cuts=st.lists(st.integers(min_value=0, max_value=200)),
+           window=st.integers(min_value=1, max_value=2_000))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_brute_force_for_any_split(self, t, cuts, window):
+        est = SlidingRateEstimator(window_us=window)
+        edges = sorted({0, len(t), *(c for c in cuts if c <= len(t))})
+        for lo, hi in zip(edges, edges[1:] + [len(t)]):
+            rate = est.update(np.array(t[lo:hi], dtype=np.int64))
+            assert rate == _brute_force_rate(t[:hi], window)
+            assert est.rate_evps == rate
+
+    @given(t=st.lists(st.integers(min_value=0, max_value=5_000), min_size=2,
+                      max_size=50, unique=True).map(sorted),
+           swap=st.integers(min_value=0),
+           window=st.integers(min_value=1, max_value=2_000))
+    @settings(max_examples=100, deadline=None)
+    def test_disorder_within_batch_rejected(self, t, swap, window):
+        i = swap % (len(t) - 1)
+        t[i], t[i + 1] = t[i + 1], t[i]
+        est = SlidingRateEstimator(window_us=window)
+        with pytest.raises(OrderingError):
+            est.update(np.array(t, dtype=np.int64))
+        assert est.rate_evps == 0.0   # the bad batch left no trace
+
+    @given(t=st.lists(st.integers(min_value=0, max_value=5_000), min_size=1,
+                      max_size=50).map(sorted),
+           back=st.integers(min_value=1, max_value=1_000),
+           window=st.integers(min_value=1, max_value=2_000))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_older_than_newest_rejected(self, t, back, window):
+        est = SlidingRateEstimator(window_us=window)
+        before = est.update(np.array(t, dtype=np.int64))
+        with pytest.raises(OrderingError):
+            est.update(np.array([t[-1] - back, t[-1] + 1], dtype=np.int64))
+        assert est.rate_evps == before
+        # the estimator still counts correctly after the rejection
+        assert est.update(np.array([t[-1]], dtype=np.int64)) == \
+            _brute_force_rate(t + [t[-1]], window)
+
+
 class TestTargetGamma:
     def test_below_bound_keeps_all(self):
         assert target_gamma(2e6, 5e6) == 1.0
@@ -113,6 +166,19 @@ class TestApplyFilter:
         ev = generate_constant_stream(1e5, 0.05, seed=1).events()
         state = GammaState(gamma=1.0)
         assert np.array_equal(apply_filter(state, ev), ev)
+
+    def test_gamma_one_returns_input_and_advances_rng_by_n(self):
+        ev = generate_constant_stream(1e5, 0.05, seed=1).events()
+        state = GammaState(gamma=1.0,
+                           rng=np.random.Generator(np.random.PCG64(11)))
+        reference = np.random.Generator(np.random.PCG64(11))
+        assert apply_filter(state, ev) is ev
+        reference.random(len(ev))
+        assert state.rng.bit_generator.state == reference.bit_generator.state
+        # the next keep draws are the ones a drawing filter would make
+        state.gamma = 0.5
+        assert np.array_equal(apply_filter(state, ev),
+                              ev[reference.random(len(ev)) < 0.5])
 
     def test_binomial_bounds_at_gamma_02(self):
         ev = generate_constant_stream(1e6, 1.0, seed=2).events()[:1_000_000]

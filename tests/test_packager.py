@@ -145,6 +145,83 @@ class TestNextEmission:
         assert p.buffered == 1
 
 
+def _drain(packager):
+    out = []
+    while (em := packager.next_emission()) is not None:
+        out.append(em)
+    return out
+
+
+class TestChunkInvariance:
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=400),
+                         max_size=300),
+           cuts=st.lists(st.integers(min_value=0, max_value=300)),
+           target=st.integers(min_value=1, max_value=40),
+           timeout=st.integers(min_value=1, max_value=2_000))
+    @settings(max_examples=200, deadline=None)
+    def test_cuts_independent_of_chunking(self, gaps, cuts, target, timeout):
+        # with a fixed target (no feedback), how the events arrive must
+        # not change which packages are cut, why, or when
+        ev = _events_at(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        cfg = PackagerConfig(initial_size=target, timeout_us=timeout)
+        whole = Packager(cfg)
+        whole.append(ev)
+        expected = _drain(whole)
+
+        split = Packager(cfg)
+        got = []
+        edges = sorted({0, len(ev), *(c for c in cuts if c <= len(ev))})
+        for lo, hi in zip(edges, edges[1:]):
+            split.append(ev[lo:hi])
+            got.extend(_drain(split))
+        assert [(e.reason, e.trigger_us, e.package.seq) for e in got] == \
+            [(e.reason, e.trigger_us, e.package.seq) for e in expected]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.package.events, b.package.events)
+        # the packages and the residual buffer reassemble the input
+        parts = [e.package.events for e in got] + [split.take_buffer()]
+        assert np.array_equal(np.concatenate(parts), ev)
+
+
+class TestViewSafety:
+    def test_emitted_packages_survive_later_buffer_operations(self):
+        # the realtime runner queues packages while appends go on, so a
+        # package must keep its events whatever the buffer does next
+        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        held = []
+
+        def keep(events):
+            held.append((events, events.copy()))
+
+        p.append(_events_at(np.arange(0, 300)))
+        for _ in range(2):
+            keep(p.next_emission().package.events)
+        p.append(_events_at(np.arange(300, 320)))    # reallocates
+        p.append(_events_at(np.arange(320, 330)))    # fills spare room
+        keep(p.next_emission().package.events)
+        for pkg in p.push_events(_events_at(np.arange(330, 450))):
+            keep(pkg.events)
+        assert p.drop_oldest(5) == 5
+        p.append(_events_at(np.arange(450, 460)))
+        keep(p.take_buffer())
+        p.append(_events_at(np.arange(460, 600)))
+        keep(p.next_emission().package.events)
+        p.append(_events_at(np.arange(600, 700)))
+        p.drop_oldest(10**6)
+        p.append(_events_at(np.arange(700, 900)))
+        for events, snapshot in held:
+            assert np.array_equal(events, snapshot)
+
+    def test_append_does_not_write_into_the_callers_array(self):
+        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        source = _events_at(np.arange(1000))
+        snapshot = source.copy()
+        for lo in range(0, 1000, 70):
+            p.append(source[lo:lo + 70])
+            _drain(p)
+        assert np.array_equal(source, snapshot)
+
+
 class TestUpdateTargetSize:
     def test_setpoint_leaves_target_unchanged(self):
         p = Packager(PackagerConfig(initial_size=500))

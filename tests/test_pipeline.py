@@ -1,5 +1,7 @@
 """End-to-end pipeline behavior in virtual and realtime modes."""
 
+import queue
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from asap_stream import (ArraySource, ConsumerConfig, GammaConfig,
                          PackagerConfig, PipelineConfig, SlidingRateEstimator,
                          generate_constant_stream, generate_ramp_stream,
                          make_events, overflow_guard, run, write_metrics_csv)
-from asap_stream.pipeline import METRICS_HEADER
+from asap_stream.pipeline import METRICS_HEADER, _put_latest
 
 
 def _config(**kwargs):
@@ -132,6 +134,43 @@ class TestVirtualRun:
         cfg = _config(mode="bogus")
         with pytest.raises(ConfigurationError):
             run(cfg, generate_constant_stream(1e4, 0.1, seed=0))
+
+
+class TestPutLatest:
+    def test_room_left_enqueues(self):
+        q = queue.Queue(maxsize=2)
+        assert _put_latest(q, 1) == 0
+        assert list(q.queue) == [1]
+
+    def test_full_queue_discards_oldest(self):
+        q = queue.Queue(maxsize=2)
+        q.put(1)
+        q.put(2)
+        assert _put_latest(q, 3) == 1
+        assert list(q.queue) == [2, 3]
+
+    def test_reader_draining_between_attempts_discards_nothing(self):
+        class DrainedWhileFull(queue.Queue):
+            """Full on the first put; the reader empties it before the
+            writer's discard gets there."""
+
+            def __init__(self):
+                super().__init__(maxsize=1)
+                self.fulls = 1
+
+            def put_nowait(self, item):
+                if self.fulls:
+                    self.fulls -= 1
+                    raise queue.Full
+                super().put_nowait(item)
+
+        q = DrainedWhileFull()
+        assert _put_latest(q, 7) == 0
+        assert list(q.queue) == [7]
+
+    def test_virtual_run_reports_no_overwrites(self):
+        result = run(_config(), generate_constant_stream(1e5, 0.05, seed=0))
+        assert result.feedback_overwrites == 0
 
 
 class TestRealtimeRun:
