@@ -149,8 +149,11 @@ def update_gamma(state: GammaState, rate_raw_evps: float) -> GammaState:
 def apply_filter(state: GammaState, events: np.ndarray) -> np.ndarray:
     """Keep each event independently with probability ``state.gamma``.
 
-    Returns the kept subsequence (order and fields untouched); the RNG
-    state advances by exactly one draw per input event. At
+    Returns the kept subsequence (order and fields untouched) as a new
+    array: the kept rows are selected by index, with ``take`` on the
+    positions whose draw fell below ``gamma``, which copies whole rows
+    where a boolean mask would copy field by field. The RNG state
+    advances by exactly one draw per input event. At
     ``gamma >= 1`` every draw would keep its event, since ``random()``
     lies in [0, 1): the batch itself is returned, uncopied, and the
     generator is advanced by ``n`` steps without drawing, which leaves
@@ -162,8 +165,7 @@ def apply_filter(state: GammaState, events: np.ndarray) -> np.ndarray:
     if state.gamma >= 1.0:
         state.rng.bit_generator.advance(n)
         return events
-    mask = state.rng.random(n) < state.gamma
-    return events[mask]
+    return events.take(np.flatnonzero(state.rng.random(n) < state.gamma))
 
 
 class GammaFilter:

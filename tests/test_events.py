@@ -1,5 +1,7 @@
 """Event model, synthetic sources, and CSV round-trip tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from asap_stream import (DAVIS346, ArraySource, ConfigurationError,
                          generate_constant_stream, generate_ramp_stream,
                          make_events, read_event_file, read_events,
                          write_event_file)
+from asap_stream.events import EventPackage, validate_events
 
 
 class TestGeometry:
@@ -173,3 +176,101 @@ class TestArraySource:
         ev = make_events([10, 5], [0, 0], [0, 0], [1, 1])
         with pytest.raises(OrderingError):
             ArraySource(ev)
+
+
+#: A stream spanning three validation blocks of 65536 events.
+_BLOCKED_N = 2 * 65536 + 5
+_BLOCK_EDGES = [0, 65535, 65536, _BLOCKED_N - 1]
+
+
+def _valid_stream(n=_BLOCKED_N):
+    return make_events(np.arange(n) // 2, np.arange(n) % 346,
+                       np.arange(n) % 260, np.where(np.arange(n) % 2, 1, -1))
+
+
+class TestValidateEvents:
+    @pytest.mark.parametrize("index", _BLOCK_EDGES)
+    @pytest.mark.parametrize("polarity", [0, 2, -2, 127, -128])
+    def test_bad_polarity_rejected_at_block_edges(self, polarity, index):
+        ev = _valid_stream()
+        ev["p"][index] = polarity
+        with pytest.raises(ValueError, match="polarity must be"):
+            validate_events(ev)
+
+    @pytest.mark.parametrize("index", [_BLOCKED_N - 1, 65536])
+    def test_timestamp_decrease_rejected(self, index):
+        # index 65536 decreases across the 65535 -> 65536 block boundary
+        ev = _valid_stream()
+        ev["t"][index] = ev["t"][index - 1] - 1
+        with pytest.raises(OrderingError, match="non-decreasing"):
+            validate_events(ev)
+
+    def test_equal_timestamps_accepted(self):
+        ev = _valid_stream()
+        ev["t"] = 7
+        validate_events(ev)
+
+    def test_empty_accepted(self):
+        validate_events(make_events([], [], [], []))
+        validate_events(make_events([], [], [], []), DAVIS346)
+
+    def test_valid_stream_accepted_with_geometry(self):
+        validate_events(_valid_stream(), DAVIS346)
+
+    @pytest.mark.parametrize("index", _BLOCK_EDGES)
+    @pytest.mark.parametrize("field,value,message", [
+        ("x", -1, "x out of"), ("x", 346, "x out of"),
+        ("y", -1, "y out of"), ("y", 260, "y out of")])
+    def test_out_of_bounds_rejected_with_geometry(self, field, value,
+                                                  message, index):
+        ev = _valid_stream()
+        ev[field][index] = value
+        validate_events(ev)  # no geometry, no bounds check
+        with pytest.raises(ValueError, match=message):
+            validate_events(ev, DAVIS346)
+
+    def test_ordering_fault_reported_before_field_faults(self):
+        ev = _valid_stream()
+        ev["p"][0] = 0
+        ev["x"][1] = -1
+        ev["t"][-1] = -1
+        with pytest.raises(OrderingError):
+            validate_events(ev, DAVIS346)
+
+    def test_field_faults_reported_polarity_then_x_then_y(self):
+        ev = _valid_stream()
+        ev["y"][0] = -1
+        ev["x"][65536] = -1
+        ev["p"][-1] = 0
+        with pytest.raises(ValueError, match="polarity"):
+            validate_events(ev, DAVIS346)
+        ev["p"][-1] = 1
+        with pytest.raises(ValueError, match="x out of"):
+            validate_events(ev, DAVIS346)
+
+    def test_array_source_validates_in_bounded_memory(self):
+        ev = _valid_stream(2_000_000)
+        tracemalloc.start()
+        try:
+            ArraySource(ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestEventPackageValidate:
+    def test_ordered_package_accepted(self):
+        EventPackage(events=make_events([1, 1, 2], [0] * 3, [0] * 3, [1] * 3),
+                     seq=0).validate()
+
+    @pytest.mark.parametrize("t", [[2, 1, 3], [1, 3, 2]])
+    def test_disordered_package_rejected(self, t):
+        pkg = EventPackage(events=make_events(t, [0] * 3, [0] * 3, [1] * 3),
+                           seq=0)
+        with pytest.raises(OrderingError, match="timestamp-ordered"):
+            pkg.validate()
+
+    def test_empty_package_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            EventPackage(events=make_events([], [], [], []), seq=0).validate()

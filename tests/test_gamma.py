@@ -180,6 +180,29 @@ class TestApplyFilter:
         assert np.array_equal(apply_filter(state, ev),
                               ev[reference.random(len(ev)) < 0.5])
 
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(min_value=0.01, max_value=1.0, exclude_max=True),
+           n=st.integers(min_value=0, max_value=400),
+           strided=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_kept_rows_equal_boolean_mask_selection(self, gamma, n, strided,
+                                                     seed):
+        fields = np.random.default_rng(seed)
+        base = make_events(np.sort(fields.integers(0, 10**9, 2 * n)),
+                           fields.integers(-2**15, 2**15, 2 * n),
+                           fields.integers(-2**15, 2**15, 2 * n),
+                           fields.integers(-128, 128, 2 * n))
+        ev = base[::2] if strided else base[:n]
+        state = GammaState(gamma=gamma,
+                           rng=np.random.Generator(np.random.PCG64(seed)))
+        ref = np.random.Generator(np.random.PCG64(seed))
+        kept = apply_filter(state, ev)
+        expected = ev[ref.random(n) < gamma]
+        assert kept.dtype == ev.dtype
+        assert kept.tobytes() == expected.tobytes()
+        assert not np.shares_memory(kept, base)
+        assert state.rng.bit_generator.state == ref.bit_generator.state
+
     def test_binomial_bounds_at_gamma_02(self):
         ev = generate_constant_stream(1e6, 1.0, seed=2).events()[:1_000_000]
         state = GammaState(gamma=0.2, gamma_min=0.01,
