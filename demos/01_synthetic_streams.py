@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from asap_stream import (generate_constant_stream, generate_ramp_stream,
-                         read_events, write_event_file)
+from asap_stream import (ConstantRateSource, RampRateSource, read_events,
+                         write_event_file)
 
 
 def describe(name, events):
@@ -22,12 +22,12 @@ def describe(name, events):
 
 
 def main():
-    constant = generate_constant_stream(rate_evps=1e5, duration_s=1.0,
-                                        seed=42).events()
+    constant = ConstantRateSource(rate_evps=1e5, duration_s=1.0,
+                                  seed=42).events()
     describe("constant 1e5 ev/s", constant)
 
-    ramp = generate_ramp_stream(rate_start_evps=1e4, rate_end_evps=1e6,
-                                duration_s=2.0, seed=42).events()
+    ramp = RampRateSource(rate_start_evps=1e4, rate_end_evps=1e6,
+                          duration_s=2.0, seed=42).events()
     describe("ramp 1e4 -> 1e6 ev/s", ramp)
     # the ramp packs most of its events into the fast half
     halfway = np.searchsorted(ramp["t"], 1_000_000)

@@ -9,15 +9,18 @@ at the bound.
 
 import numpy as np
 
-from asap_stream import GammaConfig, GammaFilter, generate_constant_stream
+from asap_stream import (ConstantRateSource, GammaConfig, GammaFilter,
+                         SlidingRateEstimator)
 
 
 def main():
     config = GammaConfig(a_evps=5e6, beta=0.25, rate_window_us=10_000)
     gfilter = GammaFilter(config, seed=0)
+    # the filter measures the raw rate; the kept rate is measured here
+    filtered = SlidingRateEstimator(config.rate_window_us)
 
-    slow = generate_constant_stream(2e6, 0.2, seed=1).events()
-    fast = generate_constant_stream(1e7, 0.3, seed=2).events()
+    slow = ConstantRateSource(2e6, 0.2, seed=1).events()
+    fast = ConstantRateSource(1e7, 0.3, seed=2).events()
     fast["t"] += slow["t"][-1] + 1  # splice the overload after the calm phase
     stream = np.concatenate([slow, fast])
 
@@ -27,13 +30,14 @@ def main():
         batch = stream[edges[i]:edges[i + 1]]
         if len(batch) == 0:
             continue
-        gfilter.process(batch)
+        kept, _ = gfilter.process(batch)
+        filtered.update(kept["t"])
         if i % 5 == 0:
             print(f"{(i + 1) * 10:>6} {gfilter.rate_raw_evps:>10.3g} "
-                  f"{gfilter.gamma:>7.3f} {gfilter.rate_filtered_evps:>14.3g}")
+                  f"{gfilter.gamma:>7.3f} {filtered.rate_evps:>14.3g}")
 
     print(f"\nsteady state: gamma {gfilter.gamma:.3f} (expected a/rate = 0.5), "
-          f"filtered rate {gfilter.rate_filtered_evps:.3g} ev/s "
+          f"filtered rate {filtered.rate_evps:.3g} ev/s "
           f"(bound {config.a_evps:.3g})")
 
 

@@ -9,9 +9,8 @@ a deliberately bad initial guess.
 
 import numpy as np
 
-from asap_stream import (EventPackage, Packager, PackagerConfig,
-                         ProcessingFeedback, generate_constant_stream,
-                         predict_size)
+from asap_stream import (ConstantRateSource, EventPackage, Packager,
+                         PackagerConfig, ProcessingFeedback, predict_size)
 
 
 def main():
@@ -19,7 +18,7 @@ def main():
           predict_size(1e6, 1e-3, 5e-7, 1, 1_000_000), "events\n")
 
     packager = Packager(PackagerConfig(initial_size=100, timeout_us=100_000))
-    stream = generate_constant_stream(1e6, 1.0, seed=0).events()
+    stream = ConstantRateSource(1e6, 1.0, seed=0).events()
 
     print(f"{'package':>8} {'target':>7} {'size':>6} {'span_us':>8} "
           f"{'proc_us':>8} {'lag_us':>8}")

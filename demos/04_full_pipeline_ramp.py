@@ -11,13 +11,12 @@ up. Equivalent CLI run:
 
 import numpy as np
 
-from asap_stream import (ConsumerConfig, PipelineConfig,
-                         generate_ramp_stream, run)
+from asap_stream import ConsumerConfig, PipelineConfig, RampRateSource, run
 
 
 def main():
     config = PipelineConfig(consumer=ConsumerConfig(o_us=1000.0, c_ns=100.0))
-    source = generate_ramp_stream(1e5, 1e7, 5.0, seed=0)
+    source = RampRateSource(1e5, 1e7, 5.0, seed=0)
     result = run(config, source)
     metrics = result.metrics
 

@@ -9,19 +9,17 @@ rate under overload.
 from .errors import AsapError, ConfigurationError, EventFileError, OrderingError
 from .events import (EVENT_DTYPE, DAVIS346, ArraySource, ConstantRateSource,
                      EventPackage, RampRateSource, SensorGeometry,
-                     StreamSource, generate_constant_stream,
-                     generate_ramp_stream, make_events, read_event_file,
+                     StreamSource, make_events, read_event_file,
                      read_events, write_event_file)
 from .gamma import (GammaConfig, GammaFilter, GammaState,
-                    SlidingRateEstimator, apply_filter, estimate_rate,
-                    target_gamma, update_gamma)
+                    SlidingRateEstimator, apply_filter, target_gamma,
+                    update_gamma)
 from .packager import (AffineCostModel, Packager, PackagerConfig,
                        ProcessingFeedback, predict_size)
 from .consumers import (ClusteringConsumer, SyntheticConsumer,
                         SyntheticCostModel, VirtualClock, WallClock)
 from .pipeline import (ConsumerConfig, PackageMetrics, PipelineConfig,
-                       RunResult, build_consumer, overflow_guard, run,
-                       write_metrics_csv)
+                       RunResult, build_consumer, run, write_metrics_csv)
 
 __version__ = "0.1.0"
 
@@ -29,14 +27,13 @@ __all__ = [
     "AsapError", "ConfigurationError", "EventFileError", "OrderingError",
     "EVENT_DTYPE", "DAVIS346", "ArraySource", "ConstantRateSource",
     "EventPackage", "RampRateSource", "SensorGeometry", "StreamSource",
-    "generate_constant_stream", "generate_ramp_stream", "make_events",
-    "read_event_file", "read_events", "write_event_file",
+    "make_events", "read_event_file", "read_events", "write_event_file",
     "GammaConfig", "GammaFilter", "GammaState", "SlidingRateEstimator",
-    "apply_filter", "estimate_rate", "target_gamma", "update_gamma",
+    "apply_filter", "target_gamma", "update_gamma",
     "AffineCostModel", "Packager", "PackagerConfig", "ProcessingFeedback",
     "predict_size",
     "ClusteringConsumer", "SyntheticConsumer", "SyntheticCostModel",
     "VirtualClock", "WallClock",
     "ConsumerConfig", "PackageMetrics", "PipelineConfig", "RunResult",
-    "build_consumer", "overflow_guard", "run", "write_metrics_csv",
+    "build_consumer", "run", "write_metrics_csv",
 ]

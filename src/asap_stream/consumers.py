@@ -28,6 +28,9 @@ class Clock(Protocol):
 
     def advance(self, dt_us: float) -> None: ...
 
+    def advance_to(self, t_us: float) -> None:
+        """Move the clock forward to ``t_us``; never moves it backward."""
+
 
 class VirtualClock:
     """Logical microsecond counter; advanced explicitly, never sleeps."""

@@ -72,17 +72,20 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
     """
     t, p = events["t"], events["p"]
     bad_p = bad_x = bad_y = False
+    if geometry is not None:
+        # read as uint16 a negative coordinate is >= 32768, so one max
+        # per field checks both bounds
+        x, y = events["x"].view(np.uint16), events["y"].view(np.uint16)
+        x_end = min(geometry.width, 1 << 15)
+        y_end = min(geometry.height, 1 << 15)
     for i in range(0, len(events), _BLOCK):
         tb = t[i:i + _BLOCK + 1]
         if (tb[1:] < tb[:-1]).any():
             raise OrderingError("event timestamps must be non-decreasing")
-        pb = p[i:i + _BLOCK]
-        bad_p = bad_p or not ((pb == 1) | (pb == -1)).all()
+        bad_p = bad_p or not (np.abs(p[i:i + _BLOCK]) == 1).all()
         if geometry is not None:
-            xb = events["x"][i:i + _BLOCK]
-            yb = events["y"][i:i + _BLOCK]
-            bad_x = bad_x or xb.min() < 0 or xb.max() >= geometry.width
-            bad_y = bad_y or yb.min() < 0 or yb.max() >= geometry.height
+            bad_x = bad_x or x[i:i + _BLOCK].max() >= x_end
+            bad_y = bad_y or y[i:i + _BLOCK].max() >= y_end
     if bad_p:
         raise ValueError("event polarity must be +1 or -1")
     if bad_x:
@@ -136,11 +139,11 @@ class StreamSource:
 
 
 class ArraySource(StreamSource):
-    """Stream over an in-memory event array."""
+    """Stream over an in-memory event array, validated against ``geometry``."""
 
     def __init__(self, events: np.ndarray, geometry: SensorGeometry = DAVIS346,
                  chunk_size: int = 65536):
-        validate_events(events)
+        validate_events(events, geometry)
         self._events = events
         self.geometry = geometry
         self._chunk = int(chunk_size)
@@ -241,20 +244,6 @@ class RampRateSource(_PoissonSource):
             return s / r0
         # Lambda(t) = r0*t + k*t^2/2; positive root of the quadratic.
         return (np.sqrt(r0 * r0 + 2.0 * k * s) - r0) / k
-
-
-def generate_constant_stream(rate_evps: float, duration_s: float,
-                             geometry: SensorGeometry = DAVIS346,
-                             seed: int = 0) -> ConstantRateSource:
-    return ConstantRateSource(rate_evps, duration_s, geometry, seed)
-
-
-def generate_ramp_stream(rate_start_evps: float, rate_end_evps: float,
-                         duration_s: float,
-                         geometry: SensorGeometry = DAVIS346,
-                         seed: int = 0) -> RampRateSource:
-    return RampRateSource(rate_start_evps, rate_end_evps, duration_s,
-                          geometry, seed)
 
 
 def _parse_event_line(line: str, path: str, lineno: int) -> tuple[int, int, int, int]:

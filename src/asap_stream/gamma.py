@@ -93,12 +93,6 @@ class SlidingRateEstimator:
         return self._count / (self.window_us / _US)
 
 
-def estimate_rate(estimator: SlidingRateEstimator,
-                  timestamps: np.ndarray) -> float:
-    """Fold a batch into the estimator and return the events/s estimate."""
-    return estimator.update(timestamps)
-
-
 def target_gamma(rate_raw_evps: float, a_evps: float,
                  gamma_min: float = 0.01) -> float:
     """Keep-probability that holds the filtered rate at the bound ``a``."""
@@ -112,7 +106,7 @@ def target_gamma(rate_raw_evps: float, a_evps: float,
 
 @dataclass
 class GammaState:
-    """Mutable filter state: keep-probability, rate estimates, and RNG.
+    """Mutable filter state: keep-probability, raw rate estimate, and RNG.
 
     The pseudo-random stream is numpy PCG64; runs with equal seeds
     produce bit-identical keep decisions.
@@ -123,18 +117,8 @@ class GammaState:
     gamma_min: float = 0.01
     gamma: float = 1.0
     rate_raw_evps: float = 0.0
-    rate_filtered_evps: float = 0.0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.Generator(np.random.PCG64(0)))
-
-    def validate(self) -> None:
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigurationError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0.0 < self.gamma_min < 1.0:
-            raise ConfigurationError(
-                f"gamma_min must be in (0, 1), got {self.gamma_min}")
-        if not self.gamma_min <= self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma out of [gamma_min, 1]: {self.gamma}")
 
 
 def update_gamma(state: GammaState, rate_raw_evps: float) -> GammaState:
@@ -171,10 +155,11 @@ def apply_filter(state: GammaState, events: np.ndarray) -> np.ndarray:
 class GammaFilter:
     """Stateful stage: estimate the raw rate, adapt gamma, discard events.
 
-    Owns one :class:`GammaState` plus raw and post-filter rate
-    estimators; gamma is adapted once per processed batch using the raw
-    rate estimate (steady state is identical to adapting on the
-    filtered rate, with a faster transient).
+    Owns one :class:`GammaState` plus the raw rate estimator; gamma is
+    adapted once per processed batch using the raw rate estimate
+    (steady state is identical to adapting on the filtered rate, with a
+    faster transient). The post-filter rate is measured downstream, by
+    the packager that sizes packages from it.
     """
 
     def __init__(self, config: GammaConfig, seed: int = 0):
@@ -184,14 +169,12 @@ class GammaFilter:
             a_evps=config.a_evps, beta=config.beta, gamma_min=config.gamma_min,
             rng=np.random.Generator(np.random.PCG64(seed)))
         self._raw = SlidingRateEstimator(config.rate_window_us)
-        self._filtered = SlidingRateEstimator(config.rate_window_us)
 
     def process(self, events: np.ndarray) -> tuple[np.ndarray, int]:
         """Filter one batch; returns (kept events, dropped count)."""
         raw_rate = self._raw.update(events["t"])
         update_gamma(self.state, raw_rate)
         kept = apply_filter(self.state, events)
-        self.state.rate_filtered_evps = self._filtered.update(kept["t"])
         return kept, len(events) - len(kept)
 
     @property
@@ -201,7 +184,3 @@ class GammaFilter:
     @property
     def rate_raw_evps(self) -> float:
         return self.state.rate_raw_evps
-
-    @property
-    def rate_filtered_evps(self) -> float:
-        return self.state.rate_filtered_evps

@@ -183,8 +183,7 @@ class Packager:
     behind ``_end`` while the array has room and otherwise copies the
     live events and the batch into a new array with room for as many
     more live events. The store is never written below ``_end``: emitted
-    packages and :meth:`take_buffer` results stay valid while later
-    events arrive.
+    packages stay valid while later events arrive.
     """
 
     def __init__(self, config: PackagerConfig):
@@ -197,8 +196,11 @@ class Packager:
         self.model = AffineCostModel(config.model_smoothing)
         self._last_feedback_seq = -1
         # rate of events reaching the packager (post-filter), measured on
-        # the events' own timestamps and exponentially smoothed
+        # the events' own timestamps: ``rate_evps`` is the latest window
+        # count, the pipeline's one post-filter rate; its exponential
+        # smoothing steers the target
         self._rate_estimator = SlidingRateEstimator(config.rate_window_us)
+        self.rate_evps = 0.0
         self._rate_smooth_evps: float | None = None
 
     def _set_store(self, store: np.ndarray, end: int) -> None:
@@ -222,12 +224,6 @@ class Packager:
             return None
         return int(self._t[self._head])
 
-    def take_buffer(self) -> np.ndarray:
-        """Remove and return all buffered events (used by overflow guard)."""
-        buf = self._store[self._head:self._end]
-        self._set_store(empty_events(), 0)
-        return buf
-
     def _cut(self, count: int, reason: str, trigger_us: int) -> _Emission:
         """Emit the ``count`` oldest buffered events as one package."""
         head = self._head
@@ -242,26 +238,10 @@ class Packager:
             return
         t = events["t"]
         if (t[1:] < t[:-1]).any():
-            raise OrderingError("pushed events must be timestamp-ordered")
+            raise OrderingError("appended events must be timestamp-ordered")
         if self._end > self._head and t[0] < self._t[self._end - 1]:
             raise OrderingError(
-                "pushed events must not precede the newest buffered event")
-
-    def push_events(self, events: np.ndarray) -> list[EventPackage]:
-        """Append events and emit full packages; no timeout handling.
-
-        Emits a package of exactly ``target_size`` events whenever the
-        buffer reaches the target, repeatedly. Remaining events stay
-        buffered.
-        """
-        self.append(events)
-        out = []
-        target = self.target_size
-        while self.buffered >= target:
-            last = int(self._t[self._head + target - 1])
-            out.append(self._cut(target, "size", last).package)
-            target = self.target_size
-        return out
+                "appended events must not precede the newest buffered event")
 
     def check_timeout(self, now_us: int) -> EventPackage | None:
         """Flush a buffer whose oldest event has waited at least the timeout."""
@@ -272,14 +252,14 @@ class Packager:
 
     def drop_oldest(self, count: int) -> int:
         """Drop up to ``count`` events from the buffer front; returns the
-        number dropped (overflow-guard support)."""
+        number dropped."""
         n = min(count, self.buffered)
         if n > 0:
             self._head += n
         return n
 
     def _observe_rate(self, events: np.ndarray) -> None:
-        rate = self._rate_estimator.update(events["t"])
+        self.rate_evps = rate = self._rate_estimator.update(events["t"])
         if self._rate_smooth_evps is None:
             self._rate_smooth_evps = rate
         else:

@@ -1,11 +1,13 @@
 """Pipeline orchestration: source -> discard filter -> packager -> consumer.
 
-Virtual mode runs a single-threaded stage-stepping loop on a logical
-microsecond clock advanced by event timestamps at the source and by
-processing durations at the consumer; runs are bit-deterministic for a
-given seed (with the synthetic consumer). Realtime mode runs the
-stages in separate threads connected by bounded queues and paces the
-source against the wall clock; it exists for demonstration.
+Both modes step the same stages (:class:`_Stages`): filter a batch,
+admit it to the bounded buffer dropping the oldest events, and cut
+packages one at a time. Virtual mode steps them in one thread on a
+logical microsecond clock advanced by event timestamps at the source
+and by processing durations at the consumer; runs are bit-deterministic
+for a given seed (with the synthetic consumer). Realtime mode paces the
+source against the wall clock and runs the consumer in a second thread
+behind a bounded queue; it exists for demonstration.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -134,24 +137,6 @@ def build_consumer(config: PipelineConfig, seed_offset: int = 1) -> Consumer:
                               geometry=config.geometry)
 
 
-def overflow_guard(buffer: np.ndarray, incoming: np.ndarray,
-                   capacity: int) -> tuple[np.ndarray, int]:
-    """Admit new events into a bounded buffer, dropping the oldest first.
-
-    Never blocks and never rejects fresh events: if the merged buffer
-    exceeds capacity, the oldest events are discarded (freshness wins).
-    """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    merged = (np.concatenate([buffer, incoming])
-              if len(buffer) and len(incoming) else
-              (buffer if len(buffer) else incoming))
-    dropped = max(0, len(merged) - capacity)
-    if dropped:
-        merged = merged[dropped:]
-    return merged, dropped
-
-
 def _put_latest(q: queue.Queue, item) -> int:
     """Enqueue ``item`` without blocking; when ``q`` is full, discard
     the oldest queued item to make room. Returns how many were discarded.
@@ -173,6 +158,90 @@ def _put_latest(q: queue.Queue, item) -> int:
                 pass
 
 
+#: A package plus the :class:`PackageMetrics` fields known when it was
+#: cut: those after ``lag_us``, in field order (rows are built
+#: positionally, which costs a third of keyword construction).
+_Cut = tuple[EventPackage, tuple]
+
+
+class _Stages:
+    """Discard filter, drop-oldest admission and packager: the stages
+    both runners step.
+
+    :meth:`feed` admits one source batch, :meth:`cuts` and :meth:`flush`
+    hand out the packages it completes, stamped with the filter state
+    and the drops since the previous package.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        self.gfilter = GammaFilter(config.gamma, seed=config.seed)
+        self.packager = Packager(config.packager)
+        self.capacity = config.input_buffer_capacity
+        self.source_events = 0
+        self.packaged_events = 0
+        self.dropped_by_filter = 0
+        self.dropped_by_overflow = 0
+        self._pending_filter = 0
+        self._pending_overflow = 0
+
+    def feed(self, batch: np.ndarray) -> None:
+        self.source_events += len(batch)
+        kept, dropped = self.gfilter.process(batch)
+        self.dropped_by_filter += dropped
+        self._pending_filter += dropped
+        excess = self.packager.buffered + len(kept) - self.capacity
+        if excess > 0:
+            # drop-oldest: buffered events first, then the batch's own head
+            kept = kept[excess - self.packager.drop_oldest(excess):]
+            self.dropped_by_overflow += excess
+            self._pending_overflow += excess
+        self.packager.append(kept)
+
+    def _stamp(self, pkg: EventPackage, reason: str, trigger_us: float,
+               clock: Clock) -> _Cut:
+        clock.advance_to(trigger_us)
+        stamp = (self.gfilter.gamma, self.gfilter.rate_raw_evps,
+                 self.packager.rate_evps, self._pending_filter,
+                 self._pending_overflow, clock.now_us, reason)
+        self._pending_filter = self._pending_overflow = 0
+        self.packaged_events += pkg.size
+        return pkg, stamp
+
+    def cuts(self, clock: Clock) -> Iterator[_Cut]:
+        """Cut the buffer one package at a time, so that feedback applied
+        between two packages steers the next cut."""
+        while (em := self.packager.next_emission()) is not None:
+            yield self._stamp(em.package, em.reason, em.trigger_us, clock)
+
+    def flush(self, now_us: int, clock: Clock) -> _Cut | None:
+        """Flush the buffer if its oldest event has waited the timeout."""
+        pkg = self.packager.check_timeout(now_us)
+        return None if pkg is None else self._stamp(pkg, "timeout", now_us,
+                                                    clock)
+
+    def result(self, metrics: list[PackageMetrics],
+               feedback_overwrites: int = 0) -> RunResult:
+        return RunResult(
+            metrics=metrics, source_events=self.source_events,
+            packaged_events=self.packaged_events,
+            dropped_by_filter=self.dropped_by_filter,
+            dropped_by_overflow=self.dropped_by_overflow,
+            residual_events=self.packager.buffered,
+            final_gamma=self.gfilter.gamma,
+            feedback_overwrites=feedback_overwrites)
+
+
+def _deliver(cut: _Cut, consumer: Consumer,
+             clock: Clock) -> tuple[PackageMetrics, ProcessingFeedback]:
+    """Run the consumer on one package; returns its metrics row and report."""
+    pkg, stamp = cut
+    feedback = consumer.process(pkg, clock)
+    proc_us = feedback.processing_time_us
+    span_us = pkg.span_us
+    return PackageMetrics(pkg.seq, pkg.size, span_us, proc_us,
+                          proc_us - span_us, *stamp), feedback
+
+
 def run(config: PipelineConfig, source: StreamSource,
         consumer: Consumer | None = None) -> RunResult:
     """Drive the source to exhaustion through the full pipeline."""
@@ -187,123 +256,52 @@ def run(config: PipelineConfig, source: StreamSource,
 def _run_virtual(config: PipelineConfig, source: StreamSource,
                  consumer: Consumer) -> RunResult:
     clock = VirtualClock()
-    gfilter = GammaFilter(config.gamma, seed=config.seed)
-    packager = Packager(config.packager)
+    stages = _Stages(config)
     metrics: list[PackageMetrics] = []
-    source_events = 0
-    packaged = 0
-    drop_filter_total = 0
-    drop_overflow_total = 0
-    pending_filter = 0
-    pending_overflow = 0
 
-    def process(pkg: EventPackage, reason: str, trigger_us: float) -> None:
-        nonlocal packaged, pending_filter, pending_overflow
-        clock.advance_to(trigger_us)
-        emit_clock = clock.now_us
-        feedback = consumer.process(pkg, clock)
-        metrics.append(PackageMetrics(
-            seq=pkg.seq, size=pkg.size, span_us=pkg.span_us,
-            proc_us=feedback.processing_time_us,
-            lag_us=feedback.processing_time_us - pkg.span_us,
-            gamma=gfilter.gamma, rate_raw=gfilter.rate_raw_evps,
-            rate_filtered=gfilter.rate_filtered_evps,
-            drop_filter=pending_filter, drop_overflow=pending_overflow,
-            clock_us=emit_clock, emit_reason=reason))
-        pending_filter = 0
-        pending_overflow = 0
-        packaged += pkg.size
-        packager.update_target_size(feedback)
+    def deliver(cut: _Cut) -> None:
+        row, feedback = _deliver(cut, consumer, clock)
+        metrics.append(row)
+        stages.packager.update_target_size(feedback)
 
     for chunk in source.chunks():
-        source_events += len(chunk)
-        kept, dropped = gfilter.process(chunk)
-        pending_filter += dropped
-        drop_filter_total += dropped
-        excess = packager.buffered + len(kept) - config.input_buffer_capacity
-        if excess > 0:
-            # drop-oldest: buffered events first, then the batch's own head
-            ov = packager.drop_oldest(min(excess, packager.buffered))
-            if ov < excess:
-                kept = kept[excess - ov:]
-                ov = excess
-            pending_overflow += ov
-            drop_overflow_total += ov
-        packager.append(kept)
-        # cut one package at a time so each feedback steers the next cut
-        while (emission := packager.next_emission()) is not None:
-            process(emission.package, emission.reason, emission.trigger_us)
-
+        stages.feed(chunk)
+        for cut in stages.cuts(clock):
+            deliver(cut)
     # drain: the residual buffer flushes when its timeout expires
-    if packager.buffered:
-        deadline = packager.oldest_arrival_us + config.packager.timeout_us
-        pkg = packager.check_timeout(deadline)
-        if pkg is not None:
-            process(pkg, "timeout", deadline)
-
-    return RunResult(
-        metrics=metrics, source_events=source_events, packaged_events=packaged,
-        dropped_by_filter=drop_filter_total,
-        dropped_by_overflow=drop_overflow_total,
-        residual_events=packager.buffered, final_gamma=gfilter.gamma)
+    oldest = stages.packager.oldest_arrival_us
+    if oldest is not None:
+        deliver(stages.flush(oldest + config.packager.timeout_us, clock))
+    return stages.result(metrics)
 
 
 def _run_realtime(config: PipelineConfig, source: StreamSource,
                   consumer: Consumer) -> RunResult:
-    """Threaded realtime execution: one stage per thread, bounded queues.
+    """Threaded realtime execution around the same stages.
 
-    The producer thread paces the source against the wall clock, runs
-    the discard filter and the packager, and forwards packages through
-    a bounded queue; the consumer thread processes them and returns
-    feedback on a dedicated bounded channel.
+    The calling thread paces the source against the wall clock, steps
+    the stages and forwards packages through a bounded queue; the
+    consumer thread processes them and returns feedback on a bounded
+    channel that keeps the newest reports.
     """
     clock = WallClock()
-    gfilter = GammaFilter(config.gamma, seed=config.seed)
-    packager = Packager(config.packager)
+    stages = _Stages(config)
     package_q: queue.Queue = queue.Queue(maxsize=4)
     feedback_q: queue.Queue = queue.Queue(maxsize=4)
     metrics: list[PackageMetrics] = []
-    totals = {"source": 0, "packaged": 0, "filter": 0, "overflow": 0,
-              "pending_filter": 0, "pending_overflow": 0,
-              "feedback_overwrites": 0}
+    overwrites = 0
     errors: list[BaseException] = []
 
     def consume() -> None:
+        nonlocal overwrites
         try:
-            while True:
-                item = package_q.get()
-                if item is None:
-                    return
-                pkg, reason, emit_clock, gamma, rraw, rfilt, dfil, dov = item
-                feedback = consumer.process(pkg, clock)
-                metrics.append(PackageMetrics(
-                    seq=pkg.seq, size=pkg.size, span_us=pkg.span_us,
-                    proc_us=feedback.processing_time_us,
-                    lag_us=feedback.processing_time_us - pkg.span_us,
-                    gamma=gamma, rate_raw=rraw, rate_filtered=rfilt,
-                    drop_filter=dfil, drop_overflow=dov,
-                    clock_us=emit_clock, emit_reason=reason))
-                totals["packaged"] += pkg.size
+            while (cut := package_q.get()) is not None:
+                row, feedback = _deliver(cut, consumer, clock)
+                metrics.append(row)
                 # the newest report describes the cost model best
-                totals["feedback_overwrites"] += _put_latest(feedback_q,
-                                                            feedback)
+                overwrites += _put_latest(feedback_q, feedback)
         except BaseException as exc:  # surfaced to the caller thread
             errors.append(exc)
-
-    def apply_feedback() -> None:
-        while True:
-            try:
-                packager.update_target_size(feedback_q.get_nowait())
-            except queue.Empty:
-                return
-
-    def ship(pkg: EventPackage, reason: str) -> None:
-        item = (pkg, reason, clock.now_us, gfilter.gamma,
-                gfilter.rate_raw_evps, gfilter.rate_filtered_evps,
-                totals["pending_filter"], totals["pending_overflow"])
-        totals["pending_filter"] = 0
-        totals["pending_overflow"] = 0
-        package_q.put(item)
 
     worker = threading.Thread(target=consume, name="asap-consumer", daemon=True)
     worker.start()
@@ -316,47 +314,30 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
                 delay_us = block["t"][0] - clock.now_us
                 if delay_us > 0:
                     time.sleep(delay_us / 1e6)
-                apply_feedback()
-                now = int(clock.now_us)
-                pkg = packager.check_timeout(now)
-                if pkg is not None:
-                    ship(pkg, "timeout")
-                totals["source"] += len(block)
-                kept, dropped = gfilter.process(block)
-                totals["pending_filter"] += dropped
-                totals["filter"] += dropped
-                excess = (packager.buffered + len(kept)
-                          - config.input_buffer_capacity)
-                if excess > 0:
-                    ov = packager.drop_oldest(min(excess, packager.buffered))
-                    if ov < excess:
-                        kept = kept[excess - ov:]
-                        ov = excess
-                    totals["pending_overflow"] += ov
-                    totals["overflow"] += ov
-                for pkg in packager.push_events(kept):
-                    ship(pkg, "size")
+                # the consumer discards only from a full queue, so a report
+                # seen here is still there to take
+                while not feedback_q.empty():
+                    stages.packager.update_target_size(feedback_q.get_nowait())
+                cut = stages.flush(int(clock.now_us), clock)
+                if cut is not None:
+                    package_q.put(cut)
+                stages.feed(block)
+                for cut in stages.cuts(clock):
+                    package_q.put(cut)
         # final timeout drain on the wall clock
-        while packager.buffered:
-            apply_feedback()
-            pkg = packager.check_timeout(int(clock.now_us))
-            if pkg is not None:
-                ship(pkg, "timeout")
-                break
-            time.sleep(0.001)
+        while stages.packager.buffered:
+            cut = stages.flush(int(clock.now_us), clock)
+            if cut is None:
+                time.sleep(0.001)
+            else:
+                package_q.put(cut)
     finally:
         package_q.put(None)
         worker.join()
     if errors:
         raise errors[0]
     metrics.sort(key=lambda m: m.seq)
-    return RunResult(
-        metrics=metrics, source_events=totals["source"],
-        packaged_events=totals["packaged"],
-        dropped_by_filter=totals["filter"],
-        dropped_by_overflow=totals["overflow"],
-        residual_events=packager.buffered, final_gamma=gfilter.gamma,
-        feedback_overwrites=totals["feedback_overwrites"])
+    return stages.result(metrics, overwrites)
 
 
 def write_metrics_csv(path, metrics: list[PackageMetrics]) -> None:

@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from asap_stream import (ConsumerConfig, GammaConfig, GammaState,
-                         PackagerConfig, PipelineConfig, apply_filter,
-                         generate_constant_stream, generate_ramp_stream,
-                         run, write_metrics_csv)
+from asap_stream import (ConstantRateSource, ConsumerConfig, GammaConfig,
+                         GammaState, PackagerConfig, PipelineConfig,
+                         RampRateSource, apply_filter, run, write_metrics_csv)
 
 _SUITE_T0 = time.perf_counter()
 
@@ -36,20 +35,20 @@ def _report(num, name, ok, detail=""):
 def _fixed_point():
     cfg = PipelineConfig(consumer=ConsumerConfig(o_us=1000.0, c_ns=500.0))
     t0 = time.perf_counter()
-    result = run(cfg, generate_constant_stream(1e6, 1.0, seed=0))
+    result = run(cfg, ConstantRateSource(1e6, 1.0, seed=0))
     return result, time.perf_counter() - t0
 
 
 @functools.lru_cache(maxsize=None)
 def _saturation():
     cfg = PipelineConfig(seed=1, consumer=ConsumerConfig(o_us=4000.0, c_ns=100.0))
-    return run(cfg, generate_constant_stream(1e7, 2.0, seed=1))
+    return run(cfg, ConstantRateSource(1e7, 2.0, seed=1))
 
 
 @functools.lru_cache(maxsize=None)
 def _ramp():
     cfg = PipelineConfig(consumer=ConsumerConfig(o_us=1000.0, c_ns=100.0))
-    return run(cfg, generate_ramp_stream(1e5, 1e7, 5.0, seed=0))
+    return run(cfg, RampRateSource(1e5, 1e7, 5.0, seed=0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,7 +56,7 @@ def _steady_flight():
     cfg = PipelineConfig(
         consumer=ConsumerConfig(o_us=10_000.0, c_ns=100.0),
         packager=PackagerConfig(timeout_us=50_000))
-    return run(cfg, generate_constant_stream(1e6, 2.0, seed=0))
+    return run(cfg, ConstantRateSource(1e6, 2.0, seed=0))
 
 
 def _post_settle(metrics, settle_packages=50):
@@ -134,7 +133,7 @@ def test_criterion_4_lag_guarantee(scenario, runner):
 
 def test_criterion_5_filter_statistics():
     n = 1_000_000
-    events = generate_constant_stream(1e6, 1.05, seed=2).events()[:n]
+    events = ConstantRateSource(1e6, 1.05, seed=2).events()[:n]
     state = GammaState(gamma=0.2, gamma_min=0.01,
                        rng=np.random.Generator(np.random.PCG64(5)))
     kept = apply_filter(state, events)
@@ -166,7 +165,7 @@ def test_criterion_6_conservation_identity():
                                     c_ns=float(rng.uniform(50, 1000))),
             input_buffer_capacity=int(rng.integers(10_000, 1_000_000)))
         rate = float(rng.uniform(1e4, 5e6))
-        result = run(cfg, generate_constant_stream(rate, 0.2, seed=seed))
+        result = run(cfg, ConstantRateSource(rate, 0.2, seed=seed))
         if not result.conservation_holds():
             failures.append(seed)
     ok = not failures
@@ -181,7 +180,7 @@ def test_criterion_7_determinism(tmp_path):
         cfg = PipelineConfig(
             consumer=ConsumerConfig(o_us=10_000.0, c_ns=100.0),
             packager=PackagerConfig(timeout_us=50_000))
-        result = run(cfg, generate_constant_stream(1e6, 0.5, seed=9))
+        result = run(cfg, ConstantRateSource(1e6, 0.5, seed=9))
         path = tmp_path / name
         write_metrics_csv(path, result.metrics)
         digests.append(path.read_bytes())
@@ -197,7 +196,7 @@ def test_criterion_8_responsivity_bound():
         packager=PackagerConfig(timeout_us=timeout_us, n_min=32,
                                 initial_size=1000),
         consumer=ConsumerConfig(o_us=100.0, c_ns=500.0))
-    result = run(cfg, generate_constant_stream(1e3, 10.0, seed=3))
+    result = run(cfg, ConstantRateSource(1e3, 10.0, seed=3))
     # wait of the oldest event: exactly the timeout on a timeout flush,
     # the package span on a size cut -- neither may exceed the timeout
     max_span = max(m.span_us for m in result.metrics)

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asap_stream import (DAVIS346, ArraySource, ConfigurationError,
-                         EventFileError, OrderingError, SensorGeometry,
-                         generate_constant_stream, generate_ramp_stream,
-                         make_events, read_event_file, read_events,
-                         write_event_file)
+                         ConstantRateSource, EventFileError, OrderingError,
+                         RampRateSource, SensorGeometry, make_events,
+                         read_event_file, read_events, write_event_file)
 from asap_stream.events import EventPackage, validate_events
 
 
@@ -28,45 +27,45 @@ class TestGeometry:
 class TestConstantStream:
     def test_count_within_poisson_bounds(self):
         # rate * duration = 1e6; +/- 4 sigma = +/- 4000
-        events = generate_constant_stream(1e6, 1.0, seed=42).events()
+        events = ConstantRateSource(1e6, 1.0, seed=42).events()
         assert 1_000_000 - 4000 <= len(events) <= 1_000_000 + 4000
 
     def test_same_seed_bit_identical(self):
-        a = generate_constant_stream(1e6, 1.0, seed=7).events()
-        b = generate_constant_stream(1e6, 1.0, seed=7).events()
+        a = ConstantRateSource(1e6, 1.0, seed=7).events()
+        b = ConstantRateSource(1e6, 1.0, seed=7).events()
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = generate_constant_stream(1e5, 0.1, seed=1).events()
-        b = generate_constant_stream(1e5, 0.1, seed=2).events()
+        a = ConstantRateSource(1e5, 0.1, seed=1).events()
+        b = ConstantRateSource(1e5, 0.1, seed=2).events()
         assert not np.array_equal(a, b)
 
     def test_fields_within_default_geometry(self):
-        ev = generate_constant_stream(1e5, 0.1, seed=3).events()
+        ev = ConstantRateSource(1e5, 0.1, seed=3).events()
         assert np.all(ev["x"] >= 0) and np.all(ev["x"] < 346)
         assert np.all(ev["y"] >= 0) and np.all(ev["y"] < 260)
         assert np.all(np.isin(ev["p"], (-1, 1)))
 
     def test_timestamps_non_decreasing(self):
-        ev = generate_constant_stream(1e6, 0.2, seed=5).events()
+        ev = ConstantRateSource(1e6, 0.2, seed=5).events()
         assert np.all(np.diff(ev["t"]) >= 0)
 
     def test_mean_count_over_seeds_within_1pct(self):
         rate, duration = 1e5, 0.1
-        counts = [len(generate_constant_stream(rate, duration, seed=s).events())
+        counts = [len(ConstantRateSource(rate, duration, seed=s).events())
                   for s in range(100)]
         assert abs(np.mean(counts) - rate * duration) <= 0.01 * rate * duration
 
     @pytest.mark.parametrize("rate,duration", [(0, 1.0), (-1, 1.0), (1e6, 0)])
     def test_invalid_parameters(self, rate, duration):
         with pytest.raises(ConfigurationError):
-            generate_constant_stream(rate, duration)
+            ConstantRateSource(rate, duration)
 
 
 class TestRampStream:
     def test_count_matches_rate_integral(self):
         # integral of the linear rate from 1e5 to 1e7 over 5 s = 2.525e7
-        events = generate_ramp_stream(1e5, 1e7, 5.0, seed=11).events()
+        events = RampRateSource(1e5, 1e7, 5.0, seed=11).events()
         expected = 2.525e7
         sigma = np.sqrt(expected)
         assert abs(len(events) - expected) <= 4 * sigma
@@ -74,35 +73,35 @@ class TestRampStream:
     def test_flat_ramp_count_distribution_matches_constant(self):
         # degenerate ramp: same Poisson count statistics as a constant source
         rate, duration = 1e5, 0.1
-        ramp = [len(generate_ramp_stream(rate, rate, duration, seed=s).events())
+        ramp = [len(RampRateSource(rate, rate, duration, seed=s).events())
                 for s in range(20)]
-        const = [len(generate_constant_stream(rate, duration, seed=s).events())
+        const = [len(ConstantRateSource(rate, duration, seed=s).events())
                  for s in range(20)]
         expected = rate * duration
         assert abs(np.mean(ramp) - expected) < 4 * np.sqrt(expected / 20)
         assert abs(np.mean(ramp) - np.mean(const)) < 4 * np.sqrt(expected / 10)
 
     def test_timestamps_sorted(self):
-        ev = generate_ramp_stream(1e4, 1e6, 0.5, seed=13).events()
+        ev = RampRateSource(1e4, 1e6, 0.5, seed=13).events()
         assert np.all(np.diff(ev["t"]) >= 0)
 
     def test_deterministic(self):
-        a = generate_ramp_stream(1e5, 1e6, 0.5, seed=17).events()
-        b = generate_ramp_stream(1e5, 1e6, 0.5, seed=17).events()
+        a = RampRateSource(1e5, 1e6, 0.5, seed=17).events()
+        b = RampRateSource(1e5, 1e6, 0.5, seed=17).events()
         assert np.array_equal(a, b)
 
     def test_invalid_rates(self):
         with pytest.raises(ConfigurationError):
-            generate_ramp_stream(0, 1e6, 1.0)
+            RampRateSource(0, 1e6, 1.0)
         with pytest.raises(ConfigurationError):
-            generate_ramp_stream(1e6, -1, 1.0)
+            RampRateSource(1e6, -1, 1.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(rate=st.floats(min_value=1e3, max_value=1e6),
        seed=st.integers(min_value=0, max_value=2**31))
 def test_any_generated_stream_is_sorted(rate, seed):
-    ev = generate_constant_stream(rate, 0.01, seed=seed).events()
+    ev = ConstantRateSource(rate, 0.01, seed=seed).events()
     assert np.all(np.diff(ev["t"]) >= 0)
 
 
@@ -126,14 +125,14 @@ class TestEventFile:
         assert len(source.events()) == 0
 
     def test_round_trip_identity(self, tmp_path):
-        ev = generate_constant_stream(1e5, 0.02, seed=9).events()
+        ev = ConstantRateSource(1e5, 0.02, seed=9).events()
         path = tmp_path / "rt.csv"
         write_event_file(path, ev)
         back = read_events(path)
         assert np.array_equal(ev, back)
 
     def test_write_read_write_byte_equal(self, tmp_path):
-        ev = generate_constant_stream(1e5, 0.01, seed=4).events()
+        ev = ConstantRateSource(1e5, 0.01, seed=4).events()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_event_file(p1, ev)
         write_event_file(p2, read_events(p1))
@@ -166,7 +165,7 @@ class TestEventFile:
 
 class TestArraySource:
     def test_chunked_iteration_preserves_stream(self):
-        ev = generate_constant_stream(1e5, 0.05, seed=2).events()
+        ev = ConstantRateSource(1e5, 0.05, seed=2).events()
         src = ArraySource(ev, chunk_size=100)
         chunks = list(src.chunks())
         assert all(len(c) <= 100 for c in chunks)
@@ -176,6 +175,33 @@ class TestArraySource:
         ev = make_events([10, 5], [0, 0], [0, 0], [1, 1])
         with pytest.raises(OrderingError):
             ArraySource(ev)
+
+    @pytest.mark.parametrize("x, y, fault", [
+        ([1000, 5], [0, 0], "x"), ([0, -5], [0, 0], "x"),
+        ([0, 0], [0, 900], "y"), ([0, 0], [-1, 0], "y"),
+        ([1000, -5], [0, 900], "x")])
+    def test_rejects_pixels_outside_its_geometry(self, x, y, fault):
+        ev = make_events([0, 1], x, y, [1, 1])
+        with pytest.raises(ValueError, match=f"event {fault} out of sensor"):
+            ArraySource(ev, DAVIS346)
+
+    def test_geometry_bounds_are_exclusive(self):
+        ev = make_events([0, 1], [345, 9], [259, 4], [1, -1])
+        ArraySource(ev, DAVIS346)
+        with pytest.raises(ValueError, match="x out of sensor"):
+            ArraySource(ev, SensorGeometry(width=345, height=260))
+        with pytest.raises(ValueError, match="y out of sensor"):
+            ArraySource(ev, SensorGeometry(width=346, height=259))
+
+    def test_replayed_file_checked_against_its_geometry(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("0,300,10,1\n5,20,10,-1\n")
+        assert len(read_event_file(path).events()) == 2
+        with pytest.raises(ValueError, match="x out of sensor"):
+            read_event_file(path, SensorGeometry(width=240, height=180))
+        path.write_text("0,1000,-5,1\n1,0,900,1\n")
+        with pytest.raises(ValueError, match="x out of sensor"):
+            read_event_file(path)
 
 
 #: A stream spanning three validation blocks of 65536 events.
@@ -228,6 +254,19 @@ class TestValidateEvents:
         validate_events(ev)  # no geometry, no bounds check
         with pytest.raises(ValueError, match=message):
             validate_events(ev, DAVIS346)
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("value", [-1, -30_000, -32_768])
+    def test_negative_rejected_on_a_wider_than_int16_sensor(self, field,
+                                                            value):
+        huge = SensorGeometry(width=40_000, height=40_000)
+        ev = _valid_stream()
+        ev["x"][65536] = 32_767
+        ev["y"][65536] = 32_767
+        validate_events(ev, huge)
+        ev[field][0] = value
+        with pytest.raises(ValueError, match=f"{field} out of"):
+            validate_events(ev, huge)
 
     def test_ordering_fault_reported_before_field_faults(self):
         ev = _valid_stream()

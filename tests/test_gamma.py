@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from asap_stream import (ConfigurationError, GammaConfig, GammaFilter,
-                         GammaState, OrderingError, SlidingRateEstimator,
-                         apply_filter, estimate_rate, generate_constant_stream,
-                         make_events, target_gamma, update_gamma)
+from asap_stream import (ConfigurationError, ConstantRateSource, GammaConfig,
+                         GammaFilter, GammaState, OrderingError,
+                         SlidingRateEstimator, apply_filter, make_events,
+                         target_gamma, update_gamma)
 
 
 def _events_at(timestamps):
@@ -21,7 +21,7 @@ class TestRateEstimator:
     def test_5000_events_in_1ms_window(self):
         est = SlidingRateEstimator(window_us=1000)
         t = np.linspace(0, 1000, 5000, endpoint=True).astype(np.int64)
-        assert estimate_rate(est, t) == pytest.approx(5e6, rel=0.001)
+        assert est.update(t) == pytest.approx(5e6, rel=0.001)
 
     def test_empty_window_is_zero(self):
         est = SlidingRateEstimator(window_us=1000)
@@ -30,7 +30,7 @@ class TestRateEstimator:
 
     def test_poisson_stream_mean_within_2pct(self):
         # constant 1e6 ev/s stream sampled at 100 successive 10 ms windows
-        ev = generate_constant_stream(1e6, 1.1, seed=21).events()
+        ev = ConstantRateSource(1e6, 1.1, seed=21).events()
         est = SlidingRateEstimator(window_us=10_000)
         estimates = []
         edges = np.searchsorted(ev["t"], np.arange(101) * 10_000)
@@ -163,12 +163,12 @@ class TestUpdateGamma:
 
 class TestApplyFilter:
     def test_gamma_one_is_identity(self):
-        ev = generate_constant_stream(1e5, 0.05, seed=1).events()
+        ev = ConstantRateSource(1e5, 0.05, seed=1).events()
         state = GammaState(gamma=1.0)
         assert np.array_equal(apply_filter(state, ev), ev)
 
     def test_gamma_one_returns_input_and_advances_rng_by_n(self):
-        ev = generate_constant_stream(1e5, 0.05, seed=1).events()
+        ev = ConstantRateSource(1e5, 0.05, seed=1).events()
         state = GammaState(gamma=1.0,
                            rng=np.random.Generator(np.random.PCG64(11)))
         reference = np.random.Generator(np.random.PCG64(11))
@@ -204,14 +204,14 @@ class TestApplyFilter:
         assert state.rng.bit_generator.state == ref.bit_generator.state
 
     def test_binomial_bounds_at_gamma_02(self):
-        ev = generate_constant_stream(1e6, 1.0, seed=2).events()[:1_000_000]
+        ev = ConstantRateSource(1e6, 1.0, seed=2).events()[:1_000_000]
         state = GammaState(gamma=0.2, gamma_min=0.01,
                            rng=np.random.Generator(np.random.PCG64(3)))
         kept = apply_filter(state, ev)
         assert 198_400 <= len(kept) <= 201_600
 
     def test_determinism(self):
-        ev = generate_constant_stream(1e5, 0.05, seed=4).events()
+        ev = ConstantRateSource(1e5, 0.05, seed=4).events()
         a = apply_filter(GammaState(gamma=0.5,
                                     rng=np.random.Generator(np.random.PCG64(9))), ev)
         b = apply_filter(GammaState(gamma=0.5,
@@ -219,7 +219,7 @@ class TestApplyFilter:
         assert np.array_equal(a, b)
 
     def test_kept_is_subsequence(self):
-        ev = generate_constant_stream(1e5, 0.05, seed=5).events()
+        ev = ConstantRateSource(1e5, 0.05, seed=5).events()
         state = GammaState(gamma=0.5,
                            rng=np.random.Generator(np.random.PCG64(6)))
         kept = apply_filter(state, ev)
@@ -258,18 +258,19 @@ class TestGammaFilter:
         # constant raw rate 1e7 with a = 5e6: filtered rate converges to a
         cfg = GammaConfig(a_evps=5e6, beta=0.25, rate_window_us=10_000)
         gfilter = GammaFilter(cfg, seed=0)
-        ev = generate_constant_stream(1e7, 0.5, seed=8).events()
+        kept_rate = SlidingRateEstimator(window_us=10_000)
+        ev = ConstantRateSource(1e7, 0.5, seed=8).events()
         edges = np.searchsorted(ev["t"], np.arange(0, 500_001, 10_000))
         filtered_rates = []
         for i in range(len(edges) - 1):
-            gfilter.process(ev[edges[i]:edges[i + 1]])
-            filtered_rates.append(gfilter.rate_filtered_evps)
+            kept, _ = gfilter.process(ev[edges[i]:edges[i + 1]])
+            filtered_rates.append(kept_rate.update(kept["t"]))
         steady = np.mean(filtered_rates[len(filtered_rates) // 2:])
         assert abs(steady - 5e6) <= 0.05 * 5e6
         assert abs(gfilter.gamma - 0.5) <= 0.05 * 0.5
 
     def test_drop_count_partition(self):
         gfilter = GammaFilter(GammaConfig(), seed=0)
-        ev = generate_constant_stream(1e7, 0.05, seed=10).events()
+        ev = ConstantRateSource(1e7, 0.05, seed=10).events()
         kept, dropped = gfilter.process(ev)
         assert len(kept) + dropped == len(ev)

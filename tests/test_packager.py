@@ -77,33 +77,57 @@ class TestAffineCostModel:
         assert model.per_event_us == pytest.approx(0.5, rel=0.05)
 
 
-class TestPushEvents:
+#: A ``check_timeout`` time past every deadline: flushes any residual.
+_NEVER = 2**62
+
+
+def _drain(packager):
+    out = []
+    while (em := packager.next_emission()) is not None:
+        out.append(em)
+    return out
+
+
+class TestAppendAndCut:
     def test_250_events_two_packages_of_100(self):
         p = Packager(PackagerConfig(initial_size=100, timeout_us=10_000))
-        packages = p.push_events(_events_at(np.arange(250)))
+        p.append(_events_at(np.arange(250)))
+        packages = [em.package for em in _drain(p)]
         assert [pkg.size for pkg in packages] == [100, 100]
         assert p.buffered == 50
         assert [pkg.seq for pkg in packages] == [0, 1]
 
-    def test_push_nothing_is_noop(self):
+    def test_append_nothing_is_noop(self):
         p = Packager(PackagerConfig(initial_size=100))
-        assert p.push_events(_events_at([])) == []
+        p.append(_events_at([]))
+        assert p.next_emission() is None
         assert p.buffered == 0
+        assert p.rate_evps == 0.0
 
     def test_partition_identity(self):
         p = Packager(PackagerConfig(initial_size=64, timeout_us=1_000_000))
         ev = _events_at(np.arange(1000))
         out = []
         for i in range(0, 1000, 170):
-            out.extend(pkg.events for pkg in p.push_events(ev[i:i + 170]))
-        out.append(p.take_buffer())
+            p.append(ev[i:i + 170])
+            out.extend(em.package.events for em in _drain(p))
+        out.append(p.check_timeout(_NEVER).events)
         assert np.array_equal(np.concatenate(out), ev)
+        assert p.buffered == 0
 
     def test_out_of_order_rejected(self):
         p = Packager(PackagerConfig(initial_size=100))
-        p.push_events(_events_at([10, 20]))
+        p.append(_events_at([10, 20]))
         with pytest.raises(OrderingError):
-            p.push_events(_events_at([5]))
+            p.append(_events_at([5]))
+        with pytest.raises(OrderingError):
+            p.append(_events_at([30, 25]))
+        assert p.buffered == 2
+
+    def test_rate_counts_the_appended_events(self):
+        p = Packager(PackagerConfig(rate_window_us=1_000))
+        p.append(_events_at(np.arange(0, 2_000, 2)))
+        assert p.rate_evps == pytest.approx(501 / 1e-3)
 
 
 class TestCheckTimeout:
@@ -145,13 +169,6 @@ class TestNextEmission:
         assert p.buffered == 1
 
 
-def _drain(packager):
-    out = []
-    while (em := packager.next_emission()) is not None:
-        out.append(em)
-    return out
-
-
 class TestChunkInvariance:
     @given(gaps=st.lists(st.integers(min_value=0, max_value=400),
                          max_size=300),
@@ -179,8 +196,10 @@ class TestChunkInvariance:
         for a, b in zip(got, expected):
             assert np.array_equal(a.package.events, b.package.events)
         # the packages and the residual buffer reassemble the input
-        parts = [e.package.events for e in got] + [split.take_buffer()]
-        assert np.array_equal(np.concatenate(parts), ev)
+        parts = [e.package.events for e in got]
+        if (rest := split.check_timeout(_NEVER)) is not None:
+            parts.append(rest.events)
+        assert np.array_equal(np.concatenate([ev[:0], *parts]), ev)
 
 
 class TestViewSafety:
@@ -199,11 +218,12 @@ class TestViewSafety:
         p.append(_events_at(np.arange(300, 320)))    # reallocates
         p.append(_events_at(np.arange(320, 330)))    # fills spare room
         keep(p.next_emission().package.events)
-        for pkg in p.push_events(_events_at(np.arange(330, 450))):
-            keep(pkg.events)
+        p.append(_events_at(np.arange(330, 450)))
+        for em in _drain(p):
+            keep(em.package.events)
         assert p.drop_oldest(5) == 5
         p.append(_events_at(np.arange(450, 460)))
-        keep(p.take_buffer())
+        keep(p.check_timeout(_NEVER).events)
         p.append(_events_at(np.arange(460, 600)))
         keep(p.next_emission().package.events)
         p.append(_events_at(np.arange(600, 700)))
@@ -279,6 +299,6 @@ class TestUpdateTargetSize:
             p.update_target_size(_feedback(seq, pkg.size, pkg.span_us, proc))
             seq += 1
             history.append(p.target_size)
-            p.take_buffer()
+            p.check_timeout(_NEVER)
         for target in history[50:]:
             assert abs(target - 2000) <= 0.10 * 2000 + 2000 * 0.05  # headroom bias

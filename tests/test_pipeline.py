@@ -5,10 +5,10 @@ import queue
 import numpy as np
 import pytest
 
-from asap_stream import (ArraySource, ConsumerConfig, GammaConfig,
-                         PackagerConfig, PipelineConfig, SlidingRateEstimator,
-                         generate_constant_stream, generate_ramp_stream,
-                         make_events, overflow_guard, run, write_metrics_csv)
+from asap_stream import (ArraySource, ConstantRateSource, ConsumerConfig,
+                         GammaConfig, PackagerConfig, PipelineConfig,
+                         RampRateSource, SyntheticConsumer, SyntheticCostModel,
+                         make_events, run, write_metrics_csv)
 from asap_stream.pipeline import METRICS_HEADER, _put_latest
 
 
@@ -16,22 +16,65 @@ def _config(**kwargs):
     return PipelineConfig(**kwargs)
 
 
+class _Recorder:
+    """Synthetic consumer that keeps a copy of every package it is handed."""
+
+    def __init__(self):
+        self.inner = SyntheticConsumer(SyntheticCostModel(100.0, 0.1))
+        self.packages = []
+
+    def process(self, package, clock):
+        self.packages.append(package.events.copy())
+        return self.inner.process(package, clock)
+
+
+def _run_buffered(t, capacity, chunk_size):
+    """Run events at times ``t`` into a buffer of ``capacity`` that never
+    cuts before the end of the stream; returns the run and the packages."""
+    n = len(t)
+    cfg = _config(packager=PackagerConfig(initial_size=1000,
+                                          timeout_us=10**6),
+                  input_buffer_capacity=capacity)
+    rec = _Recorder()
+    source = ArraySource(make_events(t, np.zeros(n), np.zeros(n), np.ones(n)),
+                         chunk_size=chunk_size)
+    return run(cfg, source, rec), rec.packages
+
+
 class TestOverflowGuard:
     def test_full_buffer_drops_oldest(self):
-        buf = make_events(np.arange(10), np.zeros(10), np.zeros(10), np.ones(10))
-        new = make_events([20, 21, 22], [0, 0, 0], [0, 0, 0], [1, 1, 1])
-        merged, dropped = overflow_guard(buf, new, capacity=10)
-        assert dropped == 3
-        assert len(merged) == 10
-        assert merged["t"][0] == 3          # three oldest gone
-        assert merged["t"][-1] == 22        # newest admitted
+        # ten buffered events, then a batch of three: the three oldest
+        # buffered events make room for the whole batch
+        t = [*range(10), 20, 21, 22]
+        result, packages = _run_buffered(t, capacity=10, chunk_size=10)
+        assert result.dropped_by_overflow == 3
+        assert [m.drop_overflow for m in result.metrics] == [3]
+        assert len(packages) == 1 and len(packages[0]) == 10
+        assert packages[0]["t"][0] == 3          # three oldest gone
+        assert packages[0]["t"][-1] == 22        # newest admitted
+        assert result.conservation_holds()
+
+    def test_batch_larger_than_capacity_keeps_its_newest(self):
+        # the first batch alone is 2 over capacity and loses its own two
+        # oldest events; the second pushes out the 4 oldest buffered ones
+        t = list(range(16))
+        result, packages = _run_buffered(t, capacity=10, chunk_size=12)
+        assert result.dropped_by_overflow == 6
+        assert np.array_equal(np.concatenate(packages)["t"], np.arange(6, 16))
+        assert result.conservation_holds()
 
     def test_below_capacity_is_noop(self):
-        buf = make_events([0, 1], [0, 0], [0, 0], [1, 1])
-        new = make_events([2], [0], [0], [1])
-        merged, dropped = overflow_guard(buf, new, capacity=10)
-        assert dropped == 0
-        assert len(merged) == 3
+        t = [0, 1, 2]
+        result, packages = _run_buffered(t, capacity=10, chunk_size=2)
+        assert result.dropped_by_overflow == 0
+        assert [m.drop_overflow for m in result.metrics] == [0]
+        assert np.array_equal(np.concatenate(packages)["t"], t)
+
+    def test_exactly_at_capacity_is_noop(self):
+        result, packages = _run_buffered(list(range(10)), capacity=10,
+                                         chunk_size=3)
+        assert result.dropped_by_overflow == 0
+        assert len(np.concatenate(packages)) == 10
 
     def test_pipeline_overflow_drops_counted(self):
         cfg = _config(
@@ -39,7 +82,7 @@ class TestOverflowGuard:
                                     n_max=1_000_000),
             consumer=ConsumerConfig(o_us=1000, c_ns=100),
             input_buffer_capacity=5_000)
-        source = generate_constant_stream(1e6, 0.05, seed=0)
+        source = ConstantRateSource(1e6, 0.05, seed=0)
         result = run(cfg, source)
         assert result.dropped_by_overflow > 0
         assert result.conservation_holds()
@@ -51,7 +94,7 @@ class TestVirtualRun:
         # steady-state package size sits at the synchronization fixed
         # point N* = o/(1/R - c) = 2000 (times the configured headroom)
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
-        result = run(cfg, generate_constant_stream(1e6, 1.0, seed=0))
+        result = run(cfg, ConstantRateSource(1e6, 1.0, seed=0))
         assert all(m.gamma == 1.0 for m in result.metrics)
         assert result.dropped_by_filter == 0
         sizes = [m.size for m in result.metrics]
@@ -60,7 +103,7 @@ class TestVirtualRun:
 
     def test_ramp_gamma_trace(self):
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=100))
-        result = run(cfg, generate_ramp_stream(1e5, 1e7, 5.0, seed=0))
+        result = run(cfg, RampRateSource(1e5, 1e7, 5.0, seed=0))
         crossing = next(i for i, m in enumerate(result.metrics)
                         if m.rate_raw >= cfg.gamma.a_evps)
         assert all(m.gamma == 1.0 for m in result.metrics[:crossing])
@@ -73,7 +116,7 @@ class TestVirtualRun:
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
         paths = []
         for name in ("a.csv", "b.csv"):
-            result = run(cfg, generate_constant_stream(1e6, 0.2, seed=3))
+            result = run(cfg, ConstantRateSource(1e6, 0.2, seed=3))
             path = tmp_path / name
             write_metrics_csv(path, result.metrics)
             paths.append(path)
@@ -82,13 +125,13 @@ class TestVirtualRun:
     def test_conservation_exact(self):
         cfg = _config(gamma=GammaConfig(a_evps=5e5),
                       consumer=ConsumerConfig(o_us=500, c_ns=300))
-        result = run(cfg, generate_constant_stream(2e6, 0.1, seed=4))
+        result = run(cfg, ConstantRateSource(2e6, 0.1, seed=4))
         assert result.conservation_holds()
         assert result.dropped_by_filter > 0
 
     def test_metrics_seq_order_and_lag_identity(self):
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
-        result = run(cfg, generate_constant_stream(1e6, 0.2, seed=5))
+        result = run(cfg, ConstantRateSource(1e6, 0.2, seed=5))
         seqs = [m.seq for m in result.metrics]
         assert seqs == sorted(seqs)
         for m in result.metrics:
@@ -101,7 +144,7 @@ class TestVirtualRun:
             packager=PackagerConfig(timeout_us=10_000, n_min=32,
                                     initial_size=1000),
             consumer=ConsumerConfig(o_us=100, c_ns=500))
-        result = run(cfg, generate_constant_stream(1e3, 2.0, seed=6))
+        result = run(cfg, ConstantRateSource(1e3, 2.0, seed=6))
         assert result.metrics
         for m in result.metrics:
             assert m.span_us <= cfg.packager.timeout_us
@@ -115,7 +158,7 @@ class TestVirtualRun:
 
     def test_csv_shape(self, tmp_path):
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
-        result = run(cfg, generate_constant_stream(1e6, 0.05, seed=7))
+        result = run(cfg, ConstantRateSource(1e6, 0.05, seed=7))
         path = tmp_path / "m.csv"
         write_metrics_csv(path, result.metrics)
         lines = path.read_text().splitlines()
@@ -125,7 +168,7 @@ class TestVirtualRun:
 
     def test_clustering_consumer_runs(self):
         cfg = _config(consumer=ConsumerConfig(kind="clustering"))
-        result = run(cfg, generate_constant_stream(1e4, 0.2, seed=8))
+        result = run(cfg, ConstantRateSource(1e4, 0.2, seed=8))
         assert result.metrics
         assert result.conservation_holds()
 
@@ -133,7 +176,7 @@ class TestVirtualRun:
         from asap_stream import ConfigurationError
         cfg = _config(mode="bogus")
         with pytest.raises(ConfigurationError):
-            run(cfg, generate_constant_stream(1e4, 0.1, seed=0))
+            run(cfg, ConstantRateSource(1e4, 0.1, seed=0))
 
 
 class TestPutLatest:
@@ -169,18 +212,29 @@ class TestPutLatest:
         assert list(q.queue) == [7]
 
     def test_virtual_run_reports_no_overwrites(self):
-        result = run(_config(), generate_constant_stream(1e5, 0.05, seed=0))
+        result = run(_config(), ConstantRateSource(1e5, 0.05, seed=0))
         assert result.feedback_overwrites == 0
 
 
 class TestRealtimeRun:
+    def test_responsivity_bound(self):
+        # every size cut must also respect the timeout deadline: no
+        # package may span the timeout
+        cfg = _config(mode="realtime",
+                      packager=PackagerConfig(initial_size=200,
+                                              timeout_us=10_000))
+        result = run(cfg, ConstantRateSource(1e4, 0.3))
+        assert result.metrics
+        assert max(m.span_us for m in result.metrics) < 10_000
+        assert result.conservation_holds()
+
     def test_smoke_conservation_and_metrics(self):
         # short wall-clock run; verifies threading, pacing, and totals
         cfg = _config(mode="realtime",
                       packager=PackagerConfig(initial_size=200,
                                               timeout_us=20_000),
                       consumer=ConsumerConfig(o_us=100, c_ns=100))
-        ev = generate_constant_stream(1e5, 0.3, seed=9).events()
+        ev = ConstantRateSource(1e5, 0.3, seed=9).events()
         result = run(cfg, ArraySource(ev, chunk_size=4096))
         assert result.conservation_holds()
         assert result.metrics
