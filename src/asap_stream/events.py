@@ -8,7 +8,7 @@ start, pixel column, pixel row, and polarity in {+1, -1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -100,15 +100,16 @@ class EventPackage:
 
     events: np.ndarray
     seq: int
+    #: Newest minus oldest timestamp, fixed at construction (0 when empty).
+    span_us: int = field(init=False)
+
+    def __post_init__(self):
+        t = self.events["t"]
+        self.span_us = int(t[-1] - t[0]) if len(t) else 0
 
     @property
     def size(self) -> int:
         return len(self.events)
-
-    @property
-    def span_us(self) -> int:
-        """Temporal difference between the newest and oldest events."""
-        return int(self.events["t"][-1] - self.events["t"][0])
 
     def validate(self) -> None:
         if len(self.events) == 0:

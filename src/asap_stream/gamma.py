@@ -64,16 +64,22 @@ class SlidingRateEstimator:
         self._count = 0
 
     def update(self, timestamps: np.ndarray) -> float:
-        """Fold a batch of ordered timestamps in; returns the new estimate."""
+        """Fold a batch of ordered timestamps in; returns the new estimate.
+
+        Raises :class:`OrderingError`, with the estimator unchanged, when
+        the batch decreases or starts before the newest timestamp seen.
+        The newest batch never leaves the window, so its last timestamp
+        is always that newest one.
+        """
         t = np.ascontiguousarray(timestamps, dtype=np.int64)
         if t.size:
             if (t[1:] < t[:-1]).any():
-                raise OrderingError("rate estimator requires ordered timestamps")
+                raise OrderingError("batch timestamps must be non-decreasing")
             batches = self._batches
             if batches and t[0] < batches[-1][-1]:
                 raise OrderingError(
-                    f"timestamp {t[0]} is older than the newest seen "
-                    f"{batches[-1][-1]}")
+                    f"batch starts at timestamp {t[0]}, before the newest "
+                    f"one already seen, {batches[-1][-1]}")
             batches.append(t)
             self._count += t.size
             cut = int(t[-1]) - self.window_us

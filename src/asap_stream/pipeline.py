@@ -279,13 +279,15 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
                   consumer: Consumer) -> RunResult:
     """Threaded realtime execution around the same stages.
 
-    The calling thread paces the source against the wall clock, steps
-    the stages and forwards packages through a bounded queue; the
-    consumer thread processes them and returns feedback on a bounded
-    channel that keeps the newest reports.
+    The calling thread paces the source against the wall clock, feeding
+    each event once it is due, steps the stages and forwards packages
+    through a bounded queue; the consumer thread processes them and
+    returns feedback on a bounded channel that keeps the newest reports.
+    An exception in the consumer stops the feed and is re-raised here.
     """
     clock = WallClock()
     stages = _Stages(config)
+    timeout_us = config.packager.timeout_us
     package_q: queue.Queue = queue.Queue(maxsize=4)
     feedback_q: queue.Queue = queue.Queue(maxsize=4)
     metrics: list[PackageMetrics] = []
@@ -294,43 +296,59 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
 
     def consume() -> None:
         nonlocal overwrites
-        try:
-            while (cut := package_q.get()) is not None:
+        while (cut := package_q.get()) is not None:
+            if errors:
+                continue  # drain to the sentinel: the producer never blocks
+            try:
                 row, feedback = _deliver(cut, consumer, clock)
-                metrics.append(row)
-                # the newest report describes the cost model best
-                overwrites += _put_latest(feedback_q, feedback)
-        except BaseException as exc:  # surfaced to the caller thread
-            errors.append(exc)
+            except BaseException as exc:  # surfaced to the caller thread
+                errors.append(exc)
+                continue
+            metrics.append(row)
+            # the newest report describes the cost model best
+            overwrites += _put_latest(feedback_q, feedback)
+
+    def wait(next_us: int | None) -> int:
+        """Sleep until the event at ``next_us`` is due or the oldest
+        buffered event times out, whichever is first; then apply the
+        reports that came back and flush a timed-out buffer. Returns the
+        wall time in whole microseconds."""
+        oldest = stages.packager.oldest_arrival_us
+        if oldest is not None:
+            deadline = oldest + timeout_us
+            next_us = deadline if next_us is None else min(next_us, deadline)
+        delay_us = next_us - clock.now_us
+        if delay_us > 0:
+            time.sleep(delay_us / 1e6)
+        now_us = int(clock.now_us)
+        # the consumer discards only from a full queue, so a report seen
+        # here is still there to take
+        while not feedback_q.empty():
+            stages.packager.update_target_size(feedback_q.get_nowait())
+        cut = stages.flush(now_us, clock)
+        if cut is not None:
+            package_q.put(cut)
+        return now_us
 
     worker = threading.Thread(target=consume, name="asap-consumer", daemon=True)
     worker.start()
-    pace_block = 256
     try:
         for chunk in source.chunks():
-            for i in range(0, len(chunk), pace_block):
-                block = chunk[i:i + pace_block]
-                # pace replay: wait until the block's first event is due
-                delay_us = block["t"][0] - clock.now_us
-                if delay_us > 0:
-                    time.sleep(delay_us / 1e6)
-                # the consumer discards only from a full queue, so a report
-                # seen here is still there to take
-                while not feedback_q.empty():
-                    stages.packager.update_target_size(feedback_q.get_nowait())
-                cut = stages.flush(int(clock.now_us), clock)
-                if cut is not None:
-                    package_q.put(cut)
-                stages.feed(block)
-                for cut in stages.cuts(clock):
-                    package_q.put(cut)
+            t = np.ascontiguousarray(chunk["t"])
+            fed = 0
+            while fed < len(chunk) and not errors:
+                now_us = wait(int(t[fed]))
+                due = int(t.searchsorted(now_us, side="right"))
+                if due > fed:
+                    stages.feed(chunk[fed:due])
+                    fed = due
+                    for cut in stages.cuts(clock):
+                        package_q.put(cut)
+            if errors:
+                break
         # final timeout drain on the wall clock
-        while stages.packager.buffered:
-            cut = stages.flush(int(clock.now_us), clock)
-            if cut is None:
-                time.sleep(0.001)
-            else:
-                package_q.put(cut)
+        while stages.packager.buffered and not errors:
+            wait(None)
     finally:
         package_q.put(None)
         worker.join()

@@ -313,3 +313,18 @@ class TestEventPackageValidate:
     def test_empty_package_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             EventPackage(events=make_events([], [], [], []), seq=0).validate()
+
+
+class TestEventPackageSpan:
+    @pytest.mark.parametrize("t, span", [([], 0), ([7], 0), ([3, 3], 0),
+                                         ([5, 9, 40], 35)])
+    def test_span_is_newest_minus_oldest(self, t, span):
+        n = len(t)
+        pkg = EventPackage(events=make_events(t, [0] * n, [0] * n, [1] * n),
+                           seq=0)
+        assert pkg.span_us == span and type(pkg.span_us) is int
+
+    def test_span_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            EventPackage(events=make_events([1], [0], [0], [1]), seq=0,
+                         span_us=5)

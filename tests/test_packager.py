@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asap_stream import (AffineCostModel, ConfigurationError, OrderingError,
-                         Packager, PackagerConfig, ProcessingFeedback,
-                         make_events, predict_size)
+from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
+                         OrderingError, Packager, PackagerConfig,
+                         ProcessingFeedback, make_events, predict_size)
 
 
 def _events_at(timestamps):
@@ -200,6 +200,88 @@ class TestChunkInvariance:
         if (rest := split.check_timeout(_NEVER)) is not None:
             parts.append(rest.events)
         assert np.array_equal(np.concatenate([ev[:0], *parts]), ev)
+
+
+def _emission_key(em):
+    if em is None:
+        return None
+    return em.reason, em.trigger_us, em.package.seq, em.package.events.tobytes()
+
+
+#: One appended batch: gaps between its timestamps, the offset of its
+#: first timestamp from the newest appended one, where (if anywhere) a
+#: decrease is injected, and what happens to the buffer afterwards.
+_batches = st.lists(st.tuples(
+    st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20),
+    st.integers(min_value=-30, max_value=60),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=18)),
+    st.sampled_from(["keep", "drain", "flush"])), max_size=25)
+
+
+class TestAppendOrder:
+    @given(batches=_batches, target=st.integers(min_value=1, max_value=30))
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_exactly_the_disordered_batches(self, batches, target):
+        # the rate estimator is the packager's one order check: a batch
+        # must be rejected exactly when it decreases or starts before
+        # the newest appended timestamp, also once cuts emptied the
+        # buffer, and a rejected batch must leave no trace
+        cfg = PackagerConfig(initial_size=target, timeout_us=200,
+                             rate_window_us=100)
+        p, ref = Packager(cfg), Packager(cfg)
+        newest = None
+        for gaps, offset, decrease_at, then in batches:
+            t = (100 if newest is None else newest) + offset + np.cumsum(
+                np.asarray([0, *gaps[1:]], dtype=np.int64))
+            if decrease_at is not None and decrease_at + 1 < len(t):
+                k = decrease_at + 1
+                t[k:] -= t[k] - t[k - 1] + 1
+            bad = bool((t[1:] < t[:-1]).any()) or (
+                newest is not None and t[0] < newest)
+            before = (p.buffered, p.rate_evps)
+            if bad:
+                with pytest.raises(OrderingError):
+                    p.append(_events_at(t))
+                assert (p.buffered, p.rate_evps) == before
+            else:
+                p.append(_events_at(t))
+                ref.append(_events_at(t))
+                newest = int(t[-1])
+            assert (p.buffered, p.rate_evps) == (ref.buffered, ref.rate_evps)
+            assert _emission_key(p.next_emission()) == \
+                _emission_key(ref.next_emission())
+            if then == "drain":
+                assert [_emission_key(em) for em in _drain(p)] == \
+                    [_emission_key(em) for em in _drain(ref)]
+            elif then == "flush":
+                _drain(p), _drain(ref)
+                p.check_timeout(_NEVER), ref.check_timeout(_NEVER)
+                assert p.buffered == ref.buffered == 0
+
+    @pytest.mark.parametrize("aligned_first", [True, False])
+    def test_batches_of_another_dtype_reassemble(self, aligned_first):
+        # rows of a dtype other than the store's are copied field by
+        # field; the packages must still hold exactly the appended rows
+        aligned = np.dtype(EVENT_DTYPE.descr, align=True)
+        assert aligned != EVENT_DTYPE
+        rng = np.random.default_rng(3)
+        ev = make_events(np.arange(600), rng.integers(0, 346, 600),
+                         rng.integers(0, 260, 600), rng.choice([-1, 1], 600))
+        p = Packager(PackagerConfig(initial_size=70, timeout_us=10**9))
+        parts = []
+        # adopt, reallocate, fill spare room, cut, then alternate
+        for i, (lo, hi) in enumerate([(0, 100), (100, 150), (150, 170),
+                                      (170, 400), (400, 410), (410, 600)]):
+            batch = ev[lo:hi]
+            if (i % 2 == 0) == aligned_first:
+                batch = batch.astype(aligned)
+            p.append(batch)
+            parts.extend(em.package.events for em in _drain(p))
+        if (rest := p.check_timeout(_NEVER)) is not None:
+            parts.append(rest.events)
+        for name in EVENT_DTYPE.names:
+            got = np.concatenate([part[name] for part in parts])
+            assert np.array_equal(got, ev[name])
 
 
 class TestViewSafety:

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior in virtual and realtime modes."""
 
 import queue
+import threading
 
 import numpy as np
 import pytest
@@ -240,3 +241,46 @@ class TestRealtimeRun:
         assert result.metrics
         seqs = [m.seq for m in result.metrics]
         assert seqs == sorted(seqs)
+
+    def test_packages_are_not_cut_before_their_events_are_due(self):
+        # pacing feeds each event once the wall clock reaches it, so no
+        # package can reach the consumer before its newest event is due
+        early = []
+
+        class Pacing(_Recorder):
+            def process(self, package, clock):
+                early.append(int(package.events["t"][-1]) - clock.now_us)
+                return super().process(package, clock)
+
+        result = run(_config(mode="realtime"),
+                     ConstantRateSource(1e3, 0.6), Pacing())
+        assert len(early) == len(result.metrics) > 0
+        assert max(early) <= 0
+        assert result.conservation_holds()
+
+    def test_consumer_exception_propagates(self):
+        # a consumer that raises must end the run with its exception,
+        # not leave the producer blocked on a queue nobody drains
+        class Boom(Exception):
+            pass
+
+        class Raising(_Recorder):
+            def process(self, package, clock):
+                if len(self.packages) == 2:
+                    raise Boom("third package")
+                return super().process(package, clock)
+
+        outcome = []
+
+        def call():
+            try:
+                run(_config(mode="realtime"), ConstantRateSource(1e4, 0.3),
+                    Raising())
+            except BaseException as exc:
+                outcome.append(exc)
+
+        runner = threading.Thread(target=call, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], Boom)
