@@ -115,14 +115,13 @@ class SyntheticConsumer:
 
     def process(self, package: EventPackage, clock: Clock) -> ProcessingFeedback:
         m = self.model
-        proc_us = m.overhead_us + m.per_event_us * package.size
+        size = package.size
+        proc_us = m.overhead_us + m.per_event_us * size
         if m.jitter_fraction > 0:
             u = self._rng.uniform(-m.jitter_fraction, m.jitter_fraction)
             proc_us *= 1.0 + u
         clock.advance(proc_us)
-        return ProcessingFeedback(
-            package_seq=package.seq, size=package.size,
-            span_us=package.span_us, processing_time_us=proc_us)
+        return ProcessingFeedback(package.seq, size, package.span_us, proc_us)
 
 
 @dataclass
@@ -189,6 +188,5 @@ class ClusteringConsumer:
             self.assign_event(int(ev["t"]), float(ev["x"]), float(ev["y"]))
         elapsed_us = (time.perf_counter() - start) * 1e6
         clock.advance(elapsed_us)
-        return ProcessingFeedback(
-            package_seq=package.seq, size=package.size,
-            span_us=package.span_us, processing_time_us=elapsed_us)
+        return ProcessingFeedback(package.seq, package.size, package.span_us,
+                                  elapsed_us)

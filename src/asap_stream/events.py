@@ -94,22 +94,21 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
         raise ValueError("event y out of sensor bounds")
 
 
-@dataclass
+@dataclass(slots=True)
 class EventPackage:
     """An ordered, non-empty batch of events delivered as one unit."""
 
     events: np.ndarray
     seq: int
-    #: Newest minus oldest timestamp, fixed at construction (0 when empty).
+    #: Number of events and newest minus oldest timestamp (0 when empty),
+    #: both fixed at construction.
+    size: int = field(init=False)
     span_us: int = field(init=False)
 
     def __post_init__(self):
         t = self.events["t"]
-        self.span_us = int(t[-1] - t[0]) if len(t) else 0
-
-    @property
-    def size(self) -> int:
-        return len(self.events)
+        self.size = n = len(t)
+        self.span_us = int(t[-1] - t[0]) if n else 0
 
     def validate(self) -> None:
         if len(self.events) == 0:

@@ -25,12 +25,13 @@ from .events import EventPackage, empty_events
 from .gamma import SlidingRateEstimator
 
 _US = 1_000_000.0
+_INF = float("inf")
 
 #: Feedback samples required before the affine model drives the target.
 MODEL_WARMUP_SAMPLES = 5
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessingFeedback:
     """Consumer's report for one processed package."""
 
@@ -42,8 +43,10 @@ class ProcessingFeedback:
     def validate(self) -> None:
         if self.size < 1:
             raise ValueError("feedback size must be >= 1")
-        if self.span_us < 0 or self.processing_time_us < 0:
-            raise ValueError("span and processing time must be >= 0")
+        # a chained comparison is false for NaN, infinities and negatives
+        if not (0 <= self.span_us < _INF
+                and 0 <= self.processing_time_us < _INF):
+            raise ValueError("span and processing time must be finite, >= 0")
 
 
 @dataclass
@@ -109,8 +112,10 @@ def predict_size(rate_filtered_evps: float, overhead_s: float,
     period = 1.0 / rate_filtered_evps
     if period <= per_event_s:
         return n_max
-    n_star = overhead_s / (period - per_event_s)
-    return int(min(n_max, max(n_min, round(n_star))))
+    # clamped as min(n_max, max(n_min, n)) would, at a quarter of the cost
+    n = round(overhead_s / (period - per_event_s))
+    n = n if n > n_min else n_min
+    return n if n < n_max else n_max
 
 
 class AffineCostModel:
@@ -124,43 +129,46 @@ class AffineCostModel:
     def __init__(self, smoothing: float = 0.2):
         self.smoothing = float(smoothing)
         self.samples = 0
-        self._m_s = 0.0
-        self._m_p = 0.0
-        self._m_ss = 0.0
-        self._m_sp = 0.0
-        self.overhead_us = 0.0
-        self.per_event_us = 0.0
+        self._m_s = self._m_p = self._m_ss = self._m_sp = 0.0
+        self.overhead_us = self.per_event_us = 0.0
         self._fitted = False
+        #: Whether the fit drives the target: fitted, after the warm-up.
+        self.ready = False
 
-    def update(self, size: int, processing_time_us: float) -> None:
-        a = 1.0 if self.samples == 0 else self.smoothing
-        s = float(size)
-        p = float(processing_time_us)
-        self._m_s += a * (s - self._m_s)
-        self._m_p += a * (p - self._m_p)
-        self._m_ss += a * (s * s - self._m_ss)
-        self._m_sp += a * (s * p - self._m_sp)
+    def update(self, size: int, processing_time_us: float) -> bool:
+        """Fold one report in; returns :attr:`ready`."""
+        a = self.smoothing if self.samples else 1.0
+        s, p = float(size), float(processing_time_us)
+        self._m_s = m_s = self._m_s + a * (s - self._m_s)
+        self._m_p = m_p = self._m_p + a * (p - self._m_p)
+        self._m_ss = m_ss = self._m_ss + a * (s * s - self._m_ss)
+        self._m_sp = m_sp = self._m_sp + a * (s * p - self._m_sp)
         self.samples += 1
-        var = self._m_ss - self._m_s * self._m_s
-        if var > 1e-9 * max(1.0, self._m_s * self._m_s):
-            cov = self._m_sp - self._m_s * self._m_p
-            c = max(0.0, cov / var)
-            self.per_event_us = c
-            self.overhead_us = max(0.0, self._m_p - c * self._m_s)
+        sq = m_s * m_s
+        var = m_ss - sq
+        if var > 1e-9 * (sq if sq > 1.0 else 1.0):
+            c = (m_sp - m_s * m_p) / var
+            self.per_event_us = c = c if c > 0.0 else 0.0
+            o = m_p - c * m_s
+            self.overhead_us = o if o > 0.0 else 0.0
             self._fitted = True
-
-    @property
-    def ready(self) -> bool:
-        return self._fitted and self.samples >= MODEL_WARMUP_SAMPLES
+        self.ready = r = self._fitted and self.samples >= MODEL_WARMUP_SAMPLES
+        return r
 
 
-@dataclass
-class _Emission:
-    """A package together with why and when (arrival clock) it was cut."""
+class _Cut(EventPackage):
+    """A package with why (``reason``: "size" or "timeout") and when on
+    the arrival clock (``trigger_us``) it was cut, and the ``stamp`` a
+    pipeline adds. It is its own ``package``: it reads as an emission."""
 
-    package: EventPackage
-    reason: str          # "size" or "timeout"
-    trigger_us: int      # arrival-clock time at which the cut fired
+    __slots__ = ("reason", "trigger_us", "stamp")
+
+    def __init__(self, events: np.ndarray, seq: int, size: int, span_us: int,
+                 reason: str, trigger_us: int):
+        self.events, self.seq, self.size = events, seq, size
+        self.span_us, self.reason, self.trigger_us = span_us, reason, trigger_us
+
+    package = property(lambda self: self)
 
 
 class Packager:
@@ -182,6 +190,7 @@ class Packager:
         self._next_seq = 0
         self._target = float(
             min(config.n_max, max(config.n_min, config.initial_size)))
+        self.target_size = round(self._target)  # the next cut's size
         self.model = AffineCostModel(config.model_smoothing)
         self._last_feedback_seq = -1
         # rate of events reaching the packager (post-filter), measured on
@@ -195,6 +204,7 @@ class Packager:
     def _set_store(self, store: np.ndarray, end: int) -> None:
         self._store = store
         self._t = store["t"]
+        self._t_at = self._t.item    # one timestamp as a Python int
         # the store's rows as raw bytes: numpy copies structured rows
         # field by field, 30-60x slower than raw rows
         self._raw = store.view(np.dtype((np.void, store.dtype.itemsize)))
@@ -210,11 +220,6 @@ class Packager:
             self._store[at:at + len(src)] = src
 
     @property
-    def target_size(self) -> int:
-        return int(min(self.config.n_max,
-                       max(self.config.n_min, round(self._target))))
-
-    @property
     def buffered(self) -> int:
         return self._end - self._head
 
@@ -222,23 +227,26 @@ class Packager:
     def oldest_arrival_us(self) -> int | None:
         if self._end == self._head:
             return None
-        return int(self._t[self._head])
+        return self._t_at(self._head)
 
-    def _cut(self, count: int, reason: str, trigger_us: int) -> _Emission:
-        """Emit the ``count`` oldest buffered events as one package."""
+    def _cut(self, count: int, first: int, last: int, reason: str,
+             trigger_us: int) -> _Cut:
+        """Emit the ``count`` oldest buffered events (timestamps ``first``
+        to ``last``) as one package."""
         head = self._head
         self._head = head + count
-        pkg = EventPackage(events=self._store[head:head + count],
-                           seq=self._next_seq)
-        self._next_seq += 1
-        return _Emission(pkg, reason, trigger_us)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return _Cut(self._store[head:head + count], seq, count, last - first,
+                    reason, trigger_us)
 
-    def check_timeout(self, now_us: int) -> EventPackage | None:
+    def check_timeout(self, now_us: int) -> _Cut | None:
         """Flush a buffer whose oldest event has waited at least the timeout."""
-        oldest = self.oldest_arrival_us
-        if oldest is None or now_us - oldest < self.config.timeout_us:
+        first = self.oldest_arrival_us
+        if first is None or now_us - first < self.config.timeout_us:
             return None
-        return self._cut(self.buffered, "timeout", int(now_us)).package
+        return self._cut(self.buffered, first, self._t_at(self._end - 1),
+                         "timeout", int(now_us))
 
     def drop_oldest(self, count: int) -> int:
         """Drop up to ``count`` events from the buffer front; returns the
@@ -247,14 +255,6 @@ class Packager:
         if n > 0:
             self._head += n
         return n
-
-    def _observe_rate(self, events: np.ndarray) -> None:
-        self.rate_evps = rate = self._rate_estimator.update(events["t"])
-        if self._rate_smooth_evps is None:
-            self._rate_smooth_evps = rate
-        else:
-            self._rate_smooth_evps += self.config.model_smoothing * (
-                rate - self._rate_smooth_evps)
 
     def append(self, events: np.ndarray) -> None:
         """Buffer events without cutting packages (see :meth:`next_emission`).
@@ -267,7 +267,12 @@ class Packager:
         n = len(events)
         if n == 0:
             return
-        self._observe_rate(events)
+        self.rate_evps = rate = self._rate_estimator.update(events["t"])
+        if self._rate_smooth_evps is None:
+            self._rate_smooth_evps = rate
+        else:
+            self._rate_smooth_evps += self.config.model_smoothing * (
+                rate - self._rate_smooth_evps)
         live = self.buffered
         if live == 0:
             # adopt the batch: its array ends at its last event, so the
@@ -282,7 +287,7 @@ class Packager:
             self._copy_rows(0, old)
             self._copy_rows(live, events)
 
-    def next_emission(self) -> _Emission | None:
+    def next_emission(self) -> _Cut | None:
         """Cut at most one package from the buffer.
 
         Emits a size cut when ``target_size`` events arrived before the
@@ -298,44 +303,52 @@ class Packager:
         head, end = self._head, self._end
         if head == end:
             return None
-        t = self._t
-        deadline = int(t[head]) + self.config.timeout_us
+        t_at = self._t_at
+        first = t_at(head)
+        deadline = first + self.config.timeout_us
         target = self.target_size
-        if end - head >= target and t[head + target - 1] < deadline:
-            return self._cut(target, "size", int(t[head + target - 1]))
-        if t[end - 1] >= deadline:
+        if end - head >= target:
+            last = t_at(head + target - 1)
+            if last < deadline:
+                return self._cut(target, first, last, "size", last)
+        if t_at(end - 1) >= deadline:
             # fewer than ``target`` events precede the deadline
             stop = min(end, head + target)
-            count = int(np.searchsorted(t[head:stop], deadline, side="left"))
-            return self._cut(count, "timeout", deadline)
+            count = int(np.searchsorted(self._t[head:stop], deadline,
+                                        side="left"))
+            return self._cut(count, first, t_at(head + count - 1), "timeout",
+                             deadline)
         return None
 
     def update_target_size(self, feedback: ProcessingFeedback) -> None:
         """Fold one feedback report into the cost model and re-aim the target.
 
+        An invalid report raises ``ValueError`` before any state changes.
         Out-of-order feedback (seq at or below the newest applied) is
         ignored. A report with ``processing_time == span`` is at the
         setpoint and leaves the target unchanged.
         """
-        if feedback.package_seq <= self._last_feedback_seq:
-            return
-        self._last_feedback_seq = feedback.package_seq
         feedback.validate()
-        self.model.update(feedback.size, feedback.processing_time_us)
-        if feedback.processing_time_us == feedback.span_us:
+        seq = feedback.package_seq
+        if seq <= self._last_feedback_seq:
+            return
+        self._last_feedback_seq = seq
+        proc, span = feedback.processing_time_us, feedback.span_us
+        model = self.model
+        ready = model.update(feedback.size, proc)
+        if proc == span:
             return
         cfg = self.config
+        lo, hi = cfg.n_min, cfg.n_max
         rate_evps = self._rate_smooth_evps or 0.0
-        if self.model.ready and rate_evps > 0:
-            n_star = predict_size(rate_evps,
-                                  self.model.overhead_us / _US,
-                                  self.model.per_event_us / _US,
-                                  cfg.n_min, cfg.n_max)
-            self._target = min(cfg.n_max,
-                               max(cfg.n_min, cfg.headroom * n_star))
-        elif feedback.span_us > 0 and feedback.processing_time_us > 0:
-            ratio = feedback.span_us / feedback.processing_time_us
-            self._target = min(cfg.n_max,
-                               max(cfg.n_min,
-                                   self._target * ratio ** cfg.kappa))
-        # span == 0: ratio undefined, the model already consumed the sample
+        if ready and rate_evps > 0:
+            target = cfg.headroom * predict_size(
+                rate_evps, model.overhead_us / _US, model.per_event_us / _US,
+                lo, hi)
+        elif span > 0 and proc > 0:
+            target = self._target * (span / proc) ** cfg.kappa
+        else:
+            return  # span == 0: no ratio; the model has the sample
+        target = target if target > lo else lo
+        self._target = target = target if target < hi else hi
+        self.target_size = round(target)

@@ -16,16 +16,16 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from .consumers import (Clock, Consumer, ClusteringConsumer, SyntheticConsumer,
                         SyntheticCostModel, VirtualClock, WallClock)
 from .errors import ConfigurationError
-from .events import EventPackage, SensorGeometry, DAVIS346, StreamSource
+from .events import SensorGeometry, DAVIS346, StreamSource
 from .gamma import GammaConfig, GammaFilter
-from .packager import Packager, PackagerConfig, ProcessingFeedback
+from .packager import Packager, PackagerConfig, ProcessingFeedback, _Cut
 
 METRICS_COLUMNS = ("seq", "size", "span_us", "proc_us", "lag_us", "gamma",
                    "rate_raw", "rate_filtered", "drop_filter", "drop_overflow",
@@ -48,14 +48,7 @@ class ConsumerConfig:
                 f"consumer.kind must be 'synthetic' or 'clustering', got "
                 f"{self.kind!r}", key="consumer.kind")
         SyntheticCostModel(self.o_us, self.c_ns / 1000.0, self.jitter).validate()
-        if self.radius_px <= 0:
-            raise ConfigurationError(
-                f"consumer.radius_px must be positive, got {self.radius_px}",
-                key="consumer.radius_px")
-        if self.ttl_us <= 0:
-            raise ConfigurationError(
-                f"consumer.ttl_us must be positive, got {self.ttl_us}",
-                key="consumer.ttl_us")
+        ClusteringConsumer(self.radius_px, self.ttl_us)  # checks both
 
 
 @dataclass
@@ -83,9 +76,9 @@ class PipelineConfig:
         self.consumer.validate()
 
 
-@dataclass
-class PackageMetrics:
-    """Per-package record of the quantities the pipeline controls."""
+class PackageMetrics(NamedTuple):
+    """Per-package record of the quantities the pipeline controls; a
+    tuple, so a row holds no attribute dict."""
 
     seq: int
     size: int
@@ -99,12 +92,6 @@ class PackageMetrics:
     drop_overflow: int                 # overflow drops since the previous package
     clock_us: float                    # pipeline clock when the package was emitted
     emit_reason: str = "size"          # "size" or "timeout"; not serialized
-
-    def csv_row(self) -> str:
-        return (f"{self.seq},{self.size},{self.span_us},{self.proc_us!r},"
-                f"{self.lag_us!r},{self.gamma!r},{self.rate_raw!r},"
-                f"{self.rate_filtered!r},{self.drop_filter},"
-                f"{self.drop_overflow},{self.clock_us!r}")
 
 
 @dataclass
@@ -158,17 +145,14 @@ def _put_latest(q: queue.Queue, item) -> int:
                 pass
 
 
-#: A package plus the :class:`PackageMetrics` fields known when it was
-#: cut: those after ``lag_us``, in field order (rows are built
-#: positionally, which costs a third of keyword construction).
-_Cut = tuple[EventPackage, tuple]
+_new_row = tuple.__new__    # a row from a built tuple, no call per field
 
 
 class _Stages:
     """Discard filter, drop-oldest admission and packager: the stages
     both runners step.
 
-    :meth:`feed` admits one source batch, :meth:`cuts` and :meth:`flush`
+    :meth:`feed` admits one source batch, :meth:`cut` and :meth:`flush`
     hand out the packages it completes, stamped with the filter state
     and the drops since the previous package.
     """
@@ -183,6 +167,7 @@ class _Stages:
         self.dropped_by_overflow = 0
         self._pending_filter = 0
         self._pending_overflow = 0
+        self._rates = ()  # set by feed, before there is anything to cut
 
     def feed(self, batch: np.ndarray) -> None:
         self.source_events += len(batch)
@@ -196,28 +181,32 @@ class _Stages:
             self.dropped_by_overflow += excess
             self._pending_overflow += excess
         self.packager.append(kept)
+        # gamma and both rates change only here: read once per batch for
+        # the stamps of the packages it completes
+        self._rates = (self.gfilter.gamma, self.gfilter.rate_raw_evps,
+                       self.packager.rate_evps)
 
-    def _stamp(self, pkg: EventPackage, reason: str, trigger_us: float,
-               clock: Clock) -> _Cut:
-        clock.advance_to(trigger_us)
-        stamp = (self.gfilter.gamma, self.gfilter.rate_raw_evps,
-                 self.packager.rate_evps, self._pending_filter,
-                 self._pending_overflow, clock.now_us, reason)
-        self._pending_filter = self._pending_overflow = 0
-        self.packaged_events += pkg.size
-        return pkg, stamp
+    def _stamp(self, cut: _Cut | None, clock: Clock) -> _Cut | None:
+        """Give ``cut`` the :class:`PackageMetrics` fields known when it
+        was cut: those after ``lag_us``, in field order."""
+        if cut is not None:
+            clock.advance_to(cut.trigger_us)
+            cut.stamp = self._rates + (self._pending_filter,
+                                       self._pending_overflow, clock.now_us,
+                                       cut.reason)
+            self._pending_filter = self._pending_overflow = 0
+            self.packaged_events += cut.size
+        return cut
 
-    def cuts(self, clock: Clock) -> Iterator[_Cut]:
-        """Cut the buffer one package at a time, so that feedback applied
-        between two packages steers the next cut."""
-        while (em := self.packager.next_emission()) is not None:
-            yield self._stamp(em.package, em.reason, em.trigger_us, clock)
+    def cut(self, clock: Clock) -> _Cut | None:
+        """Cut one package, if the buffer completes one. Called once per
+        package, so that feedback applied between two packages steers
+        the next cut."""
+        return self._stamp(self.packager.next_emission(), clock)
 
     def flush(self, now_us: int, clock: Clock) -> _Cut | None:
         """Flush the buffer if its oldest event has waited the timeout."""
-        pkg = self.packager.check_timeout(now_us)
-        return None if pkg is None else self._stamp(pkg, "timeout", now_us,
-                                                    clock)
+        return self._stamp(self.packager.check_timeout(now_us), clock)
 
     def result(self, metrics: list[PackageMetrics],
                feedback_overwrites: int = 0) -> RunResult:
@@ -234,12 +223,11 @@ class _Stages:
 def _deliver(cut: _Cut, consumer: Consumer,
              clock: Clock) -> tuple[PackageMetrics, ProcessingFeedback]:
     """Run the consumer on one package; returns its metrics row and report."""
-    pkg, stamp = cut
-    feedback = consumer.process(pkg, clock)
+    feedback = consumer.process(cut, clock)
     proc_us = feedback.processing_time_us
-    span_us = pkg.span_us
-    return PackageMetrics(pkg.seq, pkg.size, span_us, proc_us,
-                          proc_us - span_us, *stamp), feedback
+    span_us = cut.span_us
+    return _new_row(PackageMetrics, (cut.seq, cut.size, span_us, proc_us,
+                                     proc_us - span_us) + cut.stamp), feedback
 
 
 def run(config: PipelineConfig, source: StreamSource,
@@ -259,15 +247,17 @@ def _run_virtual(config: PipelineConfig, source: StreamSource,
     stages = _Stages(config)
     metrics: list[PackageMetrics] = []
 
-    def deliver(cut: _Cut) -> None:
-        row, feedback = _deliver(cut, consumer, clock)
-        metrics.append(row)
-        stages.packager.update_target_size(feedback)
+    def deliver(cut: _Cut | None) -> None:
+        """Deliver ``cut`` and every package the buffer completes after it."""
+        while cut is not None:
+            row, feedback = _deliver(cut, consumer, clock)
+            metrics.append(row)
+            stages.packager.update_target_size(feedback)
+            cut = stages.cut(clock)
 
     for chunk in source.chunks():
         stages.feed(chunk)
-        for cut in stages.cuts(clock):
-            deliver(cut)
+        deliver(stages.cut(clock))
     # drain: the residual buffer flushes when its timeout expires
     oldest = stages.packager.oldest_arrival_us
     if oldest is not None:
@@ -325,8 +315,7 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
         # here is still there to take
         while not feedback_q.empty():
             stages.packager.update_target_size(feedback_q.get_nowait())
-        cut = stages.flush(now_us, clock)
-        if cut is not None:
+        if (cut := stages.flush(now_us, clock)) is not None:
             package_q.put(cut)
         return now_us
 
@@ -342,7 +331,7 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
                 if due > fed:
                     stages.feed(chunk[fed:due])
                     fed = due
-                    for cut in stages.cuts(clock):
+                    while (cut := stages.cut(clock)) is not None:
                         package_q.put(cut)
             if errors:
                 break
@@ -361,5 +350,6 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
 def write_metrics_csv(path, metrics: list[PackageMetrics]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(METRICS_HEADER + "\n")
-        for m in metrics:
-            f.write(m.csv_row() + "\n")
+        for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in metrics:
+            f.write(f"{seq},{n},{span},{proc!r},{lag!r},{g!r},{rr!r},{rf!r},"
+                    f"{df},{do},{clk!r}\n")

@@ -1,10 +1,14 @@
-"""Golden digests of the bundled scenarios' virtual-mode metrics CSVs.
+"""Golden digests of virtual-mode metrics CSVs.
 
-Each digest is the sha256 of the file ``asap run --scenario <name>
---seed 0`` writes. They pin the run's behaviour byte for byte: a change
-that is meant to alter no behaviour (a refactor, a faster hot path) must
-keep every digest. A change that alters behaviour on purpose updates
-the digest here and says why in CHANGES.md.
+Each digest is the sha256 of the file ``asap run --scenario <scenario>
+--seed 0`` writes, with the run's extra ``--set`` overrides. The bundled
+scenarios pin the run's behaviour byte for byte; two overridden runs pin
+per-package branches they leave idle: a jittered consumer (one draw per
+package, so every ``proc_us`` differs) and a buffer small enough that
+the drop-oldest guard fires (non-zero ``drop_overflow``). A change that
+is meant to alter no behaviour (a refactor, a faster hot path) must keep
+every digest. A change that alters behaviour on purpose updates the
+digest here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -18,14 +22,30 @@ GOLDEN_SHA256 = {
     "fig4": "1d9cc512a401b1f26a92a27aa46923825fe05ac105a8b5efa640327760d2cbfc",
     "constant":
         "19416b30b202bda2007b09e0bdcb7209bd1f2e7e61f4903eee0d2e6c80411d94",
+    # 454 packages, each with its own jitter draw
+    "constant-jitter":
+        "97402127360f1c4b10ce94c1b81434df2a49f86bc8bf7de437c328dc47b9559d",
+    # 31 packages and 738633 overflow drops
+    "constant-overflow":
+        "7a5ef151a035c668910ba9b0db5be753d2b0d16c129e3a0d25933616267d553d",
+}
+
+#: Runs that are not a bundled scenario as it stands: its name and the
+#: overrides on top of it.
+RUNS = {
+    "constant-jitter": ("constant", ["--set", "consumer.jitter=0.2"]),
+    "constant-overflow": ("constant",
+                          ["--set", "pipeline.input_buffer_capacity=20000",
+                           "--set", "consumer.c_ns=900"]),
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(GOLDEN_SHA256))
-def test_metrics_csv_digest(scenario, tmp_path, capsys):
-    out = tmp_path / f"{scenario}.csv"
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_metrics_csv_digest(name, tmp_path, capsys):
+    scenario, overrides = RUNS.get(name, (name, []))
+    out = tmp_path / f"{name}.csv"
     assert main(["run", "--scenario", scenario, "--seed", "0",
-                 "--out", str(out)]) == 0
+                 "--out", str(out), *overrides]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        GOLDEN_SHA256[scenario]
+        GOLDEN_SHA256[name]

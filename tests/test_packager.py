@@ -348,6 +348,39 @@ class TestUpdateTargetSize:
         assert p.target_size == 400
         assert p.model.samples == 1
 
+    def test_rejected_report_leaves_its_seq_unused(self):
+        # a report that fails validation must change nothing: the valid
+        # report with the same seq that follows is applied
+        p = Packager(PackagerConfig(initial_size=400, kappa=1.0))
+        with pytest.raises(ValueError):
+            p.update_target_size(_feedback(0, 0, 500, 1000.0))
+        p.update_target_size(_feedback(0, 400, 500, 1000.0))
+        assert p.model.samples == 1
+        assert p.target_size == 200
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("field", ["span_us", "processing_time_us"])
+    def test_non_finite_report_rejected(self, field, bad):
+        # after a warm-up that readies the model, a non-finite report
+        # must raise and leave the fit and the target as they were
+        p = Packager(PackagerConfig(initial_size=100))
+        p.append(_events_at(np.arange(0, 10_000, 2)))
+        for seq, size in enumerate((100, 200, 300, 400, 500, 600)):
+            p.update_target_size(_feedback(seq, size, 2 * size,
+                                           20.0 + 0.5 * size))
+        assert p.model.ready
+        before = (p.model.samples, p.model.overhead_us,
+                  p.model.per_event_us, p.target_size)
+        report = _feedback(6, 300, 600, 170.0)
+        setattr(report, field, bad)
+        with pytest.raises(ValueError, match="finite"):
+            report.validate()
+        with pytest.raises(ValueError, match="finite"):
+            p.update_target_size(report)
+        assert (p.model.samples, p.model.overhead_us,
+                p.model.per_event_us, p.target_size) == before
+
     @given(feedbacks=st.lists(
         st.tuples(st.integers(min_value=1, max_value=10**6),
                   st.integers(min_value=0, max_value=10**7),

@@ -5,12 +5,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from asap_stream import (ArraySource, ConstantRateSource, ConsumerConfig,
-                         GammaConfig, PackagerConfig, PipelineConfig,
-                         RampRateSource, SyntheticConsumer, SyntheticCostModel,
-                         make_events, run, write_metrics_csv)
-from asap_stream.pipeline import METRICS_HEADER, _put_latest
+                         GammaConfig, PackageMetrics, PackagerConfig,
+                         PipelineConfig, RampRateSource, SyntheticConsumer,
+                         SyntheticCostModel, make_events, run,
+                         write_metrics_csv)
+from asap_stream.pipeline import METRICS_COLUMNS, METRICS_HEADER, _put_latest
 
 
 def _config(**kwargs):
@@ -178,6 +181,86 @@ class TestVirtualRun:
         cfg = _config(mode="bogus")
         with pytest.raises(ConfigurationError):
             run(cfg, ConstantRateSource(1e4, 0.1, seed=0))
+
+
+#: Floats whose shortest repr is easy to get wrong: signed zero, the
+#: smallest subnormal, exponent-form large and small values, infinities.
+_SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, float("inf"), float("-inf"))
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+_rows = st.lists(st.builds(
+    PackageMetrics, st.integers(), st.integers(), st.integers(), _floats,
+    _floats, _floats, _floats, _floats, st.integers(), st.integers(),
+    _floats, st.sampled_from(["size", "timeout"])), max_size=20)
+
+
+def _reference_line(m):
+    return (f"{m.seq},{m.size},{m.span_us},{m.proc_us!r},{m.lag_us!r},"
+            f"{m.gamma!r},{m.rate_raw!r},{m.rate_filtered!r},"
+            f"{m.drop_filter},{m.drop_overflow},{m.clock_us!r}")
+
+
+class _FeedbackRecorder(_Recorder):
+    """Also keeps each report the consumer returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.reports = []
+
+    def process(self, package, clock):
+        feedback = super().process(package, clock)
+        self.reports.append(feedback)
+        return feedback
+
+
+class TestMetricsOutput:
+    @given(rows=_rows)
+    @example(rows=[PackageMetrics(7, 3, 12, *_SPECIAL_FLOATS[:5], 0, 2,
+                                  _SPECIAL_FLOATS[5], "timeout")])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_csv_rows_match_reference_format(self, rows, tmp_path):
+        # a new file per example: rewriting one file can wait on the
+        # file system to commit the previous write
+        path = tmp_path / f"m{len(list(tmp_path.iterdir()))}.csv"
+        write_metrics_csv(path, rows)
+        expected = "".join(_reference_line(m) + "\n" for m in rows)
+        assert path.read_bytes().decode("utf-8") == \
+            METRICS_HEADER + "\n" + expected
+
+    @pytest.mark.parametrize("mode", ["virtual", "realtime"])
+    def test_metrics_behave_as_a_list_of_rows(self, mode, tmp_path):
+        cfg = _config(mode=mode,
+                      packager=PackagerConfig(initial_size=200,
+                                              timeout_us=20_000),
+                      consumer=ConsumerConfig(o_us=100, c_ns=100))
+        rec = _FeedbackRecorder()
+        result = run(cfg, ConstantRateSource(1e5, 0.2, seed=11), rec)
+        metrics = result.metrics
+        n = len(metrics)
+        assert n == len(rec.packages) > 3
+        assert metrics[0].seq == 0 and metrics[-1].seq == n - 1
+        assert metrics[-1] == metrics[n - 1]
+        assert [m.seq for m in metrics[1:3]] == [1, 2]
+        rows = list(metrics)
+        assert len(rows) == n and rows[0] == metrics[0]
+        for m, events, report in zip(rows, rec.packages, rec.reports):
+            assert isinstance(m, PackageMetrics)
+            for name in (*METRICS_COLUMNS, "emit_reason"):
+                getattr(m, name)
+            assert m.size == len(events)
+            assert m.span_us == int(events["t"][-1] - events["t"][0])
+            assert m.proc_us == report.processing_time_us
+            assert m.lag_us == m.proc_us - m.span_us
+            assert m.gamma == 1.0 and m.drop_filter == m.drop_overflow == 0
+            assert m.emit_reason in ("size", "timeout")
+        if mode == "virtual":
+            # size cuts, then the residual buffer flushes on its timeout
+            assert (metrics[0].emit_reason, metrics[-1].emit_reason) == \
+                ("size", "timeout")
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, metrics)
+        assert path.read_text().splitlines()[1:] == \
+            [_reference_line(m) for m in metrics]
 
 
 class TestPutLatest:
