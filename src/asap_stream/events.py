@@ -8,6 +8,8 @@ start, pixel column, pixel row, and polarity in {+1, -1}.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -25,6 +27,11 @@ _US = 1_000_000.0
 
 #: Events per block of :func:`validate_events`.
 _BLOCK = 65536
+
+#: Inclusive value range of each integer field a file line must fit.
+_FIELD_RANGE = {name: (int(np.iinfo(EVENT_DTYPE[name]).min),
+                       int(np.iinfo(EVENT_DTYPE[name]).max))
+                for name in ("t", "x", "y")}
 
 
 @dataclass(frozen=True)
@@ -60,32 +67,135 @@ def empty_events() -> np.ndarray:
     return np.empty(0, dtype=EVENT_DTYPE)
 
 
+def _chunk_events(chunk_size) -> int:
+    """``chunk_size`` as a positive event count; raises otherwise."""
+    chunk = int(chunk_size)
+    if chunk < 1:
+        raise ConfigurationError(
+            f"source chunk size must be at least 1 event, got {chunk_size}",
+            key="source.chunk_events")
+    return chunk
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pin(k: int) -> None:
+    """Keep the calling thread on the ``k``-th CPU it may run on, counted
+    cyclically, where the platform lets threads be pinned."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    except (AttributeError, OSError):
+        pass
+
+
+def _scan(t, p, x, y, x_end, y_end, start, stop, step):
+    """Fault flags ``(order, p, x, y)`` of the rows ``[start, stop)``.
+
+    Rows are read ``step`` at a time; each order check reads one row
+    past its sub-block, so the last one overlaps the next range. The
+    scan ends at the first ordering fault, which outranks the others.
+    ``x`` is ``None`` when there is no geometry to check against.
+    """
+    bad_p = bad_x = bad_y = False
+    for i in range(start, stop, step):
+        j = i + step if i + step < stop else stop
+        tb = t[i:j + 1]
+        if np.count_nonzero(tb[1:] < tb[:-1]):
+            return True, False, False, False
+        if not bad_p:
+            ok = np.abs(p[i:j])
+            bad_p = not np.equal(ok, 1, out=ok.view(np.bool_)).all()
+            del ok  # before the next order mask
+        if x is not None:
+            bad_x = bad_x or x[i:j].max() >= x_end
+            bad_y = bad_y or y[i:j].max() >= y_end
+    return False, bad_p, bad_x, bad_y
+
+
+def _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges):
+    """Fault flags of ``ranges`` contiguous ranges of whole blocks, each
+    scanned by its own thread pinned to its own CPU; raises the first
+    exception a thread raised.
+
+    The calling thread only waits. Pinned, it would stay on that CPU
+    after the check; unpinned, it would hand the GIL back and forth with
+    the threads, which are then seldom runnable at the same moment, so
+    the scheduler may leave them all on one CPU.
+    """
+    bounds = [min(n, k * blocks // ranges * _BLOCK) for k in range(ranges + 1)]
+    # All ranges together keep to the 3 bytes per block event that one
+    # block's check uses. Of each range's share, up to two thirds go to a
+    # sub-block's order mask (one byte per event; the polarity bytes are
+    # compared in place once it is freed) and the rest to numpy's buffers
+    # for the two unaligned timestamp operands (16 bytes per element, in
+    # multiples of 16 elements).
+    share = 3 * _BLOCK // ranges
+    step = min(_BLOCK, 2 * _BLOCK // ranges)
+    bufsize = max(16, (share - step) // 256 * 16)
+    flags: list = [None] * ranges
+
+    def check(k):
+        try:
+            _pin(k)
+            np.setbufsize(bufsize)  # in this thread only
+            flags[k] = _scan(t, p, x, y, x_end, y_end,
+                             bounds[k], bounds[k + 1], step)
+        except BaseException as exc:  # re-raised in the calling thread
+            flags[k] = exc
+
+    workers = [threading.Thread(target=check, args=(k,))
+               for k in range(ranges)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for f in flags:
+        if isinstance(f, BaseException):
+            raise f
+    return flags
+
+
 def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) -> None:
     """Check field invariants; raises on violation.
 
     Timestamp monotonicity raises :class:`OrderingError`, field range
-    violations raise :class:`ValueError`. The stream is checked in
-    blocks of :data:`_BLOCK` events, each order check overlapping the
-    next block by one event, so temporaries stay the size of a block.
-    An ordering fault anywhere is reported before a field fault, and a
-    polarity fault before an x fault before a y fault.
+    violations raise :class:`ValueError`. An ordering fault anywhere is
+    reported before a field fault, and a polarity fault before an x
+    fault before a y fault.
+
+    The stream is checked in blocks of :data:`_BLOCK` events, each order
+    check overlapping the next block by one event. With more than one
+    block and more than one CPU this process may run on, the blocks are
+    split into one contiguous range per CPU (at most one per block),
+    checked in parallel threads in sub-blocks sized so that all
+    temporaries together stay those of one block, about 0.2 MB; numpy
+    releases the GIL inside the comparisons and reductions.
     """
     t, p = events["t"], events["p"]
-    bad_p = bad_x = bad_y = False
+    x = y = x_end = y_end = None
     if geometry is not None:
         # read as uint16 a negative coordinate is >= 32768, so one max
         # per field checks both bounds
         x, y = events["x"].view(np.uint16), events["y"].view(np.uint16)
         x_end = min(geometry.width, 1 << 15)
         y_end = min(geometry.height, 1 << 15)
-    for i in range(0, len(events), _BLOCK):
-        tb = t[i:i + _BLOCK + 1]
-        if (tb[1:] < tb[:-1]).any():
-            raise OrderingError("event timestamps must be non-decreasing")
-        bad_p = bad_p or not (np.abs(p[i:i + _BLOCK]) == 1).all()
-        if geometry is not None:
-            bad_x = bad_x or x[i:i + _BLOCK].max() >= x_end
-            bad_y = bad_y or y[i:i + _BLOCK].max() >= y_end
+    n = len(events)
+    blocks = -(-n // _BLOCK)
+    ranges = min(_usable_cpus(), blocks)
+    if ranges > 1:
+        flags = _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges)
+    else:
+        flags = [_scan(t, p, x, y, x_end, y_end, 0, n, _BLOCK)]
+    bad_t, bad_p, bad_x, bad_y = map(any, zip(*flags))
+    if bad_t:
+        raise OrderingError("event timestamps must be non-decreasing")
     if bad_p:
         raise ValueError("event polarity must be +1 or -1")
     if bad_x:
@@ -143,10 +253,10 @@ class ArraySource(StreamSource):
 
     def __init__(self, events: np.ndarray, geometry: SensorGeometry = DAVIS346,
                  chunk_size: int = 65536):
+        self._chunk = _chunk_events(chunk_size)
         validate_events(events, geometry)
         self._events = events
         self.geometry = geometry
-        self._chunk = int(chunk_size)
 
     def chunks(self) -> Iterator[np.ndarray]:
         for i in range(0, len(self._events), self._chunk):
@@ -169,7 +279,7 @@ class _PoissonSource(StreamSource):
         self.duration_s = float(duration_s)
         self.geometry = geometry
         self.seed = int(seed)
-        self._chunk = int(chunk_size)
+        self._chunk = _chunk_events(chunk_size)
 
     def _invert(self, s: np.ndarray) -> np.ndarray:
         """Map cumulative expected counts to arrival times in seconds."""
@@ -258,6 +368,11 @@ def _parse_event_line(line: str, path: str, lineno: int) -> tuple[int, int, int,
         raise EventFileError(
             f"{path}:{lineno}: fields must be integers: {line!r}"
         ) from None
+    for name, value in (("t", t), ("x", x), ("y", y)):
+        lo, hi = _FIELD_RANGE[name]
+        if not lo <= value <= hi:
+            raise EventFileError(
+                f"{path}:{lineno}: {name} must lie in [{lo}, {hi}], got {value}")
     if p not in (1, -1):
         raise EventFileError(f"{path}:{lineno}: polarity must be 1 or -1, got {p}")
     return t, x, y, p
@@ -289,8 +404,17 @@ def read_events(path) -> np.ndarray:
 
 def read_event_file(path, geometry: SensorGeometry = DAVIS346,
                     chunk_size: int = 65536) -> ArraySource:
-    """Replay an event CSV file as a stream source."""
-    return ArraySource(read_events(path), geometry, chunk_size)
+    """Replay an event CSV file as a stream source.
+
+    A pixel outside ``geometry`` raises :class:`EventFileError` naming
+    the file.
+    """
+    events = read_events(path)
+    try:
+        return ArraySource(events, geometry, chunk_size)
+    except ValueError as exc:
+        raise EventFileError(
+            f"{path}: {exc} ({geometry.width}x{geometry.height})") from None
 
 
 def write_event_file(path, events: np.ndarray) -> None:

@@ -73,7 +73,7 @@ class SlidingRateEstimator:
         """
         t = np.ascontiguousarray(timestamps, dtype=np.int64)
         if t.size:
-            if (t[1:] < t[:-1]).any():
+            if np.count_nonzero(t[1:] < t[:-1]):
                 raise OrderingError("batch timestamps must be non-decreasing")
             batches = self._batches
             if batches and t[0] < batches[-1][-1]:

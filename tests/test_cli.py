@@ -111,6 +111,24 @@ class TestCliRun:
         assert (tmp_path / "m1.csv").read_bytes() == \
             (tmp_path / "m2.csv").read_bytes()
 
+    @pytest.mark.parametrize("line, message", [
+        ("0,65541,5,1", ":2: x must lie in [-32768, 32767], got 65541"),
+        (f"{2**63},1,5,1",
+         f":2: t must lie in [{-2**63}, {2**63 - 1}], got {2**63}"),
+        ("10,1000,5,1", ": event x out of sensor bounds (346x260)")],
+        ids=["x-wraps-int16", "t-overflows-int64", "x-outside-geometry"])
+    def test_bad_replayed_file_is_a_one_line_error(self, tmp_path, capsys,
+                                                   line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1,1,1\n{line}\n")
+        out = tmp_path / "m.csv"
+        code = main(["run", "--scenario", "constant",
+                     "--set", "source.kind=file",
+                     "--set", f"source.path={path}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err == f"error: {path}{message}\n"
+
     def test_env_base_config(self, tmp_path, monkeypatch):
         base = tmp_path / "base.cfg"
         base.write_text("source.duration_s = 0.05\nseed = 3\n")

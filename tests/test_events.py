@@ -1,16 +1,20 @@
 """Event model, synthetic sources, and CSV round-trip tests."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from asap_stream import (DAVIS346, ArraySource, ConfigurationError,
                          ConstantRateSource, EventFileError, OrderingError,
                          RampRateSource, SensorGeometry, make_events,
                          read_event_file, read_events, write_event_file)
+from asap_stream import events as events_mod
 from asap_stream.events import EventPackage, validate_events
 
 
@@ -162,6 +166,21 @@ class TestEventFile:
         with pytest.raises(OrderingError, match=":2"):
             read_events(path)
 
+    def test_coordinate_outside_int16_rejected(self, tmp_path):
+        # 65541 would wrap to 5 in the int16 column
+        path = tmp_path / "wrap.csv"
+        path.write_text("0,1,2,1\n0,65541,5,1\n")
+        with pytest.raises(EventFileError,
+                           match=r"wrap\.csv:2: x must lie in "
+                                 r"\[-32768, 32767\], got 65541"):
+            read_events(path)
+
+    def test_timestamp_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text(f"t_us,x,y,p\n{2**63},1,5,1\n")
+        with pytest.raises(EventFileError, match=r"late\.csv:2: t must lie"):
+            read_events(path)
+
 
 class TestArraySource:
     def test_chunked_iteration_preserves_stream(self):
@@ -197,11 +216,25 @@ class TestArraySource:
         path = tmp_path / "wide.csv"
         path.write_text("0,300,10,1\n5,20,10,-1\n")
         assert len(read_event_file(path).events()) == 2
-        with pytest.raises(ValueError, match="x out of sensor"):
+        with pytest.raises(EventFileError,
+                           match=r"wide\.csv: event x out of sensor bounds "
+                                 r"\(240x180\)"):
             read_event_file(path, SensorGeometry(width=240, height=180))
         path.write_text("0,1000,-5,1\n1,0,900,1\n")
-        with pytest.raises(ValueError, match="x out of sensor"):
+        with pytest.raises(EventFileError, match="wide.csv: event x out of"):
             read_event_file(path)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    @pytest.mark.parametrize("make", [
+        lambda c: ArraySource(make_events([0, 1], [0, 0], [0, 0], [1, 1]),
+                              chunk_size=c),
+        lambda c: ConstantRateSource(1e5, 0.01, chunk_size=c),
+        lambda c: RampRateSource(1e5, 1e6, 0.01, chunk_size=c)],
+        ids=["array", "constant", "ramp"])
+    def test_non_positive_chunk_size_rejected(self, make, chunk_size):
+        with pytest.raises(ConfigurationError, match="chunk size") as info:
+            make(chunk_size)
+        assert info.value.key == "source.chunk_events"
 
 
 #: A stream spanning three validation blocks of 65536 events.
@@ -296,6 +329,232 @@ class TestValidateEvents:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+    def test_array_source_validates_in_bounded_memory_with_16_workers(
+            self, monkeypatch):
+        monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 16)
+        ev = _valid_stream(2_000_000)
+        tracemalloc.start()
+        try:
+            ArraySource(ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+_B = events_mod._BLOCK
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 16])
+def test_validation_memory_does_not_grow_with_workers(monkeypatch, workers):
+    # one block's temporaries, about 0.2 MB, shared by all workers
+    monkeypatch.setattr(events_mod, "_usable_cpus", lambda: workers)
+    ev = _valid_stream(2_000_000)
+    tracemalloc.start()
+    try:
+        validate_events(ev, DAVIS346)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
+
+
+def _serial_reference(events, geometry=None):
+    """The single-threaded block loop that validated streams before they
+    were split across CPUs: the exception it raises, as (type, message),
+    or None."""
+    t, p = events["t"], events["p"]
+    bad_p = bad_x = bad_y = False
+    if geometry is not None:
+        x, y = events["x"].view(np.uint16), events["y"].view(np.uint16)
+        x_end = min(geometry.width, 1 << 15)
+        y_end = min(geometry.height, 1 << 15)
+    for i in range(0, len(events), _B):
+        tb = t[i:i + _B + 1]
+        if (tb[1:] < tb[:-1]).any():
+            return OrderingError, "event timestamps must be non-decreasing"
+        bad_p = bad_p or not (np.abs(p[i:i + _B]) == 1).all()
+        if geometry is not None:
+            bad_x = bad_x or x[i:i + _B].max() >= x_end
+            bad_y = bad_y or y[i:i + _B].max() >= y_end
+    if bad_p:
+        return ValueError, "event polarity must be +1 or -1"
+    if bad_x:
+        return ValueError, "event x out of sensor bounds"
+    if bad_y:
+        return ValueError, "event y out of sensor bounds"
+    return None
+
+
+def _outcome(events, geometry=None):
+    try:
+        validate_events(events, geometry)
+    except (OrderingError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+        else None
+
+
+def _with_workers(mp, workers):
+    """Force the worker count and record each ``_scan`` call as
+    (start, stop, step, ran in the calling thread, CPUs it may run on)."""
+    calls = []
+    scan = events_mod._scan
+
+    def recording(*args):
+        calls.append((*args[6:9],
+                      threading.current_thread() is threading.main_thread(),
+                      _cpus()))
+        return scan(*args)
+    mp.setattr(events_mod, "_usable_cpus", lambda: workers)
+    mp.setattr(events_mod, "_scan", recording)
+    return calls
+
+
+#: Injectable values per field: valid ones and faults on either side.
+_FIELD_VALUES = {"p": [-128, -2, -1, 0, 1, 2, 127],
+                 "x": [-32_768, -1, 0, 345, 346, 32_767],
+                 "y": [-1, 0, 259, 260, 32_767]}
+
+
+class TestParallelValidation:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 100])
+    def test_ranges_are_contiguous_block_aligned_and_cover_the_stream(
+            self, monkeypatch, workers):
+        ev = _valid_stream()  # three blocks
+        calls = _with_workers(monkeypatch, workers)
+        before = _cpus()
+        validate_events(ev, DAVIS346)
+        assert _cpus() == before
+        ranges = min(workers, 3)
+        assert len(calls) == ranges
+        calls.sort()
+        assert calls[0][0] == 0 and calls[-1][1] == len(ev)
+        for (_, stop, *_), (start, *_) in zip(calls, calls[1:]):
+            assert stop == start and start % _B == 0
+        if ranges == 1:
+            assert calls == [(0, len(ev), _B, True, before)]
+            return
+        # together the sub-blocks are at most two blocks' worth of events
+        assert {c[2] for c in calls} == {min(_B, 2 * _B // ranges)}
+        # one thread per range, the k-th pinned to the k-th CPU (cyclically)
+        assert not any(c[3] for c in calls)
+        if before is not None:
+            cpus = sorted(before)
+            assert [c[4] for c in calls] == [{cpus[k % len(cpus)]}
+                                             for k in range(ranges)]
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        calls = _with_workers(monkeypatch, 8)
+        validate_events(_valid_stream(_B), DAVIS346)
+        assert calls == [(0, _B, _B, True, _cpus())]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 100])
+    @pytest.mark.parametrize("index", [_B - 1, _B, _B + 1, 2 * _B,
+                                       _BLOCKED_N - 1])
+    def test_order_fault_at_range_edges(self, monkeypatch, workers, index):
+        ev = _valid_stream()
+        ev["t"][index] = ev["t"][index - 1] - 1
+        _with_workers(monkeypatch, workers)
+        with pytest.raises(OrderingError, match="non-decreasing"):
+            validate_events(ev, DAVIS346)
+
+    def test_order_fault_in_a_later_range_beats_an_earlier_field_fault(
+            self, monkeypatch):
+        ev = _valid_stream()
+        ev["p"][0] = 0
+        ev["x"][1] = 400
+        ev["t"][-1] = -1
+        _with_workers(monkeypatch, 3)
+        with pytest.raises(OrderingError):
+            validate_events(ev, DAVIS346)
+
+    def test_polarity_then_x_then_y_across_ranges(self, monkeypatch):
+        ev = _valid_stream()
+        ev["y"][0] = 300             # first range
+        ev["x"][_B + 3] = 400        # second range
+        ev["p"][2 * _B + 1] = 5      # third range
+        _with_workers(monkeypatch, 3)
+        with pytest.raises(ValueError, match="polarity"):
+            validate_events(ev, DAVIS346)
+        ev["p"][2 * _B + 1] = 1
+        with pytest.raises(ValueError, match="x out of"):
+            validate_events(ev, DAVIS346)
+        ev["x"][_B + 3] = 1
+        with pytest.raises(ValueError, match="y out of"):
+            validate_events(ev, DAVIS346)
+
+    @pytest.mark.parametrize("failing_start", [0, _B, 2 * _B])
+    def test_exception_in_any_range_reaches_the_caller(self, monkeypatch,
+                                                       failing_start):
+        scan = events_mod._scan
+
+        def failing(*args):
+            if args[6] == failing_start:
+                raise MemoryError(f"range at {failing_start}")
+            return scan(*args)
+        monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(events_mod, "_scan", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=f"range at {failing_start}$"):
+            validate_events(_valid_stream(), DAVIS346)
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_with_frequent_switches(self,
+                                                            monkeypatch):
+        ev = _valid_stream(40 * _B)
+        calls = _with_workers(monkeypatch, 40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for index, field, value in [(40 * _B - 1, "t", -1),
+                                        (20 * _B, "p", 0),
+                                        (_B - 1, "x", 346),
+                                        (39 * _B, "y", 260)]:
+                bad = ev.copy()
+                bad[field][index] = value
+                assert _outcome(bad, DAVIS346) == \
+                    _serial_reference(bad, DAVIS346)
+            assert _outcome(ev, DAVIS346) is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 5 * 40
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_parallel_result_equals_serial_reference(self, data):
+        # one to four blocks, ending a few events either side of an edge
+        n = (data.draw(st.integers(1, 4), label="blocks") * _B
+             + data.draw(st.integers(-2, 7), label="extra"))
+        workers = data.draw(st.sampled_from([1, 2, 3, 5, 64]), label="workers")
+        geometry = data.draw(st.sampled_from(
+            [None, DAVIS346, SensorGeometry(width=40_000, height=40_000)]))
+        ev = _valid_stream(n)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _with_workers(mp, workers)
+            assert _outcome(ev, geometry) is None
+            # the events on either side of every range and sub-block edge
+            edges = sorted({e for start, stop, step, *_ in calls
+                            for b in [*range(start, stop, step), stop]
+                            for e in (b - 1, b, b + 1) if 0 <= e < n})
+            for _ in range(data.draw(st.integers(1, 4), label="faults")):
+                i = data.draw(st.one_of(st.sampled_from(edges),
+                                        st.integers(0, n - 1)), label="index")
+                field = data.draw(st.sampled_from("tpxy"), label="field")
+                if field == "t":
+                    ev["t"][i] += data.draw(st.integers(-3, 3))
+                else:
+                    ev[field][i] = data.draw(
+                        st.sampled_from(_FIELD_VALUES[field]))
+            expected = _serial_reference(ev, geometry)
+            event(expected[1] if expected else "valid")
+            assert _outcome(ev, geometry) == expected
 
 
 class TestEventPackageValidate:
