@@ -28,6 +28,13 @@ _US = 1_000_000.0
 #: Events per block of :func:`validate_events`.
 _BLOCK = 65536
 
+#: Most ranges :func:`validate_events` splits a stream into. Each range's
+#: thread runs a Python loop between short numpy calls and contends for
+#: the GIL, and the ranges share one block's temporaries, so more ranges
+#: mean smaller sub-blocks. Oversubscribed on 2 CPUs, up to 5 ranges beat
+#: the serial loop, 6 did not, and 16 took twice its time.
+_MAX_RANGES = 4
+
 #: Inclusive value range of each integer field a file line must fit.
 _FIELD_RANGE = {name: (int(np.iinfo(EVENT_DTYPE[name]).min),
                        int(np.iinfo(EVENT_DTYPE[name]).max))
@@ -85,12 +92,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pin(k: int) -> None:
-    """Keep the calling thread on the ``k``-th CPU it may run on, counted
-    cyclically, where the platform lets threads be pinned."""
+def _place(k: int) -> None:
+    """Move the calling thread to the ``k``-th CPU it may run on, counted
+    cyclically, and let it run on any of them again, where the platform
+    lets threads be moved.
+
+    A new thread tends to start on the CPU of the thread that started
+    it, and to stay there for the ~0.1 s a check takes; pinned for good,
+    it could not leave a CPU that other work keeps busy.
+    """
     try:
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(cpus)[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
     except (AttributeError, OSError):
         pass
 
@@ -121,13 +135,11 @@ def _scan(t, p, x, y, x_end, y_end, start, stop, step):
 
 def _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges):
     """Fault flags of ``ranges`` contiguous ranges of whole blocks, each
-    scanned by its own thread pinned to its own CPU; raises the first
+    scanned by its own thread, started on its own CPU; raises the first
     exception a thread raised.
 
-    The calling thread only waits. Pinned, it would stay on that CPU
-    after the check; unpinned, it would hand the GIL back and forth with
-    the threads, which are then seldom runnable at the same moment, so
-    the scheduler may leave them all on one CPU.
+    The calling thread only waits: checking a range itself, it would
+    share its CPU with the threads it had just started.
     """
     bounds = [min(n, k * blocks // ranges * _BLOCK) for k in range(ranges + 1)]
     # All ranges together keep to the 3 bytes per block event that one
@@ -143,7 +155,7 @@ def _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges):
 
     def check(k):
         try:
-            _pin(k)
+            _place(k)
             np.setbufsize(bufsize)  # in this thread only
             flags[k] = _scan(t, p, x, y, x_end, y_end,
                              bounds[k], bounds[k + 1], step)
@@ -173,10 +185,11 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
     The stream is checked in blocks of :data:`_BLOCK` events, each order
     check overlapping the next block by one event. With more than one
     block and more than one CPU this process may run on, the blocks are
-    split into one contiguous range per CPU (at most one per block),
-    checked in parallel threads in sub-blocks sized so that all
-    temporaries together stay those of one block, about 0.2 MB; numpy
-    releases the GIL inside the comparisons and reductions.
+    split into one contiguous range per CPU (at most one per block and
+    :data:`_MAX_RANGES` in all), checked in parallel threads in
+    sub-blocks sized so that all temporaries together stay those of one
+    block, about 0.2 MB; numpy releases the GIL inside the comparisons
+    and reductions.
     """
     t, p = events["t"], events["p"]
     x = y = x_end = y_end = None
@@ -188,7 +201,7 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
         y_end = min(geometry.height, 1 << 15)
     n = len(events)
     blocks = -(-n // _BLOCK)
-    ranges = min(_usable_cpus(), blocks)
+    ranges = min(_usable_cpus(), blocks, _MAX_RANGES)
     if ranges > 1:
         flags = _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges)
     else:

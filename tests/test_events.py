@@ -347,18 +347,24 @@ class TestValidateEvents:
 _B = events_mod._BLOCK
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 16])
-def test_validation_memory_does_not_grow_with_workers(monkeypatch, workers):
-    # one block's temporaries, about 0.2 MB, shared by all workers
-    monkeypatch.setattr(events_mod, "_usable_cpus", lambda: workers)
-    ev = _valid_stream(2_000_000)
+def _validation_peak(events):
     tracemalloc.start()
     try:
-        validate_events(ev, DAVIS346)
-        peak = tracemalloc.get_traced_memory()[1]
+        validate_events(events, DAVIS346)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250_000
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 16])
+def test_validation_memory_does_not_grow_with_workers(monkeypatch, workers):
+    # all ranges share one block's temporaries, about 0.2 MB, so only the
+    # threads themselves (at most four) may add to the serial loop's peak
+    ev = _valid_stream(2_000_000)
+    monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 1)
+    serial = _validation_peak(ev)
+    monkeypatch.setattr(events_mod, "_usable_cpus", lambda: workers)
+    assert _validation_peak(ev) < serial + 32_768
 
 
 def _serial_reference(events, geometry=None):
@@ -396,21 +402,15 @@ def _outcome(events, geometry=None):
     return None
 
 
-def _cpus():
-    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
-        else None
-
-
 def _with_workers(mp, workers):
     """Force the worker count and record each ``_scan`` call as
-    (start, stop, step, ran in the calling thread, CPUs it may run on)."""
+    (start, stop, step, ran in the calling thread)."""
     calls = []
     scan = events_mod._scan
 
     def recording(*args):
         calls.append((*args[6:9],
-                      threading.current_thread() is threading.main_thread(),
-                      _cpus()))
+                      threading.current_thread() is threading.main_thread()))
         return scan(*args)
     mp.setattr(events_mod, "_usable_cpus", lambda: workers)
     mp.setattr(events_mod, "_scan", recording)
@@ -429,9 +429,7 @@ class TestParallelValidation:
             self, monkeypatch, workers):
         ev = _valid_stream()  # three blocks
         calls = _with_workers(monkeypatch, workers)
-        before = _cpus()
         validate_events(ev, DAVIS346)
-        assert _cpus() == before
         ranges = min(workers, 3)
         assert len(calls) == ranges
         calls.sort()
@@ -439,21 +437,54 @@ class TestParallelValidation:
         for (_, stop, *_), (start, *_) in zip(calls, calls[1:]):
             assert stop == start and start % _B == 0
         if ranges == 1:
-            assert calls == [(0, len(ev), _B, True, before)]
+            assert calls == [(0, len(ev), _B, True)]
             return
         # together the sub-blocks are at most two blocks' worth of events
         assert {c[2] for c in calls} == {min(_B, 2 * _B // ranges)}
-        # one thread per range, the k-th pinned to the k-th CPU (cyclically)
+        # one thread per range, the caller only waits
         assert not any(c[3] for c in calls)
-        if before is not None:
-            cpus = sorted(before)
-            assert [c[4] for c in calls] == [{cpus[k % len(cpus)]}
-                                             for k in range(ranges)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="threads cannot be moved on this platform")
+    def test_each_thread_starts_on_its_own_cpu_and_may_then_move(
+            self, monkeypatch):
+        cpus = os.sched_getaffinity(0)
+        moves, scans = [], []
+        set_affinity, scan = os.sched_setaffinity, events_mod._scan
+
+        def moving(pid, mask):
+            moves.append((threading.current_thread(), set(mask)))
+            set_affinity(pid, mask)
+
+        def scanning(*args):
+            scans.append((args[6], threading.current_thread(),
+                          os.sched_getaffinity(0)))
+            return scan(*args)
+        monkeypatch.setattr(os, "sched_setaffinity", moving)
+        monkeypatch.setattr(events_mod, "_scan", scanning)
+        monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 3)
+        validate_events(_valid_stream(), DAVIS346)
+        assert os.sched_getaffinity(0) == cpus
+        order = sorted(cpus)
+        scans.sort(key=lambda s: s[0])
+        for k, (start, thread, mask) in enumerate(scans):
+            assert start == k * _B and mask == cpus
+            assert [m for t, m in moves if t is thread] == [
+                {order[k % len(order)]}, cpus]
+
+    @pytest.mark.parametrize("workers", [4, 5, 100])
+    def test_range_count_is_capped(self, monkeypatch, workers):
+        ev = _valid_stream(40 * _B)
+        calls = _with_workers(monkeypatch, workers)
+        validate_events(ev, DAVIS346)
+        assert len(calls) == events_mod._MAX_RANGES == 4
+        assert sorted(c[:2] for c in calls) == [
+            (k * 10 * _B, (k + 1) * 10 * _B) for k in range(4)]
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         calls = _with_workers(monkeypatch, 8)
         validate_events(_valid_stream(_B), DAVIS346)
-        assert calls == [(0, _B, _B, True, _cpus())]
+        assert calls == [(0, _B, _B, True)]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 100])
     @pytest.mark.parametrize("index", [_B - 1, _B, _B + 1, 2 * _B,
@@ -506,8 +537,8 @@ class TestParallelValidation:
             validate_events(_valid_stream(), DAVIS346)
         assert threading.active_count() == before
 
-    def test_more_workers_than_cores_with_frequent_switches(self,
-                                                            monkeypatch):
+    def test_more_workers_than_the_cap_with_frequent_switches(self,
+                                                              monkeypatch):
         ev = _valid_stream(40 * _B)
         calls = _with_workers(monkeypatch, 40)
         interval = sys.getswitchinterval()
@@ -524,7 +555,7 @@ class TestParallelValidation:
             assert _outcome(ev, DAVIS346) is None
         finally:
             sys.setswitchinterval(interval)
-        assert len(calls) == 5 * 40
+        assert len(calls) == 5 * events_mod._MAX_RANGES
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
