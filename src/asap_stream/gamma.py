@@ -68,29 +68,43 @@ class SlidingRateEstimator:
 
         Raises :class:`OrderingError`, with the estimator unchanged, when
         the batch decreases or starts before the newest timestamp seen.
-        The newest batch never leaves the window, so its last timestamp
-        is always that newest one.
         """
         t = np.ascontiguousarray(timestamps, dtype=np.int64)
         if t.size:
             if np.count_nonzero(t[1:] < t[:-1]):
                 raise OrderingError("batch timestamps must be non-decreasing")
-            batches = self._batches
-            if batches and t[0] < batches[-1][-1]:
-                raise OrderingError(
-                    f"batch starts at timestamp {t[0]}, before the newest "
-                    f"one already seen, {batches[-1][-1]}")
-            batches.append(t)
-            self._count += t.size
-            cut = int(t[-1]) - self.window_us
-            # the newest batch ends inside the window, so this stops
-            while batches[0][-1] < cut:
-                self._count -= batches.popleft().size
-            outside = int(batches[0].searchsorted(cut, side="left"))
-            if outside:
-                batches[0] = batches[0][outside:]
-                self._count -= outside
+            self.fold(t)
         return self.rate_evps
+
+    def fold(self, t: np.ndarray) -> None:
+        """Fold in a non-empty, contiguous int64 batch whose own order the
+        caller has checked, such as a subsequence of a batch that passed
+        :meth:`update`.
+
+        Only the batch's start is checked, in O(1): it raises
+        :class:`OrderingError`, with the estimator unchanged, when the
+        batch starts before the newest timestamp seen. The newest batch
+        never leaves the window, so its last timestamp is that newest
+        one; window bookkeeping reads Python ints, not numpy scalars.
+        """
+        first = t.item(0)
+        batches = self._batches
+        if batches:
+            newest = batches[-1].item(-1)
+            if first < newest:
+                raise OrderingError(
+                    f"batch starts at timestamp {first}, before the newest "
+                    f"one already seen, {newest}")
+        batches.append(t)
+        self._count += t.size
+        cut = t.item(-1) - self.window_us
+        # the newest batch ends inside the window, so this stops
+        while batches[0].item(-1) < cut:
+            self._count -= batches.popleft().size
+        outside = int(batches[0].searchsorted(cut, side="left"))
+        if outside:
+            batches[0] = batches[0][outside:]
+            self._count -= outside
 
     @property
     def rate_evps(self) -> float:
@@ -175,12 +189,29 @@ class GammaFilter:
             a_evps=config.a_evps, beta=config.beta, gamma_min=config.gamma_min,
             rng=np.random.Generator(np.random.PCG64(seed)))
         self._raw = SlidingRateEstimator(config.rate_window_us)
+        #: Timestamps of the last batch's kept events, as one contiguous,
+        #: order-checked int64 array (None before the first batch): the
+        #: packager's rate window folds them without copying or checking
+        #: them again.
+        self.kept_t: np.ndarray | None = None
 
     def process(self, events: np.ndarray) -> tuple[np.ndarray, int]:
-        """Filter one batch; returns (kept events, dropped count)."""
-        raw_rate = self._raw.update(events["t"])
+        """Filter one batch; returns (kept events, dropped count).
+
+        An empty batch changes nothing: no event arrived, so gamma, the
+        raw rate and the generator stay as they are.
+        """
+        # the one copy and order check of the batch's timestamps
+        t = np.ascontiguousarray(events["t"], dtype=np.int64)
+        if t.size == 0:
+            self.kept_t = t
+            return events, 0
+        raw_rate = self._raw.update(t)
         update_gamma(self.state, raw_rate)
         kept = apply_filter(self.state, events)
+        # whole batch kept: the same array; otherwise a subsequence of it
+        self.kept_t = t if kept is events else np.ascontiguousarray(
+            kept["t"], dtype=np.int64)
         return kept, len(events) - len(kept)
 
     @property

@@ -256,18 +256,28 @@ class Packager:
             self._head += n
         return n
 
-    def append(self, events: np.ndarray) -> None:
+    def append(self, events: np.ndarray, *, t: np.ndarray | None = None) -> None:
         """Buffer events without cutting packages (see :meth:`next_emission`).
 
         The rate estimator is the one order check: it raises
         :class:`OrderingError` before any state changes when the batch
         decreases or starts before the newest appended event, which is
         never older than the newest buffered one.
+
+        ``t``, when given, must be the events' timestamps as one
+        contiguous int64 array whose order was already checked, such as
+        :attr:`GammaFilter.kept_t <asap_stream.gamma.GammaFilter.kept_t>`.
+        The rate window then folds that array itself and checks only
+        that it starts no earlier than the newest appended event.
         """
         n = len(events)
         if n == 0:
             return
-        self.rate_evps = rate = self._rate_estimator.update(events["t"])
+        if t is None:
+            self._rate_estimator.update(events["t"])
+        else:
+            self._rate_estimator.fold(t)
+        self.rate_evps = rate = self._rate_estimator.rate_evps
         if self._rate_smooth_evps is None:
             self._rate_smooth_evps = rate
         else:

@@ -172,15 +172,19 @@ class _Stages:
     def feed(self, batch: np.ndarray) -> None:
         self.source_events += len(batch)
         kept, dropped = self.gfilter.process(batch)
+        # the kept events' timestamps, copied and order-checked once by
+        # the filter's raw window, feed the packager's window as well
+        kept_t = self.gfilter.kept_t
         self.dropped_by_filter += dropped
         self._pending_filter += dropped
         excess = self.packager.buffered + len(kept) - self.capacity
         if excess > 0:
             # drop-oldest: buffered events first, then the batch's own head
-            kept = kept[excess - self.packager.drop_oldest(excess):]
+            head = excess - self.packager.drop_oldest(excess)
+            kept, kept_t = kept[head:], kept_t[head:]
             self.dropped_by_overflow += excess
             self._pending_overflow += excess
-        self.packager.append(kept)
+        self.packager.append(kept, t=kept_t)
         # gamma and both rates change only here: read once per batch for
         # the stamps of the packages it completes
         self._rates = (self.gfilter.gamma, self.gfilter.rate_raw_evps,

@@ -274,3 +274,43 @@ class TestGammaFilter:
         ev = ConstantRateSource(1e7, 0.05, seed=10).events()
         kept, dropped = gfilter.process(ev)
         assert len(kept) + dropped == len(ev)
+
+    def test_empty_batch_changes_nothing(self):
+        # no event arrived: gamma, the raw rate and the generator stay put
+        gfilter = GammaFilter(GammaConfig(a_evps=1e5), seed=0)
+        gfilter.process(_events_at(np.arange(10_000)))
+        assert gfilter.gamma < 1.0
+        before = (gfilter.gamma, gfilter.rate_raw_evps,
+                  gfilter.state.rng.bit_generator.state)
+        for _ in range(3):
+            kept, dropped = gfilter.process(_events_at([]))
+            assert (len(kept), dropped) == (0, 0)
+            assert (gfilter.gamma, gfilter.rate_raw_evps,
+                    gfilter.state.rng.bit_generator.state) == before
+        assert len(gfilter.kept_t) == 0
+
+    @pytest.mark.parametrize("a_evps", [1e5, 1e12])
+    def test_kept_timestamps_are_one_checked_copy(self, a_evps):
+        # the kept events' timestamps, contiguous; at gamma = 1 the very
+        # array the raw window folded
+        gfilter = GammaFilter(GammaConfig(a_evps=a_evps), seed=0)
+        ev = ConstantRateSource(1e7, 0.01, seed=3).events()
+        for lo in range(0, len(ev), 20_000):
+            batch = ev[lo:lo + 20_000]
+            kept, _ = gfilter.process(batch)
+            kt = gfilter.kept_t
+            assert kt.dtype == np.int64 and kt.flags.c_contiguous
+            assert np.array_equal(kt, kept["t"])
+            assert (kt is gfilter._raw._batches[-1]) == (kept is batch)
+        assert (gfilter.gamma < 1.0) == (a_evps < 1e12)
+
+    def test_disordered_batch_leaves_the_filter_unchanged(self):
+        gfilter = GammaFilter(GammaConfig(a_evps=1e5), seed=0)
+        gfilter.process(_events_at(np.arange(1000)))
+        before = (gfilter.gamma, gfilter.rate_raw_evps,
+                  gfilter.state.rng.bit_generator.state)
+        for t in ([1000, 1002, 1001], [998, 1000]):
+            with pytest.raises(OrderingError):
+                gfilter.process(_events_at(t))
+            assert (gfilter.gamma, gfilter.rate_raw_evps,
+                    gfilter.state.rng.bit_generator.state) == before

@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior in virtual and realtime modes."""
 
+import copy
 import queue
 import threading
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from asap_stream import (ArraySource, ConstantRateSource, ConsumerConfig,
                          GammaConfig, PackageMetrics, PackagerConfig,
-                         PipelineConfig, RampRateSource, SyntheticConsumer,
-                         SyntheticCostModel, make_events, run,
-                         write_metrics_csv)
-from asap_stream.pipeline import METRICS_COLUMNS, METRICS_HEADER, _put_latest
+                         GammaFilter, OrderingError, Packager,
+                         PipelineConfig, RampRateSource, StreamSource,
+                         SyntheticConsumer, SyntheticCostModel, make_events,
+                         run, write_metrics_csv)
+from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, _put_latest,
+                                  _Stages)
 
 
 def _config(**kwargs):
@@ -367,3 +370,145 @@ class TestRealtimeRun:
         runner.join(timeout=10)
         assert not runner.is_alive()
         assert len(outcome) == 1 and isinstance(outcome[0], Boom)
+
+
+class _Chunks(StreamSource):
+    """Source yielding the given chunks as they are, unvalidated."""
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+
+    def chunks(self):
+        yield from self._chunks
+
+
+def _numbered(t):
+    """Events at times ``t`` whose pixel encodes their index."""
+    i = np.arange(len(t))
+    return make_events(t, i % 346, i // 346, np.ones(len(t)))
+
+
+class TestOrderingContract:
+    """The pipeline rejects every disordered stream, with gamma < 1, also
+    where only events the filter drops are out of order."""
+
+    @staticmethod
+    def _cfg():
+        # 1e6 ev/s against a = 1e5: gamma falls below 1 after one chunk
+        return _config(gamma=GammaConfig(a_evps=1e5))
+
+    def _first(self):
+        return _numbered(np.arange(0, 2000))
+
+    def _run(self, second):
+        return run(self._cfg(), _Chunks([self._first(), second]))
+
+    def test_chunk_that_decreases_inside(self):
+        t = np.arange(2000, 4000)
+        t[1000:] -= 5
+        with pytest.raises(OrderingError, match="non-decreasing"):
+            self._run(_numbered(t))
+
+    def test_chunk_that_starts_before_the_previous_one_ends(self):
+        with pytest.raises(OrderingError, match="before the newest"):
+            self._run(_numbered(np.arange(1998, 3998)))
+
+    def test_disorder_only_among_dropped_events(self):
+        cfg = self._cfg()
+        t = np.arange(2000, 4000)
+        # replay the filter on the ordered chunk to learn what it drops
+        gfilter = GammaFilter(cfg.gamma, seed=cfg.seed)
+        gfilter.process(self._first())
+        assert gfilter.gamma < 1.0
+        kept, _ = copy.deepcopy(gfilter).process(_numbered(t))
+        dropped = np.ones(len(t), dtype=bool)
+        dropped[kept["x"] + 346 * kept["y"].astype(np.int64)] = False
+        i = int(np.flatnonzero(dropped[:-1] & dropped[1:])[0])
+        # swapping two adjacent dropped events changes neither the count
+        # in the window nor the newest timestamp, so the same events are
+        # dropped and the kept ones stay ordered
+        t[i], t[i + 1] = t[i + 1], t[i]
+        assert not np.count_nonzero(np.diff(t[~dropped]) < 0)
+        with pytest.raises(OrderingError, match="non-decreasing"):
+            self._run(_numbered(t))
+
+    def test_empty_chunks_change_nothing(self, tmp_path):
+        # an empty chunk carries no event: the run must be the same
+        # without it, byte for byte
+        ev = ConstantRateSource(1e6, 0.05, seed=5).events()
+        chunks = [ev[i:i + 4096] for i in range(0, len(ev), 4096)]
+        empty = ev[:0]
+        padded = [c for chunk in chunks for c in (empty, chunk, empty)]
+        csvs = []
+        for source in (_Chunks(chunks), _Chunks(padded)):
+            result = run(_config(gamma=GammaConfig(a_evps=3e5)), source)
+            assert result.dropped_by_filter > 0
+            csvs.append(tmp_path / f"{len(csvs)}.csv")
+            write_metrics_csv(csvs[-1], result.metrics)
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+def _drain_keys(packager):
+    keys = []
+    while (cut := packager.next_emission()) is not None:
+        keys.append((cut.seq, cut.reason, cut.trigger_us, cut.span_us,
+                     cut.events.tobytes()))
+    return keys
+
+
+class TestSharedTimestamps:
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=40),
+                         max_size=300),
+           cuts=st.lists(st.integers(min_value=0, max_value=300)),
+           a_evps=st.sampled_from([2e4, 1e5, 1e12]),
+           capacity=st.integers(min_value=1, max_value=40),
+           target=st.integers(min_value=1, max_value=50),
+           back=st.integers(min_value=1, max_value=50))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_plain_append(self, gaps, cuts, a_evps, capacity, target,
+                                 back):
+        # feeding the packager the filter's checked timestamps must give
+        # the rates, buffer and cuts of appending the kept events alone,
+        # with the filter discarding or not and admission trimming batches
+        t = np.cumsum(np.asarray(gaps, dtype=np.int64))
+        ev = make_events(t, np.zeros(len(t)), np.zeros(len(t)),
+                         np.ones(len(t)))
+        cfg = _config(gamma=GammaConfig(a_evps=a_evps, rate_window_us=200),
+                      packager=PackagerConfig(initial_size=target,
+                                              timeout_us=150,
+                                              rate_window_us=100),
+                      input_buffer_capacity=capacity)
+        stages = _Stages(cfg)
+        shared = stages.packager
+        ref_filter = GammaFilter(cfg.gamma, seed=cfg.seed)
+        ref = Packager(cfg.packager)
+        newest = None
+        edges = sorted({0, len(ev), *(c for c in cuts if c <= len(ev))})
+        for lo, hi in zip(edges, edges[1:]):
+            stages.feed(ev[lo:hi])
+            kept, _ = ref_filter.process(ev[lo:hi])
+            excess = ref.buffered + len(kept) - capacity
+            if excess > 0:
+                kept = kept[excess - ref.drop_oldest(excess):]
+            ref.append(kept)
+            if len(kept):
+                newest = int(kept["t"][-1])
+            assert (shared.rate_evps, shared.buffered) == \
+                (ref.rate_evps, ref.buffered)
+            assert _drain_keys(shared) == _drain_keys(ref)
+        if newest is None:
+            return
+        # a batch starting before the newest appended event still raises
+        # on the shared path and leaves no trace
+        stale = np.asarray([newest - back, newest + 1], dtype=np.int64)
+        before = (shared.rate_evps, shared.buffered)
+        with pytest.raises(OrderingError, match="before the newest"):
+            shared.append(_numbered(stale), t=stale)
+        assert (shared.rate_evps, shared.buffered) == before
+        later = np.asarray([newest, newest + 1], dtype=np.int64)
+        shared.append(_numbered(later), t=later)
+        ref.append(_numbered(later))
+        assert (shared.rate_evps, shared.buffered) == \
+            (ref.rate_evps, ref.buffered)
+        assert _drain_keys(shared) == _drain_keys(ref)
