@@ -7,6 +7,7 @@ command-line flag > config-file key > built-in default.
 
 from __future__ import annotations
 
+from decimal import Decimal, InvalidOperation
 from typing import Any, Mapping
 
 from .errors import ConfigurationError
@@ -79,6 +80,28 @@ SCENARIOS: dict[str, dict[str, Any]] = {
 }
 
 
+#: Bounds of an integer key: those of an int64 event timestamp.
+_INT_MIN, _INT_MAX = -2**63, 2**63 - 1
+
+
+def _integer(key: str, raw: str) -> int:
+    """``raw`` as a whole number within the int64 bounds, written as
+    digits or in decimal or exponent form (``1e3``); parsed exactly, so
+    a fraction is rejected rather than truncated."""
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ValueError(raw) from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ConfigurationError(
+            f"{key} must be an integer, got {raw!r}", key=key)
+    if not _INT_MIN <= value <= _INT_MAX:
+        raise ConfigurationError(
+            f"{key} must lie in [{_INT_MIN}, {_INT_MAX}], got {raw!r}",
+            key=key)
+    return int(value)
+
+
 def _coerce(key: str, raw: str) -> Any:
     """Parse a raw string into the type implied by the key's default."""
     default = DEFAULTS[key]
@@ -86,7 +109,7 @@ def _coerce(key: str, raw: str) -> Any:
         if isinstance(default, bool):
             return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
-            return int(float(raw)) if ("e" in raw.lower() or "." in raw) else int(raw)
+            return _integer(key, raw)
         if isinstance(default, float):
             return float(raw)
         return raw

@@ -36,18 +36,14 @@ class VirtualClock:
     """Logical microsecond counter; advanced explicitly, never sleeps."""
 
     def __init__(self, start_us: float = 0.0):
-        self._now = float(start_us)
-
-    @property
-    def now_us(self) -> float:
-        return self._now
+        self.now_us = float(start_us)
 
     def advance(self, dt_us: float) -> None:
-        self._now += dt_us
+        self.now_us += dt_us
 
     def advance_to(self, t_us: float) -> None:
-        if t_us > self._now:
-            self._now = float(t_us)
+        if t_us > self.now_us:
+            self.now_us = float(t_us)
 
 
 class WallClock:
@@ -86,17 +82,19 @@ class SyntheticCostModel:
     jitter_fraction: float = 0.0
 
     def validate(self) -> None:
-        if self.overhead_us < 0:
+        # chained comparisons are false for NaN; a jitter above 1 could
+        # scale a processing time below zero
+        if not 0 <= self.overhead_us < math.inf:
             raise ConfigurationError(
-                f"consumer.o_us must be >= 0, got {self.overhead_us}",
-                key="consumer.o_us")
-        if self.per_event_us < 0:
+                f"consumer.o_us must be finite and >= 0, got "
+                f"{self.overhead_us}", key="consumer.o_us")
+        if not 0 <= self.per_event_us < math.inf:
             raise ConfigurationError(
-                f"consumer.c_ns must be >= 0, got {self.per_event_us * 1000}",
-                key="consumer.c_ns")
-        if self.jitter_fraction < 0:
+                f"consumer.c_ns must be finite and >= 0, got "
+                f"{self.per_event_us * 1000}", key="consumer.c_ns")
+        if not 0 <= self.jitter_fraction <= 1:
             raise ConfigurationError(
-                f"consumer.jitter must be >= 0, got {self.jitter_fraction}",
+                f"consumer.jitter must be in [0, 1], got {self.jitter_fraction}",
                 key="consumer.jitter")
 
 
@@ -144,11 +142,11 @@ class ClusteringConsumer:
 
     def __init__(self, radius_px: float = 10.0, ttl_us: int = 50_000,
                  geometry: SensorGeometry = DAVIS346):
-        if radius_px <= 0:
+        if not radius_px > 0:     # false for NaN; infinity is unbounded
             raise ConfigurationError(
                 f"consumer.radius_px must be positive, got {radius_px}",
                 key="consumer.radius_px")
-        if ttl_us <= 0:
+        if not ttl_us > 0:
             raise ConfigurationError(
                 f"consumer.ttl_us must be positive, got {ttl_us}",
                 key="consumer.ttl_us")

@@ -8,6 +8,7 @@ start, pixel column, pixel row, and polarity in {+1, -1}.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -284,7 +285,7 @@ class _PoissonSource(StreamSource):
 
     def __init__(self, duration_s: float, geometry: SensorGeometry, seed: int,
                  chunk_size: int = 65536):
-        if duration_s <= 0:
+        if not duration_s > 0:
             raise ConfigurationError(
                 f"stream duration must be positive, got {duration_s}",
                 key="source.duration_s",
@@ -328,9 +329,9 @@ class ConstantRateSource(_PoissonSource):
     def __init__(self, rate_evps: float, duration_s: float,
                  geometry: SensorGeometry = DAVIS346, seed: int = 0,
                  chunk_size: int = 65536):
-        if rate_evps <= 0:
+        if not 0 < rate_evps < math.inf:
             raise ConfigurationError(
-                f"event rate must be positive, got {rate_evps}",
+                f"event rate must be positive and finite, got {rate_evps}",
                 key="source.rate_evps",
             )
         super().__init__(duration_s, geometry, seed, chunk_size)
@@ -346,14 +347,16 @@ class RampRateSource(_PoissonSource):
     def __init__(self, rate_start_evps: float, rate_end_evps: float,
                  duration_s: float, geometry: SensorGeometry = DAVIS346,
                  seed: int = 0, chunk_size: int = 65536):
-        if rate_start_evps <= 0:
+        if not 0 < rate_start_evps < math.inf:
             raise ConfigurationError(
-                f"ramp start rate must be positive, got {rate_start_evps}",
+                f"ramp start rate must be positive and finite, got "
+                f"{rate_start_evps}",
                 key="source.rate_start_evps",
             )
-        if rate_end_evps <= 0:
+        if not 0 < rate_end_evps < math.inf:
             raise ConfigurationError(
-                f"ramp end rate must be positive, got {rate_end_evps}",
+                f"ramp end rate must be positive and finite, got "
+                f"{rate_end_evps}",
                 key="source.rate_end_evps",
             )
         super().__init__(duration_s, geometry, seed, chunk_size)

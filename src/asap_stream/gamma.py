@@ -26,7 +26,8 @@ class GammaConfig:
     rate_window_us: int = 10_000   # sliding window of the rate estimator
 
     def validate(self) -> None:
-        if self.a_evps <= 0:
+        # negated comparisons: NaN fails every bound; a = inf never discards
+        if not self.a_evps > 0:
             raise ConfigurationError(
                 f"gamma.a must be positive, got {self.a_evps}", key="gamma.a")
         if not 0.0 < self.beta <= 1.0:
@@ -36,7 +37,7 @@ class GammaConfig:
             raise ConfigurationError(
                 f"gamma.min must be in (0, 1), got {self.gamma_min}",
                 key="gamma.min")
-        if self.rate_window_us <= 0:
+        if not self.rate_window_us > 0:
             raise ConfigurationError(
                 f"gamma.rate_window_us must be positive, got {self.rate_window_us}",
                 key="gamma.rate_window_us")
@@ -55,7 +56,7 @@ class SlidingRateEstimator:
     """
 
     def __init__(self, window_us: int):
-        if window_us <= 0:
+        if not window_us > 0:
             raise ConfigurationError(
                 f"rate window must be positive, got {window_us}",
                 key="gamma.rate_window_us")
@@ -116,7 +117,7 @@ class SlidingRateEstimator:
 def target_gamma(rate_raw_evps: float, a_evps: float,
                  gamma_min: float = 0.01) -> float:
     """Keep-probability that holds the filtered rate at the bound ``a``."""
-    if a_evps <= 0:
+    if not a_evps > 0:
         raise ConfigurationError(
             f"gamma.a must be positive, got {a_evps}", key="gamma.a")
     if rate_raw_evps <= 0:

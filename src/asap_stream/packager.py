@@ -61,15 +61,16 @@ class PackagerConfig:
     rate_window_us: int = 10_000   # window of the incoming-rate estimate
 
     def validate(self) -> None:
-        if self.n_min < 1:
+        # negated comparisons: NaN fails every bound
+        if not self.n_min >= 1:
             raise ConfigurationError(
                 f"packager.n_min must be >= 1, got {self.n_min}",
                 key="packager.n_min")
-        if self.n_max < self.n_min:
+        if not self.n_max >= self.n_min:
             raise ConfigurationError(
                 f"packager.n_max must be >= n_min, got {self.n_max}",
                 key="packager.n_max")
-        if self.timeout_us <= 0:
+        if not self.timeout_us > 0:
             raise ConfigurationError(
                 f"packager.timeout_us must be positive, got {self.timeout_us}",
                 key="packager.timeout_us")
@@ -81,15 +82,15 @@ class PackagerConfig:
             raise ConfigurationError(
                 f"packager.model_smoothing must be in (0, 1], got "
                 f"{self.model_smoothing}", key="packager.model_smoothing")
-        if self.headroom < 1.0:
+        if not self.headroom >= 1.0:
             raise ConfigurationError(
                 f"packager.headroom must be >= 1, got {self.headroom}",
                 key="packager.headroom")
-        if self.initial_size < 1:
+        if not self.initial_size >= 1:
             raise ConfigurationError(
                 f"packager.initial_size must be >= 1, got {self.initial_size}",
                 key="packager.initial_size")
-        if self.rate_window_us <= 0:
+        if not self.rate_window_us > 0:
             raise ConfigurationError(
                 f"packager.rate_window_us must be positive, got "
                 f"{self.rate_window_us}", key="packager.rate_window_us")
@@ -104,10 +105,10 @@ def predict_size(rate_filtered_evps: float, overhead_s: float,
     (``c >= 1/R``) no size can keep up and ``n_max`` is returned; rate
     reduction upstream must take over.
     """
-    if rate_filtered_evps <= 0:
+    if not rate_filtered_evps > 0:
         raise ConfigurationError(
             f"rate must be positive, got {rate_filtered_evps}")
-    if overhead_s < 0 or per_event_s < 0:
+    if not (overhead_s >= 0 and per_event_s >= 0):
         raise ConfigurationError("cost parameters must be >= 0")
     period = 1.0 / rate_filtered_evps
     if period <= per_event_s:
@@ -125,6 +126,9 @@ class AffineCostModel:
     fit is refreshed only while the size variance is non-degenerate, so
     a long run of identical sizes retains the last valid estimates.
     """
+
+    __slots__ = ("smoothing", "samples", "_m_s", "_m_p", "_m_ss", "_m_sp",
+                 "overhead_us", "per_event_us", "_fitted", "ready")
 
     def __init__(self, smoothing: float = 0.2):
         self.smoothing = float(smoothing)

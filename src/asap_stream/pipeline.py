@@ -66,7 +66,10 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"mode must be 'virtual' or 'realtime', got {self.mode!r}",
                 key="mode")
-        if self.input_buffer_capacity < 1:
+        if not self.seed >= 0:
+            raise ConfigurationError(
+                f"seed must be >= 0, got {self.seed}", key="seed")
+        if not self.input_buffer_capacity >= 1:
             raise ConfigurationError(
                 f"pipeline.input_buffer_capacity must be >= 1, got "
                 f"{self.input_buffer_capacity}",
@@ -152,9 +155,9 @@ class _Stages:
     """Discard filter, drop-oldest admission and packager: the stages
     both runners step.
 
-    :meth:`feed` admits one source batch, :meth:`cut` and :meth:`flush`
-    hand out the packages it completes, stamped with the filter state
-    and the drops since the previous package.
+    :meth:`feed` admits one source batch, :meth:`cut` hands out the
+    packages it completes or flushes, stamped with the filter state and
+    the drops since the previous package.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -190,9 +193,17 @@ class _Stages:
         self._rates = (self.gfilter.gamma, self.gfilter.rate_raw_evps,
                        self.packager.rate_evps)
 
-    def _stamp(self, cut: _Cut | None, clock: Clock) -> _Cut | None:
-        """Give ``cut`` the :class:`PackageMetrics` fields known when it
-        was cut: those after ``lag_us``, in field order."""
+    def cut(self, clock: Clock, now_us: int | None = None) -> _Cut | None:
+        """Cut one package, if the buffer completes one, and stamp it with
+        the :class:`PackageMetrics` fields known when it was cut: those
+        after ``lag_us``, in field order. Called once per package, so
+        that feedback applied between two packages steers the next cut.
+
+        With ``now_us``, flush the buffer instead if its oldest event
+        has waited the timeout by then.
+        """
+        cut = (self.packager.next_emission() if now_us is None
+               else self.packager.check_timeout(now_us))
         if cut is not None:
             clock.advance_to(cut.trigger_us)
             cut.stamp = self._rates + (self._pending_filter,
@@ -201,16 +212,6 @@ class _Stages:
             self._pending_filter = self._pending_overflow = 0
             self.packaged_events += cut.size
         return cut
-
-    def cut(self, clock: Clock) -> _Cut | None:
-        """Cut one package, if the buffer completes one. Called once per
-        package, so that feedback applied between two packages steers
-        the next cut."""
-        return self._stamp(self.packager.next_emission(), clock)
-
-    def flush(self, now_us: int, clock: Clock) -> _Cut | None:
-        """Flush the buffer if its oldest event has waited the timeout."""
-        return self._stamp(self.packager.check_timeout(now_us), clock)
 
     def result(self, metrics: list[PackageMetrics],
                feedback_overwrites: int = 0) -> RunResult:
@@ -250,22 +251,25 @@ def _run_virtual(config: PipelineConfig, source: StreamSource,
     clock = VirtualClock()
     stages = _Stages(config)
     metrics: list[PackageMetrics] = []
+    # looked up once per run, not once per package
+    cut, record = stages.cut, metrics.append
+    control = stages.packager.update_target_size
 
-    def deliver(cut: _Cut | None) -> None:
-        """Deliver ``cut`` and every package the buffer completes after it."""
-        while cut is not None:
-            row, feedback = _deliver(cut, consumer, clock)
-            metrics.append(row)
-            stages.packager.update_target_size(feedback)
-            cut = stages.cut(clock)
+    def deliver(package: _Cut | None) -> None:
+        """Deliver ``package`` and every one the buffer completes after it."""
+        while package is not None:
+            row, feedback = _deliver(package, consumer, clock)
+            record(row)
+            control(feedback)
+            package = cut(clock)
 
     for chunk in source.chunks():
         stages.feed(chunk)
-        deliver(stages.cut(clock))
+        deliver(cut(clock))
     # drain: the residual buffer flushes when its timeout expires
     oldest = stages.packager.oldest_arrival_us
     if oldest is not None:
-        deliver(stages.flush(oldest + config.packager.timeout_us, clock))
+        deliver(cut(clock, oldest + config.packager.timeout_us))
     return stages.result(metrics)
 
 
@@ -319,7 +323,7 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
         # here is still there to take
         while not feedback_q.empty():
             stages.packager.update_target_size(feedback_q.get_nowait())
-        if (cut := stages.flush(now_us, clock)) is not None:
+        if (cut := stages.cut(clock, now_us)) is not None:
             package_q.put(cut)
         return now_us
 
@@ -354,6 +358,13 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
 def write_metrics_csv(path, metrics: list[PackageMetrics]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(METRICS_HEADER + "\n")
+        # the packages cut from one fed batch share its gamma and rate
+        # objects: format the three again only when one of them changes.
+        # Compared by identity, since 0.0 == -0.0 but their reprs differ
+        g0 = rr0 = rf0 = object()    # no row's value: the first row formats
         for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in metrics:
-            f.write(f"{seq},{n},{span},{proc!r},{lag!r},{g!r},{rr!r},{rf!r},"
+            if g is not g0 or rr is not rr0 or rf is not rf0:
+                g0, rr0, rf0 = g, rr, rf
+                rates = f"{g!r},{rr!r},{rf!r}"
+            f.write(f"{seq},{n},{span},{proc!r},{lag!r},{rates},"
                     f"{df},{do},{clk!r}\n")

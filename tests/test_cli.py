@@ -20,8 +20,11 @@ class TestConfigLayers:
             assert key in DEFAULTS
 
     def test_parse_overrides(self):
-        out = parse_overrides(["gamma.a=2e6", "packager.n_min=5"])
-        assert out == {"gamma.a": 2e6, "packager.n_min": 5}
+        # integer keys parse exactly, in exponent or decimal form too
+        out = parse_overrides(["gamma.a=2e6", "packager.n_min=5", "seed=1e3",
+                               "packager.n_max=12345678901234567.0"])
+        assert out == {"gamma.a": 2e6, "packager.n_min": 5, "seed": 1000,
+                       "packager.n_max": 12345678901234567}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="no.such.key"):
@@ -144,6 +147,41 @@ class TestCliRun:
         assert code == 2
         assert not out.exists()
         assert not (tmp_path / "m.csv.tmp").exists()
+
+    @pytest.mark.parametrize("scenario, setting", [
+        ("constant", "gamma.a=nan"),
+        ("constant", "packager.headroom=nan"),
+        ("constant", "source.rate_evps=inf"),
+        ("ramp", "source.rate_end_evps=inf"),
+        ("constant", "consumer.o_us=nan"),
+        ("constant", "consumer.c_ns=inf"),
+        ("constant", "consumer.jitter=inf"),
+        ("constant", "consumer.jitter=nan"),
+        ("constant", "consumer.jitter=1.5"),
+        ("constant", "consumer.radius_px=nan"),
+        ("constant", "packager.n_max=1e400"),
+        ("constant", "gamma.rate_window_us=1e400"),
+        ("constant", "seed=0.7"),
+        ("constant", "packager.n_min=1.5"),
+        ("constant", "seed=-1"),
+        ("constant", "seed=nan")])
+    def test_out_of_range_value_exit_2_names_key(self, tmp_path, capsys,
+                                                 scenario, setting):
+        out = tmp_path / "m.csv"
+        code = main(["run", "--scenario", scenario,
+                     "--set", "source.duration_s=0.05", "--set", setting,
+                     "--out", str(out)])
+        key = setting.split("=")[0]
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(
+            f"configuration error ({key}): ")
+
+    @pytest.mark.parametrize("setting", [
+        "gamma.a=inf", "packager.headroom=inf", "consumer.radius_px=inf"])
+    def test_infinity_runs_where_it_means_unbounded(self, tmp_path, setting):
+        assert main(["run", "--scenario", "constant",
+                     "--set", "source.duration_s=0.05", "--set", setting,
+                     "--out", str(tmp_path / "m.csv")]) == 0
 
     def test_bundled_scenarios_registered(self):
         assert set(SCENARIOS) >= {"fig3", "fig4", "constant", "ramp"}

@@ -13,8 +13,8 @@ from asap_stream import (ArraySource, ConstantRateSource, ConsumerConfig,
                          GammaConfig, PackageMetrics, PackagerConfig,
                          GammaFilter, OrderingError, Packager,
                          PipelineConfig, RampRateSource, StreamSource,
-                         SyntheticConsumer, SyntheticCostModel, make_events,
-                         run, write_metrics_csv)
+                         SyntheticConsumer, SyntheticCostModel, VirtualClock,
+                         make_events, run, write_metrics_csv)
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, _put_latest,
                                   _Stages)
 
@@ -190,10 +190,41 @@ class TestVirtualRun:
 #: smallest subnormal, exponent-form large and small values, infinities.
 _SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 1e-5, float("inf"), float("-inf"))
 _floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
-_rows = st.lists(st.builds(
-    PackageMetrics, st.integers(), st.integers(), st.integers(), _floats,
-    _floats, _floats, _floats, _floats, st.integers(), st.integers(),
-    _floats, st.sampled_from(["size", "timeout"])), max_size=20)
+
+
+def _twin(x):
+    """An object equal to ``x`` (both NaN for a NaN) but not ``x`` itself:
+    for a zero, the other signed zero, whose repr differs."""
+    return -x if x == 0 else float(repr(x))
+
+
+@st.composite
+def _rows(draw):
+    """Metrics rows in runs that share one ``(gamma, rate_raw,
+    rate_filtered)`` object triple, as the packages cut from one fed
+    batch do. From one run to the next, one, two or all three of the
+    objects change: to a new value, or to an equal but distinct object
+    (the other signed zero, another NaN)."""
+    rates = [draw(_floats) for _ in range(3)]
+    rows = []
+    for run_index in range(draw(st.integers(0, 6))):
+        if run_index:
+            for i in draw(st.sets(st.integers(0, 2), min_size=1)):
+                rates[i] = draw(st.one_of(_floats, st.just(_twin(rates[i]))))
+        for _ in range(draw(st.integers(1, 4))):
+            rows.append(PackageMetrics(
+                draw(st.integers()), draw(st.integers()), draw(st.integers()),
+                draw(_floats), draw(_floats), *rates, draw(st.integers()),
+                draw(st.integers()), draw(_floats),
+                draw(st.sampled_from(["size", "timeout"]))))
+    return rows
+
+
+def _rows_sharing(gamma, *rates):
+    """One row per ``(rate_raw, rate_filtered)`` pair, all with the one
+    ``gamma`` object, as γ = 1 gives every batch."""
+    return [PackageMetrics(seq, 1, 2, 3.0, 1.0, gamma, rr, rf, 0, 0, 4.0)
+            for seq, (rr, rf) in enumerate(rates)]
 
 
 def _reference_line(m):
@@ -216,9 +247,13 @@ class _FeedbackRecorder(_Recorder):
 
 
 class TestMetricsOutput:
-    @given(rows=_rows)
+    @given(rows=_rows())
     @example(rows=[PackageMetrics(7, 3, 12, *_SPECIAL_FLOATS[:5], 0, 2,
                                   _SPECIAL_FLOATS[5], "timeout")])
+    # one gamma object throughout; rate_raw turns from 0.0 to -0.0, then
+    # rate_filtered from one NaN object to another
+    @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
+                                (-0.0, float("nan")), (-0.0, float("nan"))))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_csv_rows_match_reference_format(self, rows, tmp_path):
@@ -264,6 +299,31 @@ class TestMetricsOutput:
         write_metrics_csv(path, metrics)
         assert path.read_text().splitlines()[1:] == \
             [_reference_line(m) for m in metrics]
+
+
+class TestStagesCut:
+    def test_cut_at_a_time_flushes_once_the_timeout_passed(self):
+        cfg = _config(packager=PackagerConfig(initial_size=100,
+                                              timeout_us=50),
+                      input_buffer_capacity=4)
+        stages = _Stages(cfg)
+        # six events into room for four: two overflow drops pending
+        stages.feed(_numbered(np.arange(10, 16)))
+        pending = (stages._pending_filter, stages._pending_overflow)
+        assert pending == (0, 2)
+        clock = VirtualClock()
+        # the oldest buffered event is at 12: its deadline is 62
+        assert stages.cut(clock) is None
+        assert stages.cut(clock, 61) is None
+        assert (stages._pending_filter, stages._pending_overflow) == pending
+        assert clock.now_us == 0.0 and stages.packaged_events == 0
+        cut = stages.cut(clock, 62)
+        assert (cut.reason, cut.trigger_us, cut.size) == ("timeout", 62, 4)
+        assert clock.now_us == 62.0
+        assert cut.stamp == stages._rates + pending + (62.0, "timeout")
+        assert (stages._pending_filter, stages._pending_overflow) == (0, 0)
+        assert stages.packaged_events == 4
+        assert stages.cut(clock, 10**9) is None
 
 
 class TestPutLatest:
