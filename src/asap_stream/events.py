@@ -295,6 +295,15 @@ class _PoissonSource(StreamSource):
         self.seed = int(seed)
         self._chunk = _chunk_events(chunk_size)
 
+    def _check_count(self, mean_rate_evps: float, key: str) -> None:
+        """Reject a mean rate whose expected event count over the stream
+        does not fit in int64: generating it would never end."""
+        count = mean_rate_evps * self.duration_s
+        if not count <= np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"expected event count {count:g} (mean rate x duration) "
+                f"exceeds the int64 range", key=key)
+
     def _invert(self, s: np.ndarray) -> np.ndarray:
         """Map cumulative expected counts to arrival times in seconds."""
         raise NotImplementedError
@@ -335,6 +344,7 @@ class ConstantRateSource(_PoissonSource):
                 key="source.rate_evps",
             )
         super().__init__(duration_s, geometry, seed, chunk_size)
+        self._check_count(rate_evps, "source.rate_evps")
         self.rate_evps = float(rate_evps)
 
     def _invert(self, s: np.ndarray) -> np.ndarray:
@@ -360,6 +370,11 @@ class RampRateSource(_PoissonSource):
                 key="source.rate_end_evps",
             )
         super().__init__(duration_s, geometry, seed, chunk_size)
+        # halves summed: the sum of two finite rates can overflow
+        self._check_count(
+            0.5 * rate_start_evps + 0.5 * rate_end_evps,
+            "source.rate_start_evps" if rate_start_evps > rate_end_evps
+            else "source.rate_end_evps")
         self.rate_start_evps = float(rate_start_evps)
         self.rate_end_evps = float(rate_end_evps)
 

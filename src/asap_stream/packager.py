@@ -196,6 +196,9 @@ class Packager:
             min(config.n_max, max(config.n_min, config.initial_size)))
         self.target_size = round(self._target)  # the next cut's size
         self.model = AffineCostModel(config.model_smoothing)
+        # (smoothed rate, fitted o, fitted c) of the last solve, whose
+        # target ``_target`` still holds; None once the fallback moved it
+        self._solved: tuple[float, float, float] | None = None
         self._last_feedback_seq = -1
         # rate of events reaching the packager (post-filter), measured on
         # the events' own timestamps: ``rate_evps`` is the latest window
@@ -341,6 +344,10 @@ class Packager:
         Out-of-order feedback (seq at or below the newest applied) is
         ignored. A report with ``processing_time == span`` is at the
         setpoint and leaves the target unchanged.
+
+        While the model is ready, ``N*`` is solved again only when the
+        smoothed rate or the fitted ``o`` or ``c`` differ from the last
+        solve's; otherwise the stored target is the one it would give.
         """
         feedback.validate()
         seq = feedback.package_seq
@@ -356,10 +363,15 @@ class Packager:
         lo, hi = cfg.n_min, cfg.n_max
         rate_evps = self._rate_smooth_evps or 0.0
         if ready and rate_evps > 0:
-            target = cfg.headroom * predict_size(
-                rate_evps, model.overhead_us / _US, model.per_event_us / _US,
-                lo, hi)
+            o, c = model.overhead_us, model.per_event_us
+            solved = (rate_evps, o, c)
+            if solved == self._solved:
+                return  # the inputs of the last solve: its target stands
+            target = cfg.headroom * predict_size(rate_evps, o / _US, c / _US,
+                                                 lo, hi)
+            self._solved = solved
         elif span > 0 and proc > 0:
+            self._solved = None
             target = self._target * (span / proc) ** cfg.kappa
         else:
             return  # span == 0: no ratio; the model has the sample

@@ -77,6 +77,19 @@ class PipelineConfig:
         self.gamma.validate()
         self.packager.validate()
         self.consumer.validate()
+        c = self.consumer
+        if c.kind == "synthetic":
+            # a package's modelled time must be a finite span of the int64
+            # microsecond clock that timestamps events
+            events_us = c.c_ns / 1000.0 * self.packager.n_max
+            longest = (c.o_us + events_us) * (1.0 + c.jitter)
+            if not longest <= np.iinfo(np.int64).max:
+                raise ConfigurationError(
+                    f"consumer.o_us + consumer.c_ns * packager.n_max must "
+                    f"stay within the int64 microsecond range, got a "
+                    f"largest package time of {longest:g} us",
+                    key="consumer.o_us" if c.o_us >= events_us
+                    else "consumer.c_ns")
 
 
 class PackageMetrics(NamedTuple):
@@ -362,9 +375,17 @@ def write_metrics_csv(path, metrics: list[PackageMetrics]) -> None:
         # objects: format the three again only when one of them changes.
         # Compared by identity, since 0.0 == -0.0 but their reprs differ
         g0 = rr0 = rf0 = object()    # no row's value: the first row formats
+        # a steady consumer reports one processing time many times over:
+        # reuse its repr while the value is an equal nonzero float. The
+        # type and zero checks keep 5 == 5.0 and 0.0 == -0.0 apart; p0 is
+        # NaN, equal to nothing, while the last value does not qualify
+        p0 = nan = float("nan")
         for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in metrics:
             if g is not g0 or rr is not rr0 or rf is not rf0:
                 g0, rr0, rf0 = g, rr, rf
                 rates = f"{g!r},{rr!r},{rf!r}"
-            f.write(f"{seq},{n},{span},{proc!r},{lag!r},{rates},"
+            if proc != p0 or type(proc) is not float:
+                ps = repr(proc)
+                p0 = proc if type(proc) is float and proc else nan
+            f.write(f"{seq},{n},{span},{ps},{lag!r},{rates},"
                     f"{df},{do},{clk!r}\n")

@@ -153,8 +153,12 @@ class TestCliRun:
         ("constant", "packager.headroom=nan"),
         ("constant", "source.rate_evps=inf"),
         ("ramp", "source.rate_end_evps=inf"),
+        ("constant", "source.rate_evps=1e300"),
+        ("ramp", "source.rate_end_evps=1e300"),
         ("constant", "consumer.o_us=nan"),
         ("constant", "consumer.c_ns=inf"),
+        ("constant", "consumer.o_us=1e308"),
+        ("constant", "consumer.c_ns=1e308"),
         ("constant", "consumer.jitter=inf"),
         ("constant", "consumer.jitter=nan"),
         ("constant", "consumer.jitter=1.5"),

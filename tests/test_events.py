@@ -101,6 +101,26 @@ class TestRampStream:
             RampRateSource(1e6, -1, 1.0)
 
 
+class TestExpectedCount:
+    """A Poisson source whose expected event count does not fit in int64
+    would never finish generating; it is rejected at construction."""
+
+    @pytest.mark.parametrize("make, key", [
+        (lambda: ConstantRateSource(1e300, 0.05), "source.rate_evps"),
+        (lambda: ConstantRateSource(2.0**63, 1.0), "source.rate_evps"),
+        (lambda: RampRateSource(1e3, 1e300, 0.05), "source.rate_end_evps"),
+        (lambda: RampRateSource(1e300, 1e3, 0.05), "source.rate_start_evps")])
+    def test_count_beyond_int64_rejected(self, make, key):
+        with pytest.raises(ConfigurationError, match="int64") as info:
+            make()
+        assert info.value.key == key
+
+    def test_count_within_int64_accepted(self):
+        ConstantRateSource(2.0**62, 1.0)
+        # the mean of two rates near the float maximum does not overflow
+        RampRateSource(1.7e308, 1.7e308, 1e-300)
+
+
 @settings(max_examples=25, deadline=None)
 @given(rate=st.floats(min_value=1e3, max_value=1e6),
        seed=st.integers(min_value=0, max_value=2**31))

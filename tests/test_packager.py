@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
@@ -324,6 +324,40 @@ class TestViewSafety:
         assert np.array_equal(source, snapshot)
 
 
+class _SolveEveryTime:
+    """Reference size control: folds each new report into its own fit
+    and solves ``N*`` again on every one while the fit is ready."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.model = AffineCostModel(cfg.model_smoothing)
+        self.target = float(min(cfg.n_max, max(cfg.n_min, cfg.initial_size)))
+        self.newest = -1
+
+    @property
+    def target_size(self):
+        return round(self.target)
+
+    def update(self, report, rate_evps):
+        if report.package_seq <= self.newest:
+            return
+        self.newest = report.package_seq
+        span, proc = report.span_us, report.processing_time_us
+        ready = self.model.update(report.size, proc)
+        cfg = self.cfg
+        if proc == span:
+            return
+        if ready and rate_evps:
+            target = cfg.headroom * predict_size(
+                rate_evps, self.model.overhead_us / 1e6,
+                self.model.per_event_us / 1e6, cfg.n_min, cfg.n_max)
+        elif span > 0 and proc > 0:
+            target = self.target * (span / proc) ** cfg.kappa
+        else:
+            return
+        self.target = min(cfg.n_max, max(cfg.n_min, target))
+
+
 class TestUpdateTargetSize:
     def test_setpoint_leaves_target_unchanged(self):
         p = Packager(PackagerConfig(initial_size=500))
@@ -392,6 +426,94 @@ class TestUpdateTargetSize:
         for seq, (size, span, proc) in enumerate(feedbacks):
             p.update_target_size(_feedback(seq, size, span, proc))
             assert 16 <= p.target_size <= 4096
+
+    @given(ops=st.lists(st.one_of(
+        # an append of ``n`` events ``gap`` µs apart moves the smoothed rate
+        st.tuples(st.just("append"), st.integers(1, 40),
+                  st.integers(0, 2) | st.integers(0, 30)),
+        # ``repeat`` reports with seqs one apart, starting ``step`` after
+        # the newest (stale at or below 0); a few sizes, so that the fit
+        # can hold still. proc is at the setpoint, random, or on a line
+        # ``o + c*size``: a negative ``o`` fits as 0, and a ``c`` beyond
+        # the event period saturates the solve
+        st.tuples(st.just("report"), st.integers(-2, 2),
+                  st.sampled_from([8, 23, 64]) | st.integers(1, 500),
+                  st.integers(0, 2000),
+                  st.sampled_from(["span", (20.0, 0.1), (-1.0, 0.5),
+                                   (-1.0, 1.5)]) | st.floats(0, 1e4),
+                  st.integers(1, 6))), max_size=40),
+        # a fast gain lets a few reports of one size freeze the fit, so
+        # that the rate alone moves between solves
+        smoothing=st.sampled_from([0.2, 0.99]))
+    # warm-up on two sizes, one size until the fit freezes, then only the
+    # rate moves before the last report
+    @example(ops=[("append", 40, 1), ("report", 1, 8, 10, (20.0, 0.1), 3),
+                  ("report", 1, 64, 70, (20.0, 0.1), 3),
+                  ("report", 1, 8, 10, (20.0, 0.1), 6), ("append", 10, 2),
+                  ("report", 1, 8, 10, (20.0, 0.1), 1)], smoothing=0.99)
+    # a rate near 1e6 ev/s and costs whose ``o`` fits as 0 throughout:
+    # only ``c`` moves, across the 1 µs event period
+    @example(ops=[("append", 40, 1)] * 3
+             + [("report", 1, size, 10, (-1.0, 1.5), 1)
+                for size in (8, 64, 8, 64, 8, 64)]
+             + [("report", 1, size, 10, (-1.0, 0.5), 1) for size in (8, 64)],
+             smoothing=0.99)
+    # the same rate and costs falling with size, whose ``c`` fits as 0
+    # throughout: only ``o`` moves
+    @example(ops=[("append", 40, 1)] * 3
+             + [("report", 1, size, 10, proc, 1) for size, proc in
+                [(8, 100.0), (64, 10.0)] * 3 + [(8, 300.0)]],
+             smoothing=0.99)
+    @settings(max_examples=200, deadline=None)
+    def test_target_equals_a_solve_on_every_report(self, ops, smoothing):
+        # a 100 µs rate window: a few dozen appended events give rates of
+        # up to ~1e6 ev/s, where N* lies between the bounds
+        cfg = PackagerConfig(n_min=4, n_max=400, initial_size=50,
+                             model_smoothing=smoothing, rate_window_us=100)
+        p = Packager(cfg)
+        ref = _SolveEveryTime(cfg)
+        t, newest = 0, -1
+        for op in ops:
+            if op[0] == "append":
+                _, n, gap = op
+                p.append(_events_at(t + gap * np.arange(n)))
+                t += gap * n
+                continue
+            _, step, size, span, proc, repeat = op
+            if proc == "span":
+                proc = float(span)
+            elif isinstance(proc, tuple):
+                proc = max(0.0, proc[0] + proc[1] * size)
+            for seq in range(newest + step, newest + step + repeat):
+                report = _feedback(seq, size, span, proc)
+                p.update_target_size(report)
+                ref.update(report, p._rate_smooth_evps)
+                newest = max(newest, seq)
+                assert p.target_size == ref.target_size
+
+    def test_unchanged_inputs_are_not_solved_again(self, monkeypatch):
+        import asap_stream.packager as packager
+        calls = []
+        monkeypatch.setattr(packager, "predict_size",
+                            lambda *a: calls.append(a) or predict_size(*a))
+        p = Packager(PackagerConfig(initial_size=100))
+        p.append(_events_at(np.arange(0, 10_000, 2)))
+        for seq, size in enumerate((100, 200, 300, 400, 500)):
+            p.update_target_size(_feedback(seq, size, 2 * size,
+                                           20.0 + 0.5 * size))
+        assert p.model.ready and len(calls) == 1
+        # one size over and over: the fit moves until the size variance
+        # decays below its floor, then holds; the rate has not moved
+        for seq in range(5, 200):
+            p.update_target_size(_feedback(seq, 500, 1000, 270.0))
+        fit, solves = (p.model.overhead_us, p.model.per_event_us), len(calls)
+        for seq in range(200, 210):
+            p.update_target_size(_feedback(seq, 500, 1000, 270.0))
+        assert (p.model.overhead_us, p.model.per_event_us) == fit
+        assert len(calls) == solves
+        p.append(_events_at([10_000]))  # moves the smoothed rate
+        p.update_target_size(_feedback(210, 500, 1000, 270.0))
+        assert len(calls) == solves + 1
 
     def test_converges_to_fixed_point_with_affine_consumer(self):
         # closed loop against o=1ms, c=0.5us at a 1e6 ev/s arrival rate;

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from asap_stream import (ArraySource, ConstantRateSource, ConsumerConfig,
-                         GammaConfig, PackageMetrics, PackagerConfig,
-                         GammaFilter, OrderingError, Packager,
+from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
+                         ConsumerConfig, GammaConfig, PackageMetrics,
+                         PackagerConfig, GammaFilter, OrderingError, Packager,
                          PipelineConfig, RampRateSource, StreamSource,
                          SyntheticConsumer, SyntheticCostModel, VirtualClock,
                          make_events, run, write_metrics_csv)
@@ -180,10 +180,25 @@ class TestVirtualRun:
         assert result.conservation_holds()
 
     def test_invalid_config_raises_before_events_flow(self):
-        from asap_stream import ConfigurationError
         cfg = _config(mode="bogus")
         with pytest.raises(ConfigurationError):
             run(cfg, ConstantRateSource(1e4, 0.1, seed=0))
+
+    @pytest.mark.parametrize("consumer, key", [
+        (ConsumerConfig(o_us=1e308), "consumer.o_us"),
+        (ConsumerConfig(o_us=5e18, jitter=1.0), "consumer.o_us"),
+        (ConsumerConfig(c_ns=1e308), "consumer.c_ns"),
+        (ConsumerConfig(c_ns=1e16), "consumer.c_ns"),
+        (ConsumerConfig(o_us=4e18, jitter=1.0), None)])
+    def test_package_time_must_fit_the_clock(self, consumer, key):
+        # (o + c * n_max) * (1 + jitter) within the int64 microsecond range
+        cfg = _config(consumer=consumer)
+        if key is None:
+            cfg.validate()
+            return
+        with pytest.raises(ConfigurationError, match="int64") as info:
+            cfg.validate()
+        assert info.value.key == key
 
 
 #: Floats whose shortest repr is easy to get wrong: signed zero, the
@@ -198,23 +213,34 @@ def _twin(x):
     return -x if x == 0 else float(repr(x))
 
 
+def _equals(x):
+    """Objects equal to ``x`` whose reprs may differ from its own: itself,
+    its twin, an ``np.float64`` and, for a whole number, an ``int``."""
+    f = float(x)
+    return [x, _twin(f), np.float64(f)] + ([int(f)] if f.is_integer() else [])
+
+
 @st.composite
 def _rows(draw):
     """Metrics rows in runs that share one ``(gamma, rate_raw,
     rate_filtered)`` object triple, as the packages cut from one fed
     batch do. From one run to the next, one, two or all three of the
     objects change: to a new value, or to an equal but distinct object
-    (the other signed zero, another NaN)."""
+    (the other signed zero, another NaN). Each row's ``proc_us`` is a new
+    value or one equal to the previous row's, as a steady consumer
+    reports."""
     rates = [draw(_floats) for _ in range(3)]
+    proc = draw(_floats)
     rows = []
     for run_index in range(draw(st.integers(0, 6))):
         if run_index:
             for i in draw(st.sets(st.integers(0, 2), min_size=1)):
                 rates[i] = draw(st.one_of(_floats, st.just(_twin(rates[i]))))
         for _ in range(draw(st.integers(1, 4))):
+            proc = draw(st.one_of(_floats, st.sampled_from(_equals(proc))))
             rows.append(PackageMetrics(
                 draw(st.integers()), draw(st.integers()), draw(st.integers()),
-                draw(_floats), draw(_floats), *rates, draw(st.integers()),
+                proc, draw(_floats), *rates, draw(st.integers()),
                 draw(st.integers()), draw(_floats),
                 draw(st.sampled_from(["size", "timeout"]))))
     return rows
@@ -225,6 +251,12 @@ def _rows_sharing(gamma, *rates):
     ``gamma`` object, as γ = 1 gives every batch."""
     return [PackageMetrics(seq, 1, 2, 3.0, 1.0, gamma, rr, rf, 0, 0, 4.0)
             for seq, (rr, rf) in enumerate(rates)]
+
+
+def _rows_with_proc(*procs):
+    """One row per processing time, all else alike."""
+    return [PackageMetrics(seq, 1, 2, proc, 1.0, 1.0, 2.0, 3.0, 0, 0, 4.0)
+            for seq, proc in enumerate(procs)]
 
 
 def _reference_line(m):
@@ -254,6 +286,10 @@ class TestMetricsOutput:
     # rate_filtered from one NaN object to another
     @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
                                 (-0.0, float("nan")), (-0.0, float("nan"))))
+    # processing times equal to the previous row's, whose reprs differ
+    # (signed zeros, int and float, np.float64), then a repeated float
+    @example(rows=_rows_with_proc(0.0, -0.0, 0.0, 5, 5.0, np.float64(5.0),
+                                  5.0, 2.5, 2.5, 2.5))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_csv_rows_match_reference_format(self, rows, tmp_path):
