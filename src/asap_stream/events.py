@@ -9,8 +9,6 @@ start, pixel column, pixel row, and polarity in {+1, -1}.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -28,13 +26,6 @@ _US = 1_000_000.0
 
 #: Events per block of :func:`validate_events`.
 _BLOCK = 65536
-
-#: Most ranges :func:`validate_events` splits a stream into. Each range's
-#: thread runs a Python loop between short numpy calls and contends for
-#: the GIL, and the ranges share one block's temporaries, so more ranges
-#: mean smaller sub-blocks. Oversubscribed on 2 CPUs, up to 5 ranges beat
-#: the serial loop, 6 did not, and 16 took twice its time.
-_MAX_RANGES = 4
 
 #: Inclusive value range of each integer field a file line must fit.
 _FIELD_RANGE = {name: (int(np.iinfo(EVENT_DTYPE[name]).min),
@@ -85,131 +76,48 @@ def _chunk_events(chunk_size) -> int:
     return chunk
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _place(k: int) -> None:
-    """Move the calling thread to the ``k``-th CPU it may run on, counted
-    cyclically, and let it run on any of them again, where the platform
-    lets threads be moved.
-
-    A new thread tends to start on the CPU of the thread that started
-    it, and to stay there for the ~0.1 s a check takes; pinned for good,
-    it could not leave a CPU that other work keeps busy.
-    """
-    try:
-        cpus = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {sorted(cpus)[k % len(cpus)]})
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
-        pass
-
-
-def _scan(t, p, x, y, x_end, y_end, start, stop, step):
-    """Fault flags ``(order, p, x, y)`` of the rows ``[start, stop)``.
-
-    Rows are read ``step`` at a time; each order check reads one row
-    past its sub-block, so the last one overlaps the next range. The
-    scan ends at the first ordering fault, which outranks the others.
-    ``x`` is ``None`` when there is no geometry to check against.
-    """
-    bad_p = bad_x = bad_y = False
-    for i in range(start, stop, step):
-        j = i + step if i + step < stop else stop
-        tb = t[i:j + 1]
-        if np.count_nonzero(tb[1:] < tb[:-1]):
-            return True, False, False, False
-        if not bad_p:
-            ok = np.abs(p[i:j])
-            bad_p = not np.equal(ok, 1, out=ok.view(np.bool_)).all()
-            del ok  # before the next order mask
-        if x is not None:
-            bad_x = bad_x or x[i:j].max() >= x_end
-            bad_y = bad_y or y[i:j].max() >= y_end
-    return False, bad_p, bad_x, bad_y
-
-
-def _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges):
-    """Fault flags of ``ranges`` contiguous ranges of whole blocks, each
-    scanned by its own thread, started on its own CPU; raises the first
-    exception a thread raised.
-
-    The calling thread only waits: checking a range itself, it would
-    share its CPU with the threads it had just started.
-    """
-    bounds = [min(n, k * blocks // ranges * _BLOCK) for k in range(ranges + 1)]
-    # All ranges together keep to the 3 bytes per block event that one
-    # block's check uses. Of each range's share, up to two thirds go to a
-    # sub-block's order mask (one byte per event; the polarity bytes are
-    # compared in place once it is freed) and the rest to numpy's buffers
-    # for the two unaligned timestamp operands (16 bytes per element, in
-    # multiples of 16 elements).
-    share = 3 * _BLOCK // ranges
-    step = min(_BLOCK, 2 * _BLOCK // ranges)
-    bufsize = max(16, (share - step) // 256 * 16)
-    flags: list = [None] * ranges
-
-    def check(k):
-        try:
-            _place(k)
-            np.setbufsize(bufsize)  # in this thread only
-            flags[k] = _scan(t, p, x, y, x_end, y_end,
-                             bounds[k], bounds[k + 1], step)
-        except BaseException as exc:  # re-raised in the calling thread
-            flags[k] = exc
-
-    workers = [threading.Thread(target=check, args=(k,))
-               for k in range(ranges)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    for f in flags:
-        if isinstance(f, BaseException):
-            raise f
-    return flags
-
-
 def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) -> None:
-    """Check field invariants; raises on violation.
+    """Check field types and invariants; raises on violation.
 
-    Timestamp monotonicity raises :class:`OrderingError`, field range
-    violations raise :class:`ValueError`. An ordering fault anywhere is
-    reported before a field fault, and a polarity fault before an x
-    fault before a y fault.
+    An array whose ``t``, ``x``, ``y`` and ``p`` fields are missing or
+    not of :data:`EVENT_DTYPE`'s integer types raises :class:`ValueError`
+    naming the expected fields. Timestamp monotonicity raises
+    :class:`OrderingError`, field range violations raise
+    :class:`ValueError`. An ordering fault anywhere is reported before a
+    field fault, and a polarity fault before an x fault before a y fault.
 
-    The stream is checked in blocks of :data:`_BLOCK` events, each order
-    check overlapping the next block by one event. With more than one
-    block and more than one CPU this process may run on, the blocks are
-    split into one contiguous range per CPU (at most one per block and
-    :data:`_MAX_RANGES` in all), checked in parallel threads in
-    sub-blocks sized so that all temporaries together stay those of one
-    block, about 0.2 MB; numpy releases the GIL inside the comparisons
-    and reductions.
+    The stream is checked in the calling thread, one block of
+    :data:`_BLOCK` events at a time, each order check overlapping the
+    next block by one event, so the temporaries stay those of one block
+    (about 0.2 MB). The loop stops at the first ordering fault.
     """
+    fields = events.dtype.fields or {}
+    if any(name not in fields or fields[name][0] != EVENT_DTYPE[name]
+           for name in EVENT_DTYPE.names):
+        expected = ", ".join(f"{name} {EVENT_DTYPE[name]}"
+                             for name in EVENT_DTYPE.names)
+        raise ValueError(f"event array must have fields {expected}; "
+                         f"got dtype {events.dtype}")
     t, p = events["t"], events["p"]
-    x = y = x_end = y_end = None
     if geometry is not None:
         # read as uint16 a negative coordinate is >= 32768, so one max
         # per field checks both bounds
         x, y = events["x"].view(np.uint16), events["y"].view(np.uint16)
         x_end = min(geometry.width, 1 << 15)
         y_end = min(geometry.height, 1 << 15)
-    n = len(events)
-    blocks = -(-n // _BLOCK)
-    ranges = min(_usable_cpus(), blocks, _MAX_RANGES)
-    if ranges > 1:
-        flags = _scan_ranges(t, p, x, y, x_end, y_end, n, blocks, ranges)
-    else:
-        flags = [_scan(t, p, x, y, x_end, y_end, 0, n, _BLOCK)]
-    bad_t, bad_p, bad_x, bad_y = map(any, zip(*flags))
-    if bad_t:
-        raise OrderingError("event timestamps must be non-decreasing")
+    bad_p = bad_x = bad_y = False
+    for i in range(0, len(events), _BLOCK):
+        j = i + _BLOCK
+        tb = t[i:j + 1]
+        if np.count_nonzero(tb[1:] < tb[:-1]):
+            raise OrderingError("event timestamps must be non-decreasing")
+        if not bad_p:
+            ok = np.abs(p[i:j])
+            bad_p = not np.equal(ok, 1, out=ok.view(np.bool_)).all()
+            del ok  # before the next order mask
+        if geometry is not None:
+            bad_x = bad_x or x[i:j].max() >= x_end
+            bad_y = bad_y or y[i:j].max() >= y_end
     if bad_p:
         raise ValueError("event polarity must be +1 or -1")
     if bad_x:

@@ -1,7 +1,6 @@
 """Event model, synthetic sources, and CSV round-trip tests."""
 
 import os
-import sys
 import threading
 import tracemalloc
 
@@ -15,7 +14,7 @@ from asap_stream import (DAVIS346, ArraySource, ConfigurationError,
                          RampRateSource, SensorGeometry, make_events,
                          read_event_file, read_events, write_event_file)
 from asap_stream import events as events_mod
-from asap_stream.events import EventPackage, validate_events
+from asap_stream.events import EVENT_DTYPE, EventPackage, validate_events
 
 
 class TestGeometry:
@@ -257,6 +256,8 @@ class TestArraySource:
         assert info.value.key == "source.chunk_events"
 
 
+_B = events_mod._BLOCK
+
 #: A stream spanning three validation blocks of 65536 events.
 _BLOCKED_N = 2 * 65536 + 5
 _BLOCK_EDGES = [0, 65535, 65536, _BLOCKED_N - 1]
@@ -276,9 +277,10 @@ class TestValidateEvents:
         with pytest.raises(ValueError, match="polarity must be"):
             validate_events(ev)
 
-    @pytest.mark.parametrize("index", [_BLOCKED_N - 1, 65536])
+    @pytest.mark.parametrize("index", [_BLOCKED_N - 1, 65535, 65536, 65537,
+                                       131072])
     def test_timestamp_decrease_rejected(self, index):
-        # index 65536 decreases across the 65535 -> 65536 block boundary
+        # indices 65536 and 131072 decrease across a block boundary
         ev = _valid_stream()
         ev["t"][index] = ev["t"][index - 1] - 1
         with pytest.raises(OrderingError, match="non-decreasing"):
@@ -339,6 +341,9 @@ class TestValidateEvents:
         ev["p"][-1] = 1
         with pytest.raises(ValueError, match="x out of"):
             validate_events(ev, DAVIS346)
+        ev["x"][65536] = 1
+        with pytest.raises(ValueError, match="y out of"):
+            validate_events(ev, DAVIS346)
 
     def test_array_source_validates_in_bounded_memory(self):
         ev = _valid_stream(2_000_000)
@@ -350,47 +355,73 @@ class TestValidateEvents:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-
-    def test_array_source_validates_in_bounded_memory_with_16_workers(
-            self, monkeypatch):
-        monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 16)
-        ev = _valid_stream(2_000_000)
-        tracemalloc.start()
-        try:
+    @pytest.mark.parametrize("dtype, accepted", [
+        ([("t", np.float64), ("x", np.int16), ("y", np.int16), ("p", np.int8)],
+         False),
+        ([("t", np.int64), ("x", np.int32), ("y", np.int16), ("p", np.int8)],
+         False),
+        ([("t", np.int64), ("x", np.int16), ("y", np.int16)], False),
+        (np.dtype(EVENT_DTYPE.descr, align=True), True)],
+        ids=["float-t", "int32-x", "missing-p", "aligned"])
+    def test_field_types_checked_at_the_source(self, dtype, accepted):
+        valid = make_events([0, 1, 2], [0, 1, 2], [0, 1, 2], [1, -1, 1])
+        ev = np.empty(3, dtype)
+        for name in ev.dtype.names:
+            ev[name] = valid[name]
+        if accepted:
+            assert np.array_equal(ArraySource(ev).events(), ev)
+            return
+        with pytest.raises(ValueError, match="must have fields t int64, "
+                                             "x int16, y int16, p int8"):
             ArraySource(ev)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
 
+    def test_checked_in_the_calling_thread_without_moving_it(self,
+                                                             monkeypatch):
+        moves = []
 
-_B = events_mod._BLOCK
+        def refuse_start(thread):
+            raise AssertionError("validation started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse_start)
+        # as if the process may run on four CPUs, whatever this host has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, mask: moves.append(set(mask)),
+                            raising=False)
+        before = threading.active_count()
+        ArraySource(_valid_stream())  # three blocks
+        assert threading.active_count() == before
+        assert moves == []
 
-
-def _validation_peak(events):
-    tracemalloc.start()
-    try:
-        validate_events(events, DAVIS346)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4, 16])
-def test_validation_memory_does_not_grow_with_workers(monkeypatch, workers):
-    # all ranges share one block's temporaries, about 0.2 MB, so only the
-    # threads themselves (at most four) may add to the serial loop's peak
-    ev = _valid_stream(2_000_000)
-    monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 1)
-    serial = _validation_peak(ev)
-    monkeypatch.setattr(events_mod, "_usable_cpus", lambda: workers)
-    assert _validation_peak(ev) < serial + 32_768
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_result_equals_serial_reference(self, data):
+        # one to four blocks, ending a few events either side of an edge
+        n = (data.draw(st.integers(1, 4), label="blocks") * _B
+             + data.draw(st.integers(-2, 7), label="extra"))
+        geometry = data.draw(st.sampled_from(
+            [None, DAVIS346, SensorGeometry(width=40_000, height=40_000)]))
+        ev = _valid_stream(n)
+        assert _outcome(ev, geometry) is None
+        # the events on either side of every block edge
+        edges = sorted({e for b in [*range(0, n, _B), n]
+                        for e in (b - 1, b, b + 1) if 0 <= e < n})
+        for _ in range(data.draw(st.integers(1, 4), label="faults")):
+            i = data.draw(st.one_of(st.sampled_from(edges),
+                                    st.integers(0, n - 1)), label="index")
+            field = data.draw(st.sampled_from("tpxy"), label="field")
+            if field == "t":
+                ev["t"][i] += data.draw(st.integers(-3, 3))
+            else:
+                ev[field][i] = data.draw(st.sampled_from(_FIELD_VALUES[field]))
+        expected = _serial_reference(ev, geometry)
+        event(expected[1] if expected else "valid")
+        assert _outcome(ev, geometry) == expected
 
 
 def _serial_reference(events, geometry=None):
-    """The single-threaded block loop that validated streams before they
-    were split across CPUs: the exception it raises, as (type, message),
-    or None."""
+    """A plain block loop written independently of :func:`validate_events`:
+    the exception it should raise, as (type, message), or None."""
     t, p = events["t"], events["p"]
     bad_p = bad_x = bad_y = False
     if geometry is not None:
@@ -422,190 +453,10 @@ def _outcome(events, geometry=None):
     return None
 
 
-def _with_workers(mp, workers):
-    """Force the worker count and record each ``_scan`` call as
-    (start, stop, step, ran in the calling thread)."""
-    calls = []
-    scan = events_mod._scan
-
-    def recording(*args):
-        calls.append((*args[6:9],
-                      threading.current_thread() is threading.main_thread()))
-        return scan(*args)
-    mp.setattr(events_mod, "_usable_cpus", lambda: workers)
-    mp.setattr(events_mod, "_scan", recording)
-    return calls
-
-
 #: Injectable values per field: valid ones and faults on either side.
 _FIELD_VALUES = {"p": [-128, -2, -1, 0, 1, 2, 127],
                  "x": [-32_768, -1, 0, 345, 346, 32_767],
                  "y": [-1, 0, 259, 260, 32_767]}
-
-
-class TestParallelValidation:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 100])
-    def test_ranges_are_contiguous_block_aligned_and_cover_the_stream(
-            self, monkeypatch, workers):
-        ev = _valid_stream()  # three blocks
-        calls = _with_workers(monkeypatch, workers)
-        validate_events(ev, DAVIS346)
-        ranges = min(workers, 3)
-        assert len(calls) == ranges
-        calls.sort()
-        assert calls[0][0] == 0 and calls[-1][1] == len(ev)
-        for (_, stop, *_), (start, *_) in zip(calls, calls[1:]):
-            assert stop == start and start % _B == 0
-        if ranges == 1:
-            assert calls == [(0, len(ev), _B, True)]
-            return
-        # together the sub-blocks are at most two blocks' worth of events
-        assert {c[2] for c in calls} == {min(_B, 2 * _B // ranges)}
-        # one thread per range, the caller only waits
-        assert not any(c[3] for c in calls)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="threads cannot be moved on this platform")
-    def test_each_thread_starts_on_its_own_cpu_and_may_then_move(
-            self, monkeypatch):
-        cpus = os.sched_getaffinity(0)
-        moves, scans = [], []
-        set_affinity, scan = os.sched_setaffinity, events_mod._scan
-
-        def moving(pid, mask):
-            moves.append((threading.current_thread(), set(mask)))
-            set_affinity(pid, mask)
-
-        def scanning(*args):
-            scans.append((args[6], threading.current_thread(),
-                          os.sched_getaffinity(0)))
-            return scan(*args)
-        monkeypatch.setattr(os, "sched_setaffinity", moving)
-        monkeypatch.setattr(events_mod, "_scan", scanning)
-        monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 3)
-        validate_events(_valid_stream(), DAVIS346)
-        assert os.sched_getaffinity(0) == cpus
-        order = sorted(cpus)
-        scans.sort(key=lambda s: s[0])
-        for k, (start, thread, mask) in enumerate(scans):
-            assert start == k * _B and mask == cpus
-            assert [m for t, m in moves if t is thread] == [
-                {order[k % len(order)]}, cpus]
-
-    @pytest.mark.parametrize("workers", [4, 5, 100])
-    def test_range_count_is_capped(self, monkeypatch, workers):
-        ev = _valid_stream(40 * _B)
-        calls = _with_workers(monkeypatch, workers)
-        validate_events(ev, DAVIS346)
-        assert len(calls) == events_mod._MAX_RANGES == 4
-        assert sorted(c[:2] for c in calls) == [
-            (k * 10 * _B, (k + 1) * 10 * _B) for k in range(4)]
-
-    def test_one_block_starts_no_thread(self, monkeypatch):
-        calls = _with_workers(monkeypatch, 8)
-        validate_events(_valid_stream(_B), DAVIS346)
-        assert calls == [(0, _B, _B, True)]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 100])
-    @pytest.mark.parametrize("index", [_B - 1, _B, _B + 1, 2 * _B,
-                                       _BLOCKED_N - 1])
-    def test_order_fault_at_range_edges(self, monkeypatch, workers, index):
-        ev = _valid_stream()
-        ev["t"][index] = ev["t"][index - 1] - 1
-        _with_workers(monkeypatch, workers)
-        with pytest.raises(OrderingError, match="non-decreasing"):
-            validate_events(ev, DAVIS346)
-
-    def test_order_fault_in_a_later_range_beats_an_earlier_field_fault(
-            self, monkeypatch):
-        ev = _valid_stream()
-        ev["p"][0] = 0
-        ev["x"][1] = 400
-        ev["t"][-1] = -1
-        _with_workers(monkeypatch, 3)
-        with pytest.raises(OrderingError):
-            validate_events(ev, DAVIS346)
-
-    def test_polarity_then_x_then_y_across_ranges(self, monkeypatch):
-        ev = _valid_stream()
-        ev["y"][0] = 300             # first range
-        ev["x"][_B + 3] = 400        # second range
-        ev["p"][2 * _B + 1] = 5      # third range
-        _with_workers(monkeypatch, 3)
-        with pytest.raises(ValueError, match="polarity"):
-            validate_events(ev, DAVIS346)
-        ev["p"][2 * _B + 1] = 1
-        with pytest.raises(ValueError, match="x out of"):
-            validate_events(ev, DAVIS346)
-        ev["x"][_B + 3] = 1
-        with pytest.raises(ValueError, match="y out of"):
-            validate_events(ev, DAVIS346)
-
-    @pytest.mark.parametrize("failing_start", [0, _B, 2 * _B])
-    def test_exception_in_any_range_reaches_the_caller(self, monkeypatch,
-                                                       failing_start):
-        scan = events_mod._scan
-
-        def failing(*args):
-            if args[6] == failing_start:
-                raise MemoryError(f"range at {failing_start}")
-            return scan(*args)
-        monkeypatch.setattr(events_mod, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(events_mod, "_scan", failing)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match=f"range at {failing_start}$"):
-            validate_events(_valid_stream(), DAVIS346)
-        assert threading.active_count() == before
-
-    def test_more_workers_than_the_cap_with_frequent_switches(self,
-                                                              monkeypatch):
-        ev = _valid_stream(40 * _B)
-        calls = _with_workers(monkeypatch, 40)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for index, field, value in [(40 * _B - 1, "t", -1),
-                                        (20 * _B, "p", 0),
-                                        (_B - 1, "x", 346),
-                                        (39 * _B, "y", 260)]:
-                bad = ev.copy()
-                bad[field][index] = value
-                assert _outcome(bad, DAVIS346) == \
-                    _serial_reference(bad, DAVIS346)
-            assert _outcome(ev, DAVIS346) is None
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(calls) == 5 * events_mod._MAX_RANGES
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_parallel_result_equals_serial_reference(self, data):
-        # one to four blocks, ending a few events either side of an edge
-        n = (data.draw(st.integers(1, 4), label="blocks") * _B
-             + data.draw(st.integers(-2, 7), label="extra"))
-        workers = data.draw(st.sampled_from([1, 2, 3, 5, 64]), label="workers")
-        geometry = data.draw(st.sampled_from(
-            [None, DAVIS346, SensorGeometry(width=40_000, height=40_000)]))
-        ev = _valid_stream(n)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _with_workers(mp, workers)
-            assert _outcome(ev, geometry) is None
-            # the events on either side of every range and sub-block edge
-            edges = sorted({e for start, stop, step, *_ in calls
-                            for b in [*range(start, stop, step), stop]
-                            for e in (b - 1, b, b + 1) if 0 <= e < n})
-            for _ in range(data.draw(st.integers(1, 4), label="faults")):
-                i = data.draw(st.one_of(st.sampled_from(edges),
-                                        st.integers(0, n - 1)), label="index")
-                field = data.draw(st.sampled_from("tpxy"), label="field")
-                if field == "t":
-                    ev["t"][i] += data.draw(st.integers(-3, 3))
-                else:
-                    ev[field][i] = data.draw(
-                        st.sampled_from(_FIELD_VALUES[field]))
-            expected = _serial_reference(ev, geometry)
-            event(expected[1] if expected else "valid")
-            assert _outcome(ev, geometry) == expected
 
 
 class TestEventPackageValidate:
