@@ -355,6 +355,22 @@ class TestValidateEvents:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_array_source_validates_in_bounded_memory_with_16_workers(
+            self, monkeypatch):
+        # as if the process could run sixteen workers, one per CPU: the
+        # check must not size anything by the CPU count
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(16)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        ev = _valid_stream(2_000_000)
+        tracemalloc.start()
+        try:
+            ArraySource(ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("dtype, accepted", [
         ([("t", np.float64), ("x", np.int16), ("y", np.int16), ("p", np.int8)],
          False),
@@ -392,31 +408,6 @@ class TestValidateEvents:
         ArraySource(_valid_stream())  # three blocks
         assert threading.active_count() == before
         assert moves == []
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_result_equals_serial_reference(self, data):
-        # one to four blocks, ending a few events either side of an edge
-        n = (data.draw(st.integers(1, 4), label="blocks") * _B
-             + data.draw(st.integers(-2, 7), label="extra"))
-        geometry = data.draw(st.sampled_from(
-            [None, DAVIS346, SensorGeometry(width=40_000, height=40_000)]))
-        ev = _valid_stream(n)
-        assert _outcome(ev, geometry) is None
-        # the events on either side of every block edge
-        edges = sorted({e for b in [*range(0, n, _B), n]
-                        for e in (b - 1, b, b + 1) if 0 <= e < n})
-        for _ in range(data.draw(st.integers(1, 4), label="faults")):
-            i = data.draw(st.one_of(st.sampled_from(edges),
-                                    st.integers(0, n - 1)), label="index")
-            field = data.draw(st.sampled_from("tpxy"), label="field")
-            if field == "t":
-                ev["t"][i] += data.draw(st.integers(-3, 3))
-            else:
-                ev[field][i] = data.draw(st.sampled_from(_FIELD_VALUES[field]))
-        expected = _serial_reference(ev, geometry)
-        event(expected[1] if expected else "valid")
-        assert _outcome(ev, geometry) == expected
 
 
 def _serial_reference(events, geometry=None):
@@ -459,6 +450,68 @@ _FIELD_VALUES = {"p": [-128, -2, -1, 0, 1, 2, 127],
                  "y": [-1, 0, 259, 260, 32_767]}
 
 
+class TestParallelValidation:
+    """Faults spread over several blocks. The class keeps its name from
+    when the blocks were split into ranges checked in parallel threads;
+    the single block loop must give the same results."""
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def refuse_start(thread):
+            raise AssertionError("validation started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse_start)
+        before = threading.active_count()
+        validate_events(_valid_stream(_B), DAVIS346)
+        assert threading.active_count() == before
+
+    def test_order_fault_in_a_later_range_beats_an_earlier_field_fault(
+            self):
+        ev = _valid_stream()
+        ev["p"][0] = 0
+        ev["x"][1] = 400
+        ev["t"][-1] = -1
+        with pytest.raises(OrderingError):
+            validate_events(ev, DAVIS346)
+
+    def test_polarity_then_x_then_y_across_ranges(self):
+        ev = _valid_stream()
+        ev["y"][0] = 300             # first block
+        ev["x"][_B + 3] = 400        # second block
+        ev["p"][2 * _B + 1] = 5      # third block
+        with pytest.raises(ValueError, match="polarity"):
+            validate_events(ev, DAVIS346)
+        ev["p"][2 * _B + 1] = 1
+        with pytest.raises(ValueError, match="x out of"):
+            validate_events(ev, DAVIS346)
+        ev["x"][_B + 3] = 1
+        with pytest.raises(ValueError, match="y out of"):
+            validate_events(ev, DAVIS346)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_parallel_result_equals_serial_reference(self, data):
+        # one to four blocks, ending a few events either side of an edge
+        n = (data.draw(st.integers(1, 4), label="blocks") * _B
+             + data.draw(st.integers(-2, 7), label="extra"))
+        geometry = data.draw(st.sampled_from(
+            [None, DAVIS346, SensorGeometry(width=40_000, height=40_000)]))
+        ev = _valid_stream(n)
+        assert _outcome(ev, geometry) is None
+        # the events on either side of every block edge
+        edges = sorted({e for b in [*range(0, n, _B), n]
+                        for e in (b - 1, b, b + 1) if 0 <= e < n})
+        for _ in range(data.draw(st.integers(1, 4), label="faults")):
+            i = data.draw(st.one_of(st.sampled_from(edges),
+                                    st.integers(0, n - 1)), label="index")
+            field = data.draw(st.sampled_from("tpxy"), label="field")
+            if field == "t":
+                ev["t"][i] += data.draw(st.integers(-3, 3))
+            else:
+                ev[field][i] = data.draw(st.sampled_from(_FIELD_VALUES[field]))
+        expected = _serial_reference(ev, geometry)
+        event(expected[1] if expected else "valid")
+        assert _outcome(ev, geometry) == expected
+
+
 class TestEventPackageValidate:
     def test_ordered_package_accepted(self):
         EventPackage(events=make_events([1, 1, 2], [0] * 3, [0] * 3, [1] * 3),
@@ -489,3 +542,4 @@ class TestEventPackageSpan:
         with pytest.raises(TypeError):
             EventPackage(events=make_events([1], [0], [0], [1]), seq=0,
                          span_us=5)
+
