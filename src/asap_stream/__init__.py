@@ -11,9 +11,8 @@ from .events import (EVENT_DTYPE, DAVIS346, ArraySource, ConstantRateSource,
                      EventPackage, RampRateSource, SensorGeometry,
                      StreamSource, make_events, read_event_file,
                      read_events, write_event_file)
-from .gamma import (GammaConfig, GammaFilter, GammaState,
-                    SlidingRateEstimator, apply_filter, target_gamma,
-                    update_gamma)
+from .gamma import (GammaConfig, GammaFilter, SlidingRateEstimator,
+                    apply_filter)
 from .packager import (AffineCostModel, Packager, PackagerConfig,
                        ProcessingFeedback, predict_size)
 from .consumers import (ClusteringConsumer, SyntheticConsumer,
@@ -28,8 +27,7 @@ __all__ = [
     "EVENT_DTYPE", "DAVIS346", "ArraySource", "ConstantRateSource",
     "EventPackage", "RampRateSource", "SensorGeometry", "StreamSource",
     "make_events", "read_event_file", "read_events", "write_event_file",
-    "GammaConfig", "GammaFilter", "GammaState", "SlidingRateEstimator",
-    "apply_filter", "target_gamma", "update_gamma",
+    "GammaConfig", "GammaFilter", "SlidingRateEstimator", "apply_filter",
     "AffineCostModel", "Packager", "PackagerConfig", "ProcessingFeedback",
     "predict_size",
     "ClusteringConsumer", "SyntheticConsumer", "SyntheticCostModel",

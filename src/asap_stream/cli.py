@@ -49,13 +49,27 @@ def _parse_extra_flags(extras: list[str]) -> list[str]:
 
 
 def _atomic_write(path: str, writer) -> None:
-    tmp = f"{path}.tmp"
+    """Write the file ``path`` resolves to with ``writer(file_name)``.
+
+    A regular or new file is written to a temp file beside it and then
+    renamed onto it, so a failed run leaves no partial output and a
+    symlink keeps pointing at it. Anything else (a FIFO, a device) is
+    written directly, since the rename would replace it. An OS error is
+    reported as an :class:`AsapError` that names ``path``.
+    """
+    target = os.path.realpath(path)
+    special = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if special else f"{target}.tmp"
     try:
         writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        if not special:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if not special and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise AsapError(
+                f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -106,8 +106,6 @@ def _coerce(key: str, raw: str) -> Any:
     """Parse a raw string into the type implied by the key's default."""
     default = DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return _integer(key, raw)
         if isinstance(default, float):

@@ -9,7 +9,7 @@ bound ``a`` whenever the raw rate exceeds it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,45 +114,10 @@ class SlidingRateEstimator:
         return self._count / (self.window_us / _US)
 
 
-def target_gamma(rate_raw_evps: float, a_evps: float,
-                 gamma_min: float = 0.01) -> float:
-    """Keep-probability that holds the filtered rate at the bound ``a``."""
-    if not a_evps > 0:
-        raise ConfigurationError(
-            f"gamma.a must be positive, got {a_evps}", key="gamma.a")
-    if rate_raw_evps <= 0:
-        return 1.0
-    return min(1.0, max(gamma_min, a_evps / rate_raw_evps))
-
-
-@dataclass
-class GammaState:
-    """Mutable filter state: keep-probability, raw rate estimate, and RNG.
-
-    The pseudo-random stream is numpy PCG64; runs with equal seeds
-    produce bit-identical keep decisions.
-    """
-
-    a_evps: float = 5e6
-    beta: float = 0.25
-    gamma_min: float = 0.01
-    gamma: float = 1.0
-    rate_raw_evps: float = 0.0
-    rng: np.random.Generator = field(
-        default_factory=lambda: np.random.Generator(np.random.PCG64(0)))
-
-
-def update_gamma(state: GammaState, rate_raw_evps: float) -> GammaState:
-    """Move gamma one smoothing step toward its target for the given rate."""
-    state.rate_raw_evps = float(rate_raw_evps)
-    tgt = target_gamma(rate_raw_evps, state.a_evps, state.gamma_min)
-    g = state.gamma + state.beta * (tgt - state.gamma)
-    state.gamma = min(1.0, max(state.gamma_min, g))
-    return state
-
-
-def apply_filter(state: GammaState, events: np.ndarray) -> np.ndarray:
-    """Keep each event independently with probability ``state.gamma``.
+def apply_filter(state, events: np.ndarray) -> np.ndarray:
+    """Keep each event independently with probability ``state.gamma``,
+    drawing from the generator ``state.rng`` (a :class:`GammaFilter`, or
+    any object with these two attributes).
 
     Returns the kept subsequence (order and fields untouched) as a new
     array: the kept rows are selected by index, with ``take`` on the
@@ -176,19 +141,22 @@ def apply_filter(state: GammaState, events: np.ndarray) -> np.ndarray:
 class GammaFilter:
     """Stateful stage: estimate the raw rate, adapt gamma, discard events.
 
-    Owns one :class:`GammaState` plus the raw rate estimator; gamma is
-    adapted once per processed batch using the raw rate estimate
-    (steady state is identical to adapting on the filtered rate, with a
-    faster transient). The post-filter rate is measured downstream, by
+    Holds the keep-probability ``gamma``, the raw rate estimate
+    ``rate_raw_evps`` and the keep-draw generator ``rng`` (numpy PCG64:
+    equal seeds give bit-identical keep decisions). Once per processed
+    batch, gamma takes one smoothing step of gain ``beta`` toward
+    ``min(1, a / rate_raw)``, floored at ``gamma_min``; adapting on the
+    raw rate has the steady state of adapting on the filtered rate, with
+    a faster transient. The post-filter rate is measured downstream, by
     the packager that sizes packages from it.
     """
 
     def __init__(self, config: GammaConfig, seed: int = 0):
         config.validate()
         self.config = config
-        self.state = GammaState(
-            a_evps=config.a_evps, beta=config.beta, gamma_min=config.gamma_min,
-            rng=np.random.Generator(np.random.PCG64(seed)))
+        self.gamma = 1.0
+        self.rate_raw_evps = 0.0
+        self.rng = np.random.Generator(np.random.PCG64(seed))
         self._raw = SlidingRateEstimator(config.rate_window_us)
         #: Timestamps of the last batch's kept events, as one contiguous,
         #: order-checked int64 array (None before the first batch): the
@@ -207,18 +175,14 @@ class GammaFilter:
         if t.size == 0:
             self.kept_t = t
             return events, 0
-        raw_rate = self._raw.update(t)
-        update_gamma(self.state, raw_rate)
-        kept = apply_filter(self.state, events)
+        cfg = self.config
+        # the batch's newest event is in the window: the rate is positive
+        rate = self.rate_raw_evps = self._raw.update(t)
+        target = min(1.0, max(cfg.gamma_min, cfg.a_evps / rate))
+        g = self.gamma + cfg.beta * (target - self.gamma)
+        self.gamma = min(1.0, max(cfg.gamma_min, g))
+        kept = apply_filter(self, events)
         # whole batch kept: the same array; otherwise a subsequence of it
         self.kept_t = t if kept is events else np.ascontiguousarray(
             kept["t"], dtype=np.int64)
         return kept, len(events) - len(kept)
-
-    @property
-    def gamma(self) -> float:
-        return self.state.gamma
-
-    @property
-    def rate_raw_evps(self) -> float:
-        return self.state.rate_raw_evps

@@ -20,7 +20,7 @@ import pytest
 from scipy import stats
 
 from asap_stream import (ConstantRateSource, ConsumerConfig, GammaConfig,
-                         GammaState, PackagerConfig, PipelineConfig,
+                         GammaFilter, PackagerConfig, PipelineConfig,
                          RampRateSource, apply_filter, run, write_metrics_csv)
 
 _SUITE_T0 = time.perf_counter()
@@ -134,9 +134,10 @@ def test_criterion_4_lag_guarantee(scenario, runner):
 def test_criterion_5_filter_statistics():
     n = 1_000_000
     events = ConstantRateSource(1e6, 1.05, seed=2).events()[:n]
-    state = GammaState(gamma=0.2, gamma_min=0.01,
-                       rng=np.random.Generator(np.random.PCG64(5)))
-    kept = apply_filter(state, events)
+    # the filter's keep draws, with gamma held at 0.2
+    gfilter = GammaFilter(GammaConfig(), seed=5)
+    gfilter.gamma = 0.2
+    kept = apply_filter(gfilter, events)
     in_bounds = 198_400 <= len(kept) <= 201_600
     # positional uniformity of the keep decision, 20 equal-count buckets
     positions = np.searchsorted(events["t"], kept["t"], side="left")

@@ -1,5 +1,9 @@
 """CLI scenario runner and flat key=value configuration."""
 
+import errno
+import os
+import stat
+import threading
 
 import pytest
 
@@ -147,6 +151,74 @@ class TestCliRun:
         assert code == 2
         assert not out.exists()
         assert not (tmp_path / "m.csv.tmp").exists()
+
+    def test_out_through_symlink_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["run", "--scenario", "constant",
+                     "--set", "source.duration_s=0.05",
+                     "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text().startswith("seq,size,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "target.csv"]
+
+    def test_out_to_fifo_feeds_its_reader(self, tmp_path):
+        fifo = tmp_path / "m.csv"
+        os.mkfifo(fifo)
+        # the read end and a spare write end are open before the run, so
+        # the run's own open does not block and the reader sees the end
+        # of the stream only once the spare end is closed too
+        read_fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        os.set_blocking(read_fd, True)
+        spare = os.open(fifo, os.O_WRONLY)
+        received = []
+
+        def drain():
+            with os.fdopen(read_fd, "rb") as f:
+                received.append(f.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            code = main(["run", "--scenario", "constant",
+                         "--set", "source.duration_s=0.05",
+                         "--out", str(fifo)])
+        finally:
+            os.close(spare)
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received[0].startswith(b"seq,size,")
+
+    def test_out_to_directory_is_a_one_line_error(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "constant",
+                     "--set", "source.duration_s=0.05",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_missing_directory_names_the_path(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--scenario", "constant",
+                     "--set", "source.duration_s=0.05",
+                     "--out", "missing/m.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write missing/m.csv: "
+            f"{os.strerror(errno.ENOENT)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_config_file_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ASAP_CONFIG", str(tmp_path / "none.cfg"))
+        assert main(["run", "--scenario", "constant",
+                     "--out", str(tmp_path / "m.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("scenario, setting", [
         ("constant", "gamma.a=nan"),

@@ -1,5 +1,7 @@
 """Rate estimator and keep-probability filter tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from asap_stream import (ConfigurationError, ConstantRateSource, GammaConfig,
-                         GammaFilter, GammaState, OrderingError,
-                         SlidingRateEstimator, apply_filter, make_events,
-                         target_gamma, update_gamma)
+                         GammaFilter, OrderingError, SlidingRateEstimator,
+                         apply_filter, make_events)
 
 
 def _events_at(timestamps):
@@ -110,67 +111,100 @@ class TestRateEstimatorProperties:
             _brute_force_rate(t + [t[-1]], window)
 
 
+def _filter(a_evps, beta=0.25, gamma_min=0.01):
+    """A filter with a 1 s rate window: the raw rate is the window count."""
+    return GammaFilter(GammaConfig(a_evps=a_evps, beta=beta,
+                                   gamma_min=gamma_min,
+                                   rate_window_us=1_000_000))
+
+
+def _burst(k, n):
+    """``n`` events of the ``k``-th burst, 2 s after the previous one: in
+    a 1 s window, a raw rate of ``n`` ev/s."""
+    return _events_at(k * 2_000_000 + np.arange(n))
+
+
 class TestTargetGamma:
+    """One full (beta = 1) step of gamma lands on its target."""
+
     def test_below_bound_keeps_all(self):
-        assert target_gamma(2e6, 5e6) == 1.0
+        gfilter = _filter(50, beta=1.0)
+        gfilter.process(_burst(0, 20))
+        assert gfilter.gamma == 1.0
 
     def test_double_rate_halves(self):
-        assert target_gamma(1e7, 5e6) == 0.5
+        gfilter = _filter(50, beta=1.0)
+        gfilter.process(_burst(0, 100))
+        assert gfilter.gamma == 0.5
 
     def test_clamped_at_floor(self):
-        assert target_gamma(1e9, 5e6, gamma_min=0.01) == 0.01
+        gfilter = _filter(5, beta=1.0, gamma_min=0.25)
+        gfilter.process(_burst(0, 1000))
+        assert gfilter.gamma == 0.25
 
     def test_zero_rate_keeps_all(self):
-        assert target_gamma(0.0, 5e6) == 1.0
+        gfilter = _filter(50, beta=1.0)
+        ev = _events_at([])
+        assert gfilter.process(ev)[0] is ev
+        assert (gfilter.rate_raw_evps, gfilter.gamma) == (0.0, 1.0)
 
     def test_invalid_bound(self):
         with pytest.raises(ConfigurationError):
-            target_gamma(1e6, 0.0)
+            GammaFilter(GammaConfig(a_evps=0.0))
 
-    @given(r1=st.floats(min_value=0, max_value=1e12),
-           r2=st.floats(min_value=0, max_value=1e12))
-    def test_monotone_non_increasing_in_rate(self, r1, r2):
-        lo, hi = sorted((r1, r2))
-        assert target_gamma(hi, 5e6) <= target_gamma(lo, 5e6)
+    @given(n1=st.integers(min_value=1, max_value=5_000),
+           n2=st.integers(min_value=1, max_value=5_000))
+    @settings(deadline=None)
+    def test_monotone_non_increasing_in_rate(self, n1, n2):
+        lo, hi = _filter(50, beta=1.0), _filter(50, beta=1.0)
+        lo.process(_burst(0, min(n1, n2)))
+        hi.process(_burst(0, max(n1, n2)))
+        assert hi.gamma <= lo.gamma
 
 
 class TestUpdateGamma:
     def test_midpoint_step(self):
-        state = GammaState(a_evps=5e6, beta=0.5, gamma=1.0)
-        update_gamma(state, 1e7)  # target 0.5
-        assert state.gamma == pytest.approx(0.75)
+        gfilter = _filter(50, beta=0.5)
+        gfilter.process(_burst(0, 100))   # target 0.5
+        assert gfilter.gamma == pytest.approx(0.75)
 
     def test_fixed_point_below_bound(self):
-        state = GammaState(a_evps=5e6, beta=0.7, gamma=1.0)
-        update_gamma(state, 1e6)
-        assert state.gamma == 1.0
+        gfilter = _filter(50, beta=0.7)
+        gfilter.process(_burst(0, 10))
+        assert gfilter.gamma == 1.0
 
     def test_seven_updates_converge_to_half(self):
         # |gamma_k - 0.5| = 0.5 * (1 - beta)^k; beta=0.5, k=7 -> < 1%
-        state = GammaState(a_evps=5e6, beta=0.5, gamma=1.0)
-        for _ in range(7):
-            update_gamma(state, 1e7)
-        assert abs(state.gamma - 0.5) <= 0.01 * 0.5
+        gfilter = _filter(50, beta=0.5)
+        for k in range(7):
+            gfilter.process(_burst(k, 100))
+        assert abs(gfilter.gamma - 0.5) <= 0.01 * 0.5
 
-    @given(rates=st.lists(st.floats(min_value=0, max_value=1e12), max_size=50),
+    @given(counts=st.lists(st.integers(min_value=0, max_value=10_000),
+                           max_size=20),
            beta=st.floats(min_value=0.01, max_value=1.0))
-    def test_gamma_never_leaves_bounds(self, rates, beta):
-        state = GammaState(a_evps=5e6, beta=beta, gamma_min=0.01)
-        for r in rates:
-            update_gamma(state, r)
-            assert 0.01 <= state.gamma <= 1.0
+    @settings(deadline=None)
+    def test_gamma_never_leaves_bounds(self, counts, beta):
+        gfilter = _filter(50, beta=beta, gamma_min=0.01)
+        for k, n in enumerate(counts):
+            gfilter.process(_burst(k, n))
+            assert 0.01 <= gfilter.gamma <= 1.0
+
+
+def _state(gamma, seed=0):
+    """The least ``apply_filter`` reads: a gamma and a generator."""
+    return SimpleNamespace(gamma=gamma,
+                           rng=np.random.Generator(np.random.PCG64(seed)))
 
 
 class TestApplyFilter:
     def test_gamma_one_is_identity(self):
         ev = ConstantRateSource(1e5, 0.05, seed=1).events()
-        state = GammaState(gamma=1.0)
-        assert np.array_equal(apply_filter(state, ev), ev)
+        assert np.array_equal(apply_filter(_state(1.0), ev), ev)
 
     def test_gamma_one_returns_input_and_advances_rng_by_n(self):
         ev = ConstantRateSource(1e5, 0.05, seed=1).events()
-        state = GammaState(gamma=1.0,
-                           rng=np.random.Generator(np.random.PCG64(11)))
+        state = _state(1.0, seed=11)
         reference = np.random.Generator(np.random.PCG64(11))
         assert apply_filter(state, ev) is ev
         reference.random(len(ev))
@@ -193,8 +227,7 @@ class TestApplyFilter:
                            fields.integers(-2**15, 2**15, 2 * n),
                            fields.integers(-128, 128, 2 * n))
         ev = base[::2] if strided else base[:n]
-        state = GammaState(gamma=gamma,
-                           rng=np.random.Generator(np.random.PCG64(seed)))
+        state = _state(gamma, seed)
         ref = np.random.Generator(np.random.PCG64(seed))
         kept = apply_filter(state, ev)
         expected = ev[ref.random(n) < gamma]
@@ -205,24 +238,18 @@ class TestApplyFilter:
 
     def test_binomial_bounds_at_gamma_02(self):
         ev = ConstantRateSource(1e6, 1.0, seed=2).events()[:1_000_000]
-        state = GammaState(gamma=0.2, gamma_min=0.01,
-                           rng=np.random.Generator(np.random.PCG64(3)))
-        kept = apply_filter(state, ev)
+        kept = apply_filter(_state(0.2, seed=3), ev)
         assert 198_400 <= len(kept) <= 201_600
 
     def test_determinism(self):
         ev = ConstantRateSource(1e5, 0.05, seed=4).events()
-        a = apply_filter(GammaState(gamma=0.5,
-                                    rng=np.random.Generator(np.random.PCG64(9))), ev)
-        b = apply_filter(GammaState(gamma=0.5,
-                                    rng=np.random.Generator(np.random.PCG64(9))), ev)
+        a = apply_filter(_state(0.5, seed=9), ev)
+        b = apply_filter(_state(0.5, seed=9), ev)
         assert np.array_equal(a, b)
 
     def test_kept_is_subsequence(self):
         ev = ConstantRateSource(1e5, 0.05, seed=5).events()
-        state = GammaState(gamma=0.5,
-                           rng=np.random.Generator(np.random.PCG64(6)))
-        kept = apply_filter(state, ev)
+        kept = apply_filter(_state(0.5, seed=6), ev)
         # every kept row appears in the input at strictly increasing indices
         idx = 0
         view = ev.tolist()
@@ -232,17 +259,14 @@ class TestApplyFilter:
     def test_positional_uniformity_chi_square(self):
         n = 1_000_000
         ev = _events_at(np.arange(n, dtype=np.int64))
-        state = GammaState(gamma=0.5,
-                           rng=np.random.Generator(np.random.PCG64(7)))
-        kept = apply_filter(state, ev)
+        kept = apply_filter(_state(0.5, seed=7), ev)
         # 20 equal-count position buckets of the input; keep counts uniform
         counts, _ = np.histogram(kept["t"], bins=20, range=(0, n))
         chi2 = ((counts - counts.mean()) ** 2 / counts.mean()).sum()
         assert chi2 < stats.chi2.ppf(1 - 0.001, df=19)
 
     def test_empty_input(self):
-        state = GammaState(gamma=0.5)
-        assert len(apply_filter(state, _events_at([]))) == 0
+        assert len(apply_filter(_state(0.5), _events_at([]))) == 0
 
 
 class TestGammaFilter:
@@ -281,12 +305,12 @@ class TestGammaFilter:
         gfilter.process(_events_at(np.arange(10_000)))
         assert gfilter.gamma < 1.0
         before = (gfilter.gamma, gfilter.rate_raw_evps,
-                  gfilter.state.rng.bit_generator.state)
+                  gfilter.rng.bit_generator.state)
         for _ in range(3):
             kept, dropped = gfilter.process(_events_at([]))
             assert (len(kept), dropped) == (0, 0)
             assert (gfilter.gamma, gfilter.rate_raw_evps,
-                    gfilter.state.rng.bit_generator.state) == before
+                    gfilter.rng.bit_generator.state) == before
         assert len(gfilter.kept_t) == 0
 
     @pytest.mark.parametrize("a_evps", [1e5, 1e12])
@@ -308,9 +332,44 @@ class TestGammaFilter:
         gfilter = GammaFilter(GammaConfig(a_evps=1e5), seed=0)
         gfilter.process(_events_at(np.arange(1000)))
         before = (gfilter.gamma, gfilter.rate_raw_evps,
-                  gfilter.state.rng.bit_generator.state)
+                  gfilter.rng.bit_generator.state)
         for t in ([1000, 1002, 1001], [998, 1000]):
             with pytest.raises(OrderingError):
                 gfilter.process(_events_at(t))
             assert (gfilter.gamma, gfilter.rate_raw_evps,
-                    gfilter.state.rng.bit_generator.state) == before
+                    gfilter.rng.bit_generator.state) == before
+
+
+class TestGammaLaw:
+    @given(t=_ordered, cuts=st.lists(st.integers(min_value=0, max_value=200)),
+           window=st.integers(min_value=1, max_value=2_000),
+           a_evps=st.one_of(st.floats(min_value=1.0, max_value=1e9),
+                            st.just(float("inf"))),
+           beta=st.floats(min_value=0.01, max_value=1.0),
+           gamma_min=st.floats(min_value=0.001, max_value=0.999),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_process_follows_reference_recurrence(self, t, cuts, window,
+                                                  a_evps, beta, gamma_min,
+                                                  seed):
+        gfilter = GammaFilter(GammaConfig(a_evps=a_evps, beta=beta,
+                                          gamma_min=gamma_min,
+                                          rate_window_us=window), seed=seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        gamma, rate = 1.0, 0.0
+        ev = _events_at(t)
+        # repeated edges make empty batches, which step nothing
+        edges = sorted([0, len(t), *(c for c in cuts if c <= len(t))])
+        for lo, hi in zip(edges, edges[1:]):
+            batch = ev[lo:hi]
+            kept, dropped = gfilter.process(batch)
+            if hi > lo:
+                rate = _brute_force_rate(t[:hi], window)
+                target = 1.0 if rate == 0 else min(
+                    1.0, max(gamma_min, a_evps / rate))
+                gamma = min(1.0, max(gamma_min,
+                                     gamma + beta * (target - gamma)))
+            assert (gfilter.rate_raw_evps, gfilter.gamma) == (rate, gamma)
+            expected = batch[ref.random(hi - lo) < gamma]
+            assert kept.tobytes() == expected.tobytes()
+            assert dropped == len(batch) - len(expected)
