@@ -145,9 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         key = f" ({exc.key})" if exc.key else ""
         print(f"configuration error{key}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except AsapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

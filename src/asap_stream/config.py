@@ -228,7 +228,14 @@ def build_source(cfg: Mapping[str, Any]) -> StreamSource:
             raise ConfigurationError(
                 "source.path is required for source.kind=file",
                 key="source.path")
-        return read_event_file(path, geometry, chunk)
+        try:
+            return read_event_file(path, geometry, chunk)
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+        except UnicodeDecodeError:
+            reason = "not UTF-8 text"
+        raise ConfigurationError(f"cannot read event file {path}: {reason}",
+                                 key="source.path")
     raise ConfigurationError(
         f"source.kind must be constant, ramp, or file, got {kind!r}",
         key="source.kind")

@@ -13,9 +13,13 @@ behind a bounded queue; it exists for demonstration.
 from __future__ import annotations
 
 import queue
+import struct
 import threading
 import time
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import index as _as_index
 from typing import NamedTuple
 
 import numpy as np
@@ -110,11 +114,63 @@ class PackageMetrics(NamedTuple):
     emit_reason: str = "size"          # "size" or "timeout"; not serialized
 
 
+_new_row = tuple.__new__    # a row from a built tuple, no call per field
+
+#: One :class:`PackageMetrics` row as a :class:`MetricsTable` stores it,
+#: in field order and unaligned: int64 ``seq``, ``size`` and ``span_us``,
+#: float64 ``proc_us`` to ``rate_filtered``, int64 drop counts, float64
+#: ``clock_us`` and one byte coding ``emit_reason``. 89 bytes.
+_ROW = struct.Struct("=3q5d2qdB")
+_EMIT_REASONS = ("size", "timeout")
+_REASON_CODE = {reason: code for code, reason in enumerate(_EMIT_REASONS)}
+
+
+def _unpacked(fields: tuple) -> PackageMetrics:
+    return _new_row(PackageMetrics,
+                    fields[:-1] + (_EMIT_REASONS[fields[-1]],))
+
+
+class MetricsTable(Sequence):
+    """A run's :class:`PackageMetrics` rows, each packed by ``_ROW`` into
+    one growing byte array: 89 bytes a package, and at most 1/16 more
+    while the array has room to grow.
+
+    Indexing, slicing, iteration and ``len`` read it as the list of rows
+    it was filled from, with each number a plain ``int`` or ``float``.
+    A slice is a list. The pipeline appends rows packed by ``_ROW``
+    through ``_packed.frombytes``.
+    """
+
+    def __init__(self, rows: Iterable[PackageMetrics] = ()):
+        # not a bytearray: it grows by up to 1/8, which would take an
+        # 89-byte row to 100 bytes; an array grows by 1/16
+        self._packed = array("B")
+        for *fields, reason in rows:
+            self._packed.frombytes(_ROW.pack(*fields, _REASON_CODE[reason]))
+
+    def __len__(self) -> int:
+        return len(self._packed) // _ROW.size
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        i = _as_index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("metrics row index out of range")
+        return _unpacked(_ROW.unpack_from(self._packed, i * _ROW.size))
+
+    def __iter__(self):
+        return map(_unpacked, _ROW.iter_unpack(self._packed))
+
+
 @dataclass
 class RunResult:
     """Metrics plus the run's bookkeeping totals."""
 
-    metrics: list[PackageMetrics]
+    metrics: Sequence[PackageMetrics]
     source_events: int
     packaged_events: int
     dropped_by_filter: int
@@ -159,9 +215,6 @@ def _put_latest(q: queue.Queue, item) -> int:
                 discarded += 1
             except queue.Empty:
                 pass
-
-
-_new_row = tuple.__new__    # a row from a built tuple, no call per field
 
 
 class _Stages:
@@ -209,7 +262,8 @@ class _Stages:
     def cut(self, clock: Clock, now_us: int | None = None) -> _Cut | None:
         """Cut one package, if the buffer completes one, and stamp it with
         the :class:`PackageMetrics` fields known when it was cut: those
-        after ``lag_us``, in field order. Called once per package, so
+        after ``lag_us``, in field order, with ``emit_reason`` coded as
+        ``_ROW`` stores it. Called once per package, so
         that feedback applied between two packages steers the next cut.
 
         With ``now_us``, flush the buffer instead if its oldest event
@@ -221,12 +275,12 @@ class _Stages:
             clock.advance_to(cut.trigger_us)
             cut.stamp = self._rates + (self._pending_filter,
                                        self._pending_overflow, clock.now_us,
-                                       cut.reason)
+                                       _REASON_CODE[cut.reason])
             self._pending_filter = self._pending_overflow = 0
             self.packaged_events += cut.size
         return cut
 
-    def result(self, metrics: list[PackageMetrics],
+    def result(self, metrics: MetricsTable,
                feedback_overwrites: int = 0) -> RunResult:
         return RunResult(
             metrics=metrics, source_events=self.source_events,
@@ -238,14 +292,18 @@ class _Stages:
             feedback_overwrites=feedback_overwrites)
 
 
+_pack_row = _ROW.pack
+
+
 def _deliver(cut: _Cut, consumer: Consumer,
-             clock: Clock) -> tuple[PackageMetrics, ProcessingFeedback]:
-    """Run the consumer on one package; returns its metrics row and report."""
+             clock: Clock) -> tuple[bytes, ProcessingFeedback]:
+    """Run the consumer on one package; returns its metrics row, packed
+    by ``_ROW``, and its report."""
     feedback = consumer.process(cut, clock)
     proc_us = feedback.processing_time_us
     span_us = cut.span_us
-    return _new_row(PackageMetrics, (cut.seq, cut.size, span_us, proc_us,
-                                     proc_us - span_us) + cut.stamp), feedback
+    return _pack_row(cut.seq, cut.size, span_us, proc_us, proc_us - span_us,
+                     *cut.stamp), feedback
 
 
 def run(config: PipelineConfig, source: StreamSource,
@@ -263,9 +321,9 @@ def _run_virtual(config: PipelineConfig, source: StreamSource,
                  consumer: Consumer) -> RunResult:
     clock = VirtualClock()
     stages = _Stages(config)
-    metrics: list[PackageMetrics] = []
+    metrics = MetricsTable()
     # looked up once per run, not once per package
-    cut, record = stages.cut, metrics.append
+    cut, record = stages.cut, metrics._packed.frombytes
     control = stages.packager.update_target_size
 
     def deliver(package: _Cut | None) -> None:
@@ -301,7 +359,7 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
     timeout_us = config.packager.timeout_us
     package_q: queue.Queue = queue.Queue(maxsize=4)
     feedback_q: queue.Queue = queue.Queue(maxsize=4)
-    metrics: list[PackageMetrics] = []
+    metrics = MetricsTable()
     overwrites = 0
     errors: list[BaseException] = []
 
@@ -315,7 +373,8 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
             except BaseException as exc:  # surfaced to the caller thread
                 errors.append(exc)
                 continue
-            metrics.append(row)
+            # one consumer thread: rows arrive in seq order
+            metrics._packed.frombytes(row)
             # the newest report describes the cost model best
             overwrites += _put_latest(feedback_q, feedback)
 
@@ -364,28 +423,37 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
         worker.join()
     if errors:
         raise errors[0]
-    metrics.sort(key=lambda m: m.seq)
     return stages.result(metrics, overwrites)
 
 
-def write_metrics_csv(path, metrics: list[PackageMetrics]) -> None:
+_NAN = float("nan")
+
+
+def _repr_key(value):
+    """``value`` when a later value equal to it is sure to have its repr:
+    a nonzero ``float`` (``5 == 5.0`` and ``0.0 == -0.0``, but their
+    reprs differ). NaN otherwise, which equals nothing."""
+    return value if type(value) is float and value else _NAN
+
+
+def write_metrics_csv(path, metrics: Sequence[PackageMetrics]) -> None:
+    # a table's rows are read from its packed bytes, as plain tuples
+    rows = (_ROW.iter_unpack(metrics._packed)
+            if isinstance(metrics, MetricsTable) else metrics)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(METRICS_HEADER + "\n")
-        # the packages cut from one fed batch share its gamma and rate
-        # objects: format the three again only when one of them changes.
-        # Compared by identity, since 0.0 == -0.0 but their reprs differ
-        g0 = rr0 = rf0 = object()    # no row's value: the first row formats
-        # a steady consumer reports one processing time many times over:
-        # reuse its repr while the value is an equal nonzero float. The
-        # type and zero checks keep 5 == 5.0 and 0.0 == -0.0 apart; p0 is
-        # NaN, equal to nothing, while the last value does not qualify
-        p0 = nan = float("nan")
-        for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in metrics:
-            if g is not g0 or rr is not rr0 or rf is not rf0:
-                g0, rr0, rf0 = g, rr, rf
+        # the packages cut from one fed batch share its gamma and rates,
+        # and a steady consumer reports one processing time many times
+        # over: a repr is formatted again only when its value is not one
+        # that _repr_key kept from the previous row, or is not a float
+        g0 = rr0 = rf0 = p0 = _NAN    # the first row formats
+        for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in rows:
+            if (g != g0 or rr != rr0 or rf != rf0 or type(g) is not float
+                    or type(rr) is not float or type(rf) is not float):
                 rates = f"{g!r},{rr!r},{rf!r}"
+                g0, rr0, rf0 = _repr_key(g), _repr_key(rr), _repr_key(rf)
             if proc != p0 or type(proc) is not float:
                 ps = repr(proc)
-                p0 = proc if type(proc) is float and proc else nan
+                p0 = _repr_key(proc)
             f.write(f"{seq},{n},{span},{ps},{lag!r},{rates},"
                     f"{df},{do},{clk!r}\n")

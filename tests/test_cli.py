@@ -136,6 +136,27 @@ class TestCliRun:
         assert code == 1 and not out.exists()
         assert err == f"error: {path}{message}\n"
 
+    @pytest.mark.parametrize("kind, reason", [
+        ("directory", os.strerror(errno.EISDIR)),
+        ("missing", os.strerror(errno.ENOENT)),
+        ("not-utf8", "not UTF-8 text")],
+        ids=["directory", "missing", "not-utf8"])
+    def test_unreadable_replay_file_is_a_configuration_error(
+            self, tmp_path, capsys, kind, reason):
+        path = tmp_path / "events"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"0,1,1,1\n\xff\xfe,1,1,1\n")
+        out = tmp_path / "m.csv"
+        code = main(["run", "--scenario", "constant",
+                     "--set", "source.kind=file",
+                     "--set", f"source.path={path}", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"configuration error (source.path): cannot read event file "
+            f"{path}: {reason}\n")
+
     def test_env_base_config(self, tmp_path, monkeypatch):
         base = tmp_path / "base.cfg"
         base.write_text("source.duration_s = 0.05\nseed = 3\n")

@@ -1,8 +1,10 @@
 """End-to-end pipeline behavior in virtual and realtime modes."""
 
 import copy
+import dataclasses
 import queue
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
                          PipelineConfig, RampRateSource, StreamSource,
                          SyntheticConsumer, SyntheticCostModel, VirtualClock,
                          make_events, run, write_metrics_csv)
-from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, _put_latest,
-                                  _Stages)
+from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
+                                  _REASON_CODE, _put_latest, _Stages)
 
 
 def _config(**kwargs):
@@ -220,30 +222,41 @@ def _equals(x):
     return [x, _twin(f), np.float64(f)] + ([int(f)] if f.is_integer() else [])
 
 
+def _float_equals(x):
+    """The floats among :func:`_equals`: ``x`` and its twin."""
+    return [x, _twin(x)]
+
+
 @st.composite
-def _rows(draw):
+def _rows(draw, ints=st.integers(), equals=_equals):
     """Metrics rows in runs that share one ``(gamma, rate_raw,
     rate_filtered)`` object triple, as the packages cut from one fed
     batch do. From one run to the next, one, two or all three of the
-    objects change: to a new value, or to an equal but distinct object
-    (the other signed zero, another NaN). Each row's ``proc_us`` is a new
-    value or one equal to the previous row's, as a steady consumer
-    reports."""
+    objects change: to a new value, or to one of ``equals(old value)``
+    (the other signed zero, another NaN, an ``np.float64``, an ``int``).
+    Each row's ``proc_us`` is a new value or one of ``equals(previous
+    row's)``, as a steady consumer reports. Integer fields are drawn
+    from ``ints``."""
     rates = [draw(_floats) for _ in range(3)]
     proc = draw(_floats)
     rows = []
     for run_index in range(draw(st.integers(0, 6))):
         if run_index:
             for i in draw(st.sets(st.integers(0, 2), min_size=1)):
-                rates[i] = draw(st.one_of(_floats, st.just(_twin(rates[i]))))
+                rates[i] = draw(st.one_of(
+                    _floats, st.sampled_from(equals(rates[i]))))
         for _ in range(draw(st.integers(1, 4))):
-            proc = draw(st.one_of(_floats, st.sampled_from(_equals(proc))))
+            proc = draw(st.one_of(_floats, st.sampled_from(equals(proc))))
             rows.append(PackageMetrics(
-                draw(st.integers()), draw(st.integers()), draw(st.integers()),
-                proc, draw(_floats), *rates, draw(st.integers()),
-                draw(st.integers()), draw(_floats),
+                draw(ints), draw(ints), draw(ints),
+                proc, draw(_floats), *rates, draw(ints),
+                draw(ints), draw(_floats),
                 draw(st.sampled_from(["size", "timeout"]))))
     return rows
+
+
+#: Rows as a run stores them: int64 integers and plain floats.
+_plain_rows = _rows(st.integers(-2**63, 2**63 - 1), _float_equals)
 
 
 def _rows_sharing(gamma, *rates):
@@ -286,6 +299,9 @@ class TestMetricsOutput:
     # rate_filtered from one NaN object to another
     @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
                                 (-0.0, float("nan")), (-0.0, float("nan"))))
+    # rates equal to the previous row's, whose reprs differ
+    @example(rows=_rows_sharing(1.0, (5.0, 2.0), (np.float64(5.0), 2.0),
+                                (5, 2.0), (5.0, 2.0), (5.0, 2)))
     # processing times equal to the previous row's, whose reprs differ
     # (signed zeros, int and float, np.float64), then a repeated float
     @example(rows=_rows_with_proc(0.0, -0.0, 0.0, 5, 5.0, np.float64(5.0),
@@ -300,6 +316,75 @@ class TestMetricsOutput:
         expected = "".join(_reference_line(m) + "\n" for m in rows)
         assert path.read_bytes().decode("utf-8") == \
             METRICS_HEADER + "\n" + expected
+
+    @given(rows=_plain_rows)
+    # signed zeros and distinct NaN objects in gamma and both rates,
+    # then in proc_us
+    @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
+                                (-0.0, float("nan")), (5.0, -0.0)))
+    @example(rows=_rows_with_proc(0.0, -0.0, 0.0, float("nan"),
+                                  float("nan"), 5.0, 5.0, -0.0))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_writes_the_bytes_of_its_rows(self, rows, tmp_path):
+        paths = [tmp_path / f"{kind}{len(list(tmp_path.iterdir()))}.csv"
+                 for kind in ("table", "list")]
+        table = MetricsTable(rows)
+        assert len(table) == len(rows)
+        write_metrics_csv(paths[0], table)
+        write_metrics_csv(paths[1], rows)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_table_reads_as_the_list_it_was_filled_from(self):
+        rows = _rows_with_proc(1.0, 2.5, -0.0)
+        rows[2] = rows[2]._replace(emit_reason="timeout")
+        table = MetricsTable(rows)
+        assert len(table) == 3 and table and not MetricsTable()
+        assert list(table) == rows and list(reversed(table)) == rows[::-1]
+        assert [table[i] for i in range(-3, 3)] == rows + rows
+        assert table[np.int64(1)] == rows[1]
+        assert table[::-2] == rows[::-2] and table[5:] == []
+        assert table.index(rows[2]) == 2 and rows[1] in table
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                table[i]
+        assert all(type(v) is float for m in table for v in m[3:8])
+
+    def test_numpy_processing_times_are_written_as_floats(self, tmp_path):
+        class NumpyTimes(_Recorder):
+            def process(self, package, clock):
+                feedback = super().process(package, clock)
+                return dataclasses.replace(
+                    feedback, processing_time_us=np.float64(
+                        feedback.processing_time_us))
+
+        cfg = _config(consumer=ConsumerConfig(o_us=100, c_ns=100))
+        paths = []
+        for consumer in (NumpyTimes(), _Recorder()):
+            result = run(cfg, ConstantRateSource(1e5, 0.05, seed=2), consumer)
+            assert all(type(m.proc_us) is type(m.lag_us) is float
+                       for m in result.metrics)
+            paths.append(tmp_path / f"{len(paths)}.csv")
+            write_metrics_csv(paths[-1], result.metrics)
+        text = paths[0].read_text()
+        assert "np." not in text and text == paths[1].read_text()
+
+    def test_metrics_hold_at_most_100_bytes_a_package(self):
+        # the small_packages workload's consumer at 1e6 ev/s: N* ~ 23
+        cfg = _config(packager=PackagerConfig(initial_size=23),
+                      consumer=ConsumerConfig(o_us=20, c_ns=100))
+        tracemalloc.start()
+        try:
+            result = run(cfg, ConstantRateSource(1e6, 0.5, seed=12))
+            n = len(result.metrics)
+            # what the run's result holds is what deleting it frees
+            held = tracemalloc.get_traced_memory()[0]
+            del result
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n >= 20_000
+        assert held <= 100 * n, f"{held / n:.1f} bytes a package"
 
     @pytest.mark.parametrize("mode", ["virtual", "realtime"])
     def test_metrics_behave_as_a_list_of_rows(self, mode, tmp_path):
@@ -356,7 +441,9 @@ class TestStagesCut:
         cut = stages.cut(clock, 62)
         assert (cut.reason, cut.trigger_us, cut.size) == ("timeout", 62, 4)
         assert clock.now_us == 62.0
-        assert cut.stamp == stages._rates + pending + (62.0, "timeout")
+        # emit_reason is stamped as the code the metrics table stores
+        assert cut.stamp == stages._rates + pending + (
+            62.0, _REASON_CODE["timeout"])
         assert (stages._pending_filter, stages._pending_overflow) == (0, 0)
         assert stages.packaged_events == 4
         assert stages.cut(clock, 10**9) is None
