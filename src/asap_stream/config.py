@@ -140,6 +140,9 @@ def parse_config_file(path) -> dict[str, Any]:
             lines = f.readlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(
+            f"cannot read config file {path}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

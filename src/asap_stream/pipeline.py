@@ -426,34 +426,55 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
     return stages.result(metrics, overwrites)
 
 
-_NAN = float("nan")
+#: The ``_ROW`` layout read as the parts the CSV writer formats: int64
+#: ``seq``; the bytes of ``size`` to ``lag_us``; of γ and both rates; of
+#: the two drop counts; float64 ``clock_us``; the reason code.
+_SPLIT = struct.Struct("=q32s24s16sdB")
+if _SPLIT.size != _ROW.size:
+    raise RuntimeError("pipeline._SPLIT must cover pipeline._ROW byte for byte")
+_HEAD = struct.Struct("=2q2d")
+_RATES = struct.Struct("=3d")
+_DROPS = struct.Struct("=2q")
+_HEAD_CACHE = 256     # distinct size..lag_us texts kept before clearing
 
 
-def _repr_key(value):
-    """``value`` when a later value equal to it is sure to have its repr:
-    a nonzero ``float`` (``5 == 5.0`` and ``0.0 == -0.0``, but their
-    reprs differ). NaN otherwise, which equals nothing."""
-    return value if type(value) is float and value else _NAN
+def _table_lines(packed):
+    """The CSV lines of a table's packed rows. Equal bytes give equal
+    reprs, so a part is formatted once for a run of rows with the same
+    bytes (γ and the rates of one fed batch, the drops) or once per
+    distinct ``size..lag_us`` bytes, which a steady consumer repeats."""
+    heads = {}
+    rates_key = drops_key = None
+    for seq, head_key, r_key, d_key, clk, _ in _SPLIT.iter_unpack(packed):
+        head = heads.get(head_key)
+        if head is None:
+            if len(heads) >= _HEAD_CACHE:
+                heads.clear()
+            n, span, proc, lag = _HEAD.unpack(head_key)
+            head = heads[head_key] = f"{n},{span},{proc!r},{lag!r}"
+        if r_key != rates_key:
+            rates, rates_key = "%r,%r,%r" % _RATES.unpack(r_key), r_key
+        if d_key != drops_key:
+            drops, drops_key = "%d,%d" % _DROPS.unpack(d_key), d_key
+        yield f"{seq},{head},{rates},{drops},{clk!r}\n"
+
+
+def _row_lines(rows):
+    for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in rows:
+        yield (f"{seq},{n},{span},{proc!r},{lag!r},{g!r},{rr!r},{rf!r},"
+               f"{df},{do},{clk!r}\n")
 
 
 def write_metrics_csv(path, metrics: Sequence[PackageMetrics]) -> None:
-    # a table's rows are read from its packed bytes, as plain tuples
-    rows = (_ROW.iter_unpack(metrics._packed)
-            if isinstance(metrics, MetricsTable) else metrics)
+    """Write ``metrics`` to ``path`` as CSV: the ``METRICS_HEADER`` line,
+    then one line per row with the columns of ``METRICS_COLUMNS``
+    (``emit_reason`` is not written). Each field is written as ``repr``
+    gives it, integers as ``str`` does.
+
+    A :class:`MetricsTable` is formatted straight from its packed bytes;
+    any other sequence of rows, field by field."""
+    lines = (_table_lines(metrics._packed)
+             if isinstance(metrics, MetricsTable) else _row_lines(metrics))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(METRICS_HEADER + "\n")
-        # the packages cut from one fed batch share its gamma and rates,
-        # and a steady consumer reports one processing time many times
-        # over: a repr is formatted again only when its value is not one
-        # that _repr_key kept from the previous row, or is not a float
-        g0 = rr0 = rf0 = p0 = _NAN    # the first row formats
-        for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in rows:
-            if (g != g0 or rr != rr0 or rf != rf0 or type(g) is not float
-                    or type(rr) is not float or type(rf) is not float):
-                rates = f"{g!r},{rr!r},{rf!r}"
-                g0, rr0, rf0 = _repr_key(g), _repr_key(rr), _repr_key(rf)
-            if proc != p0 or type(proc) is not float:
-                ps = repr(proc)
-                p0 = _repr_key(proc)
-            f.write(f"{seq},{n},{span},{ps},{lag!r},{rates},"
-                    f"{df},{do},{clk!r}\n")
+        f.writelines(lines)

@@ -241,6 +241,23 @@ class TestCliRun:
                      "--out", str(tmp_path / "m.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("route", ["scenario", "env"])
+    def test_config_file_not_utf8_exit_2(self, tmp_path, monkeypatch,
+                                         capsys, route):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfeseed = 1\n")
+        out = tmp_path / "m.csv"
+        if route == "env":
+            monkeypatch.setenv("ASAP_CONFIG", str(cfg))
+            scenario = "constant"
+        else:
+            scenario = str(cfg)
+        assert main(["run", "--scenario", scenario, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot read config file {cfg}: "
+            f"not UTF-8 text\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario, setting", [
         ("constant", "gamma.a=nan"),
         ("constant", "packager.headroom=nan"),

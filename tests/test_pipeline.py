@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import queue
+import struct
 import threading
 import tracemalloc
 
@@ -17,8 +18,10 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
                          PipelineConfig, RampRateSource, StreamSource,
                          SyntheticConsumer, SyntheticCostModel, VirtualClock,
                          make_events, run, write_metrics_csv)
+from asap_stream import pipeline
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
-                                  _REASON_CODE, _put_latest, _Stages)
+                                  _HEAD_CACHE, _REASON_CODE, _put_latest,
+                                  _Stages)
 
 
 def _config(**kwargs):
@@ -334,6 +337,46 @@ class TestMetricsOutput:
         write_metrics_csv(paths[0], table)
         write_metrics_csv(paths[1], rows)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def _assert_table_writes_reference(self, rows, path):
+        write_metrics_csv(path, MetricsTable(rows))
+        assert path.read_text().splitlines() == \
+            [METRICS_HEADER] + [_reference_line(m) for m in rows]
+
+    def test_table_heads_repeat_after_the_cache_is_cleared(self, tmp_path):
+        # more distinct size..lag_us heads than the cache keeps, then the
+        # earliest heads again, each with its own seq and clock
+        heads = [(n, 2 * n, n + 0.5, 0.5 - n)
+                 for n in range(1, _HEAD_CACHE + 40)]
+        heads += heads[:50] + heads[::-7]
+        rows = [PackageMetrics(seq, *head, 1.0, 2.0, 3.0, 0, 0, seq * 1.1)
+                for seq, head in enumerate(heads)]
+        self._assert_table_writes_reference(rows, tmp_path / "m.csv")
+
+    def test_table_formats_equal_values_of_other_bits_apart(self, tmp_path):
+        nan = float("nan")
+        payload_nan = struct.unpack("=d", struct.pack("=Q",
+                                                      0x7FF8000000000001))[0]
+        rows = [PackageMetrics(seq, 3, 4, proc, lag, 1.0, rr, 2.0, 0, 0,
+                               float(seq))
+                for seq, (proc, lag, rr) in enumerate([
+                    (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0),
+                    (0.0, 0.0, -0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+                    (nan, nan, nan), (-nan, -nan, -nan),
+                    (payload_nan, nan, payload_nan), (nan, payload_nan, nan),
+                    (-0.0, -0.0, -0.0)])]
+        self._assert_table_writes_reference(rows, tmp_path / "m.csv")
+
+    def test_table_is_written_without_building_rows(self, tmp_path,
+                                                    monkeypatch):
+        def no_rows(fields):
+            raise AssertionError("a PackageMetrics row was built")
+
+        monkeypatch.setattr(pipeline, "_unpacked", no_rows)
+        with pytest.raises(AssertionError):
+            MetricsTable(_rows_with_proc(1.0))[0]
+        self._assert_table_writes_reference(
+            _rows_with_proc(1.0, 2.5, -0.0, 2.5), tmp_path / "m.csv")
 
     def test_table_reads_as_the_list_it_was_filled_from(self):
         rows = _rows_with_proc(1.0, 2.5, -0.0)
