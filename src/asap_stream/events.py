@@ -154,10 +154,12 @@ class StreamSource:
     """Pull interface yielding timestamp-ordered event chunks.
 
     Sources are single-consumer: :meth:`chunks` is an exhaustible
-    iterator and must not be pulled concurrently.
+    iterator and must not be pulled concurrently. An ``ordered`` source
+    has checked its chunks' order, so the pipeline does not scan it again.
     """
 
     geometry: SensorGeometry = DAVIS346
+    ordered = False
 
     def chunks(self) -> Iterator[np.ndarray]:
         raise NotImplementedError
@@ -171,7 +173,11 @@ class StreamSource:
 
 
 class ArraySource(StreamSource):
-    """Stream over an in-memory event array, validated against ``geometry``."""
+    """Stream over an in-memory event array, checked once, at
+    construction, against ``geometry``. The array must not change
+    afterwards: its chunks are views whose order is not checked again."""
+
+    ordered = True
 
     def __init__(self, events: np.ndarray, geometry: SensorGeometry = DAVIS346,
                  chunk_size: int = 65536):

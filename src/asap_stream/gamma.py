@@ -8,6 +8,7 @@ bound ``a`` whenever the raw rate exceeds it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,29 +65,37 @@ class SlidingRateEstimator:
         self._batches: deque[np.ndarray] = deque()
         self._count = 0
 
-    def update(self, timestamps: np.ndarray) -> float:
-        """Fold a batch of ordered timestamps in; returns the new estimate.
+    def update(self, timestamps: np.ndarray, *, checked: bool = False) -> float:
+        """Fold a batch of ordered timestamps in, an int64 array or field
+        view uncopied; returns the new estimate.
 
-        Raises :class:`OrderingError`, with the estimator unchanged, when
-        the batch decreases or starts before the newest timestamp seen.
+        A dtype that does not cast safely to int64 (float, uint64, object)
+        raises :class:`ValueError` naming it. Raises :class:`OrderingError`,
+        with the estimator unchanged, when the batch decreases (not scanned
+        with ``checked=True``) or starts before the newest timestamp seen.
         """
-        t = np.ascontiguousarray(timestamps, dtype=np.int64)
+        t = np.asarray(timestamps)
+        if t.dtype.type is not np.int64:
+            if not np.can_cast(t.dtype, np.int64):
+                raise ValueError(f"timestamps must cast safely to int64, "
+                                 f"got dtype {t.dtype}")
+            t = t.astype(np.int64)
         if t.size:
-            if np.count_nonzero(t[1:] < t[:-1]):
+            if not checked and np.count_nonzero(t[1:] < t[:-1]):
                 raise OrderingError("batch timestamps must be non-decreasing")
             self.fold(t)
         return self.rate_evps
 
     def fold(self, t: np.ndarray) -> None:
-        """Fold in a non-empty, contiguous int64 batch whose own order the
-        caller has checked, such as a subsequence of a batch that passed
-        :meth:`update`.
+        """Fold in a non-empty int64 batch, kept as given (a strided
+        field view too), whose own order the caller has checked, such as
+        a subsequence of a batch that passed :meth:`update`.
 
         Only the batch's start is checked, in O(1): it raises
         :class:`OrderingError`, with the estimator unchanged, when the
         batch starts before the newest timestamp seen. The newest batch
         never leaves the window, so its last timestamp is that newest
-        one; window bookkeeping reads Python ints, not numpy scalars.
+        one; the window's bounds are read as Python ints.
         """
         first = t.item(0)
         batches = self._batches
@@ -102,9 +111,12 @@ class SlidingRateEstimator:
         # the newest batch ends inside the window, so this stops
         while batches[0].item(-1) < cut:
             self._count -= batches.popleft().size
-        outside = int(batches[0].searchsorted(cut, side="left"))
-        if outside:
-            batches[0] = batches[0][outside:]
+        oldest = batches[0]
+        if oldest.item(0) < cut:
+            # O(log n) item reads; searchsorted would first copy a strided
+            # view whole, and a key=item bisection is twice as slow
+            outside = bisect_left(oldest, cut)
+            batches[0] = oldest[outside:]
             self._count -= outside
 
     @property
@@ -158,31 +170,32 @@ class GammaFilter:
         self.rate_raw_evps = 0.0
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._raw = SlidingRateEstimator(config.rate_window_us)
-        #: Timestamps of the last batch's kept events, as one contiguous,
-        #: order-checked int64 array (None before the first batch): the
-        #: packager's rate window folds them without copying or checking
-        #: them again.
+        #: Timestamps of the last batch's kept events (None before the
+        #: first batch): the ``t`` field view of the kept array, or of the
+        #: batch itself when nothing was discarded, whose order the raw
+        #: window has checked. The packager's rate window folds it as is.
         self.kept_t: np.ndarray | None = None
 
-    def process(self, events: np.ndarray) -> tuple[np.ndarray, int]:
+    def process(self, events: np.ndarray, *,
+                checked: bool = False) -> tuple[np.ndarray, int]:
         """Filter one batch; returns (kept events, dropped count).
 
+        ``checked=True`` vouches for the batch's order, as an ``ArraySource``
+        does, so the raw window checks only where the batch starts.
         An empty batch changes nothing: no event arrived, so gamma, the
         raw rate and the generator stay as they are.
         """
-        # the one copy and order check of the batch's timestamps
-        t = np.ascontiguousarray(events["t"], dtype=np.int64)
+        t = events["t"]
         if t.size == 0:
             self.kept_t = t
             return events, 0
         cfg = self.config
         # the batch's newest event is in the window: the rate is positive
-        rate = self.rate_raw_evps = self._raw.update(t)
+        rate = self.rate_raw_evps = self._raw.update(t, checked=checked)
         target = min(1.0, max(cfg.gamma_min, cfg.a_evps / rate))
         g = self.gamma + cfg.beta * (target - self.gamma)
         self.gamma = min(1.0, max(cfg.gamma_min, g))
         kept = apply_filter(self, events)
-        # whole batch kept: the same array; otherwise a subsequence of it
-        self.kept_t = t if kept is events else np.ascontiguousarray(
-            kept["t"], dtype=np.int64)
+        # whole batch kept: the same view; otherwise a subsequence's
+        self.kept_t = t if kept is events else kept["t"]
         return kept, len(events) - len(kept)

@@ -271,11 +271,11 @@ class Packager:
         decreases or starts before the newest appended event, which is
         never older than the newest buffered one.
 
-        ``t``, when given, must be the events' timestamps as one
-        contiguous int64 array whose order was already checked, such as
+        ``t``, when given, must be the events' timestamps as an int64
+        array or field view whose order was already checked, such as
         :attr:`GammaFilter.kept_t <asap_stream.gamma.GammaFilter.kept_t>`.
-        The rate window then folds that array itself and checks only
-        that it starts no earlier than the newest appended event.
+        The rate window then folds it uncopied and checks only that it
+        starts no earlier than the newest appended event.
         """
         n = len(events)
         if n == 0:

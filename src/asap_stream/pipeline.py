@@ -226,8 +226,9 @@ class _Stages:
     the drops since the previous package.
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, ordered: bool = False):
         self.gfilter = GammaFilter(config.gamma, seed=config.seed)
+        self.ordered = ordered   # the source vouches for its batches' order
         self.packager = Packager(config.packager)
         self.capacity = config.input_buffer_capacity
         self.source_events = 0
@@ -240,9 +241,9 @@ class _Stages:
 
     def feed(self, batch: np.ndarray) -> None:
         self.source_events += len(batch)
-        kept, dropped = self.gfilter.process(batch)
-        # the kept events' timestamps, copied and order-checked once by
-        # the filter's raw window, feed the packager's window as well
+        kept, dropped = self.gfilter.process(batch, checked=self.ordered)
+        # the kept events' timestamp view, order-checked once by the
+        # filter's raw window, feeds the packager's window as well
         kept_t = self.gfilter.kept_t
         self.dropped_by_filter += dropped
         self._pending_filter += dropped
@@ -320,7 +321,7 @@ def run(config: PipelineConfig, source: StreamSource,
 def _run_virtual(config: PipelineConfig, source: StreamSource,
                  consumer: Consumer) -> RunResult:
     clock = VirtualClock()
-    stages = _Stages(config)
+    stages = _Stages(config, source.ordered)
     metrics = MetricsTable()
     # looked up once per run, not once per package
     cut, record = stages.cut, metrics._packed.frombytes
@@ -355,7 +356,7 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
     An exception in the consumer stops the feed and is re-raised here.
     """
     clock = WallClock()
-    stages = _Stages(config)
+    stages = _Stages(config, source.ordered)
     timeout_us = config.packager.timeout_us
     package_q: queue.Queue = queue.Queue(maxsize=4)
     feedback_q: queue.Queue = queue.Queue(maxsize=4)

@@ -104,6 +104,18 @@ class TestCliRun:
         assert out.exists() and events_out.exists()
         assert events_out.read_text().startswith("t_us,x,y,p")
 
+    def test_events_out_writes_the_same_metrics(self, tmp_path):
+        # without --events-out the pipeline checks the Poisson chunks'
+        # order itself; with it, it runs the ArraySource that vouches
+        base = ["run", "--scenario", "constant", "--set", "gamma.a=3e5",
+                "--set", "source.duration_s=0.3",
+                "--set", "source.chunk_events=4096"]
+        checked, vouched = tmp_path / "checked.csv", tmp_path / "vouched.csv"
+        assert main(base + ["--out", str(checked)]) == 0
+        assert main(base + ["--out", str(vouched),
+                            "--events-out", str(tmp_path / "ev.csv")]) == 0
+        assert checked.read_bytes() == vouched.read_bytes()
+
     def test_file_replay_round_trip(self, tmp_path, capsys):
         # generate events once, then replay them from disk
         events_out = tmp_path / "ev.csv"

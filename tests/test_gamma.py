@@ -1,5 +1,6 @@
 """Rate estimator and keep-probability filter tests."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,6 +57,40 @@ class TestRateEstimator:
         est.update(np.array([100], dtype=np.int64))
         with pytest.raises(OrderingError):
             est.update(np.array([50], dtype=np.int64))
+
+    def test_checked_batch_still_checked_where_it_starts(self):
+        est = SlidingRateEstimator(window_us=100)
+        est.update(np.array([100], dtype=np.int64), checked=True)
+        with pytest.raises(OrderingError, match="before the newest"):
+            est.update(np.array([50, 150], dtype=np.int64), checked=True)
+        assert est.rate_evps == pytest.approx(1 / 100e-6)
+
+    @pytest.mark.parametrize("timestamps", [
+        np.array([0.4, 0.9, 999.9, 1000.7]),
+        np.array([1e19]),
+        np.array([0, 2**63], dtype=np.uint64),
+        np.array([0, 10], dtype=object),
+    ], ids=["float", "float-beyond-int64", "uint64", "object"])
+    def test_dtype_that_does_not_cast_safely_rejected(self, timestamps):
+        # a cast would truncate the fractions or wrap to int64 min
+        est = SlidingRateEstimator(window_us=100)
+        with pytest.raises(ValueError, match=f"dtype {timestamps.dtype}"):
+            est.update(timestamps)
+        assert est.rate_evps == 0.0
+
+    @pytest.mark.parametrize("timestamps", [
+        [0, 10, 20], np.array([0, 10, 20], dtype=np.int32),
+        np.array([0, 10, 20], dtype=np.uint32),
+    ], ids=["list", "int32", "uint32"])
+    def test_integers_that_fit_int64_accepted(self, timestamps):
+        est = SlidingRateEstimator(window_us=100)
+        assert est.update(timestamps) == pytest.approx(3 / 100e-6)
+
+    def test_field_view_folded_uncopied(self):
+        est = SlidingRateEstimator(window_us=100)
+        t = _events_at([0, 10, 20])["t"]
+        est.update(t)
+        assert est._batches[-1] is t
 
 
 def _brute_force_rate(seen, window_us):
@@ -314,19 +349,37 @@ class TestGammaFilter:
         assert len(gfilter.kept_t) == 0
 
     @pytest.mark.parametrize("a_evps", [1e5, 1e12])
-    def test_kept_timestamps_are_one_checked_copy(self, a_evps):
-        # the kept events' timestamps, contiguous; at gamma = 1 the very
-        # array the raw window folded
+    def test_kept_timestamps_are_a_view_of_the_kept_rows(self, a_evps):
+        # the kept events' own t field, not a copy; at gamma = 1 the very
+        # view of the batch that the raw window folded
         gfilter = GammaFilter(GammaConfig(a_evps=a_evps), seed=0)
         ev = ConstantRateSource(1e7, 0.01, seed=3).events()
         for lo in range(0, len(ev), 20_000):
             batch = ev[lo:lo + 20_000]
             kept, _ = gfilter.process(batch)
             kt = gfilter.kept_t
-            assert kt.dtype == np.int64 and kt.flags.c_contiguous
             assert np.array_equal(kt, kept["t"])
+            assert np.shares_memory(kt, kept)
             assert (kt is gfilter._raw._batches[-1]) == (kept is batch)
         assert (gfilter.gamma < 1.0) == (a_evps < 1e12)
+
+    @pytest.mark.parametrize("checked, bytes_per_event", [(False, 8), (True, 1)])
+    def test_process_at_gamma_one_copies_no_timestamps(self, checked,
+                                                       bytes_per_event):
+        # the unchecked batch costs only its order scan's mask, one byte
+        # an event; a vouched batch not even that
+        n = 65536
+        batch = _events_at(np.arange(n))
+        gfilter = GammaFilter(GammaConfig(a_evps=1e12), seed=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept, _ = gfilter.process(batch, checked=checked)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kept is batch
+        assert peak < bytes_per_event * n
 
     def test_disordered_batch_leaves_the_filter_unchanged(self):
         gfilter = GammaFilter(GammaConfig(a_evps=1e5), seed=0)

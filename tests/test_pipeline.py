@@ -674,6 +674,58 @@ class TestOrderingContract:
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
+class TestVouchedOrder:
+    """An ``ArraySource``, whose order the pipeline does not scan again,
+    runs as the same chunks from a source it checks."""
+
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=20),
+                         min_size=1, max_size=1500),
+           chunk=st.integers(min_value=1, max_value=2000),
+           a_evps=st.sampled_from([2e4, 1e5, 1e12]),
+           capacity=st.integers(min_value=1, max_value=1000),
+           target=st.integers(min_value=1, max_value=100))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_same_metrics_as_a_checked_source(self, tmp_path, gaps, chunk,
+                                              a_evps, capacity, target):
+        ev = _numbered(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        # a small buffer: drop-oldest admission slices the kept_t views
+        cfg = _config(gamma=GammaConfig(a_evps=a_evps),
+                      packager=PackagerConfig(initial_size=target,
+                                              timeout_us=2_000),
+                      input_buffer_capacity=capacity)
+        vouched = ArraySource(ev, chunk_size=chunk)
+        checked = _Chunks([ev[i:i + chunk] for i in range(0, len(ev), chunk)])
+        assert vouched.ordered and not checked.ordered
+        outcomes = []
+        for name, source in (("vouched", vouched), ("checked", checked)):
+            result = run(cfg, source)
+            path = tmp_path / f"{name}.csv"
+            write_metrics_csv(path, result.metrics)
+            totals = dataclasses.asdict(result)
+            del totals["metrics"]
+            outcomes.append((path.read_bytes(), totals))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("mode", ["virtual", "realtime"])
+    def test_only_an_ordered_source_skips_the_scan(self, monkeypatch, mode):
+        seen = []
+        process = GammaFilter.process
+
+        def spy(self, events, **kwargs):
+            seen.append(kwargs)
+            return process(self, events, **kwargs)
+
+        monkeypatch.setattr(GammaFilter, "process", spy)
+        ev = _numbered(np.arange(0, 3000, 3))
+        for source, checked in ((ArraySource(ev, chunk_size=300), True),
+                                (_Chunks([ev[:500], ev[500:]]), False)):
+            seen.clear()
+            run(_config(mode=mode), source)
+            assert seen and all(kw == {"checked": checked} for kw in seen)
+
+
 def _drain_keys(packager):
     keys = []
     while (cut := packager.next_emission()) is not None:

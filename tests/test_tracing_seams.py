@@ -55,7 +55,7 @@ def test_every_traced_entry_point_is_called():
     assert result.dropped_by_filter > 0
     assert {attr for _, attr in seams} == set(calls)
     # one raw-window update per chunk: the packager's window folds the
-    # filter's checked copy
+    # kept events' timestamp view, which the filter's window checked
     counts = tracer.counts
     assert counts["events.chunks"] > 0
     assert counts["gamma.rate_update_calls"] == counts["events.chunks"]
