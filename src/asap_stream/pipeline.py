@@ -6,15 +6,14 @@ packages one at a time. Virtual mode steps them in one thread on a
 logical microsecond clock advanced by event timestamps at the source
 and by processing durations at the consumer; runs are bit-deterministic
 for a given seed (with the synthetic consumer). Realtime mode paces the
-source against the wall clock and runs the consumer in a second thread
-behind a bounded queue; it exists for demonstration.
+source against the wall clock; it exists for demonstration. Both deliver
+packages through the same loop, in the calling thread, and apply every
+consumer report before the next cut.
 """
 
 from __future__ import annotations
 
-import queue
 import struct
-import threading
 import time
 from array import array
 from collections.abc import Iterable, Sequence
@@ -29,7 +28,7 @@ from .consumers import (Clock, Consumer, ClusteringConsumer, SyntheticConsumer,
 from .errors import ConfigurationError
 from .events import SensorGeometry, DAVIS346, StreamSource
 from .gamma import GammaConfig, GammaFilter
-from .packager import Packager, PackagerConfig, ProcessingFeedback, _Cut
+from .packager import Packager, PackagerConfig, _Cut
 
 METRICS_COLUMNS = ("seq", "size", "span_us", "proc_us", "lag_us", "gamma",
                    "rate_raw", "rate_filtered", "drop_filter", "drop_overflow",
@@ -177,7 +176,6 @@ class RunResult:
     dropped_by_overflow: int
     residual_events: int
     final_gamma: float
-    feedback_overwrites: int = 0       # realtime: stale reports discarded
 
     def conservation_holds(self) -> bool:
         return (self.source_events == self.packaged_events
@@ -194,27 +192,6 @@ def build_consumer(config: PipelineConfig, seed_offset: int = 1) -> Consumer:
         return SyntheticConsumer(model, seed=config.seed + seed_offset)
     return ClusteringConsumer(radius_px=c.radius_px, ttl_us=c.ttl_us,
                               geometry=config.geometry)
-
-
-def _put_latest(q: queue.Queue, item) -> int:
-    """Enqueue ``item`` without blocking; when ``q`` is full, discard
-    the oldest queued item to make room. Returns how many were discarded.
-
-    The single reader may drain the queue between the two attempts, in
-    which case nothing is discarded. Only the calling thread writes, so
-    the put after a discard cannot find the queue full again.
-    """
-    discarded = 0
-    while True:
-        try:
-            q.put_nowait(item)
-            return discarded
-        except queue.Full:
-            try:
-                q.get_nowait()
-                discarded += 1
-            except queue.Empty:
-                pass
 
 
 class _Stages:
@@ -281,30 +258,36 @@ class _Stages:
             self.packaged_events += cut.size
         return cut
 
-    def result(self, metrics: MetricsTable,
-               feedback_overwrites: int = 0) -> RunResult:
+    def result(self, metrics: MetricsTable) -> RunResult:
         return RunResult(
             metrics=metrics, source_events=self.source_events,
             packaged_events=self.packaged_events,
             dropped_by_filter=self.dropped_by_filter,
             dropped_by_overflow=self.dropped_by_overflow,
             residual_events=self.packager.buffered,
-            final_gamma=self.gfilter.gamma,
-            feedback_overwrites=feedback_overwrites)
+            final_gamma=self.gfilter.gamma)
 
 
-_pack_row = _ROW.pack
+def _delivery(stages: _Stages, consumer: Consumer, clock: Clock,
+              metrics: MetricsTable):
+    """The delivery loop of one run: returns ``deliver(package)``, which
+    runs the consumer on ``package``, records its metrics row, applies
+    its report and cuts again, until the buffer completes no package."""
+    # looked up once per run, not once per package
+    cut, record = stages.cut, metrics._packed.frombytes
+    control, pack_row = stages.packager.update_target_size, _ROW.pack
 
+    def deliver(package: _Cut | None) -> None:
+        while package is not None:
+            feedback = consumer.process(package, clock)
+            proc_us = feedback.processing_time_us
+            span_us = package.span_us
+            record(pack_row(package.seq, package.size, span_us, proc_us,
+                            proc_us - span_us, *package.stamp))
+            control(feedback)
+            package = cut(clock)
 
-def _deliver(cut: _Cut, consumer: Consumer,
-             clock: Clock) -> tuple[bytes, ProcessingFeedback]:
-    """Run the consumer on one package; returns its metrics row, packed
-    by ``_ROW``, and its report."""
-    feedback = consumer.process(cut, clock)
-    proc_us = feedback.processing_time_us
-    span_us = cut.span_us
-    return _pack_row(cut.seq, cut.size, span_us, proc_us, proc_us - span_us,
-                     *cut.stamp), feedback
+    return deliver
 
 
 def run(config: PipelineConfig, source: StreamSource,
@@ -323,18 +306,8 @@ def _run_virtual(config: PipelineConfig, source: StreamSource,
     clock = VirtualClock()
     stages = _Stages(config, source.ordered)
     metrics = MetricsTable()
-    # looked up once per run, not once per package
-    cut, record = stages.cut, metrics._packed.frombytes
-    control = stages.packager.update_target_size
-
-    def deliver(package: _Cut | None) -> None:
-        """Deliver ``package`` and every one the buffer completes after it."""
-        while package is not None:
-            row, feedback = _deliver(package, consumer, clock)
-            record(row)
-            control(feedback)
-            package = cut(clock)
-
+    deliver = _delivery(stages, consumer, clock, metrics)
+    cut = stages.cut
     for chunk in source.chunks():
         stages.feed(chunk)
         deliver(cut(clock))
@@ -347,43 +320,24 @@ def _run_virtual(config: PipelineConfig, source: StreamSource,
 
 def _run_realtime(config: PipelineConfig, source: StreamSource,
                   consumer: Consumer) -> RunResult:
-    """Threaded realtime execution around the same stages.
+    """Realtime execution of the same stages and delivery loop.
 
-    The calling thread paces the source against the wall clock, feeding
-    each event once it is due, steps the stages and forwards packages
-    through a bounded queue; the consumer thread processes them and
-    returns feedback on a bounded channel that keeps the newest reports.
-    An exception in the consumer stops the feed and is re-raised here.
+    The source is paced against the wall clock, each event fed once it
+    is due. The consumer runs in the calling thread, so each report is
+    applied before the next cut, as in virtual mode; events that fall
+    due while it runs are fed when it returns. An exception in the
+    consumer propagates.
     """
     clock = WallClock()
     stages = _Stages(config, source.ordered)
     timeout_us = config.packager.timeout_us
-    package_q: queue.Queue = queue.Queue(maxsize=4)
-    feedback_q: queue.Queue = queue.Queue(maxsize=4)
     metrics = MetricsTable()
-    overwrites = 0
-    errors: list[BaseException] = []
+    deliver = _delivery(stages, consumer, clock, metrics)
 
-    def consume() -> None:
-        nonlocal overwrites
-        while (cut := package_q.get()) is not None:
-            if errors:
-                continue  # drain to the sentinel: the producer never blocks
-            try:
-                row, feedback = _deliver(cut, consumer, clock)
-            except BaseException as exc:  # surfaced to the caller thread
-                errors.append(exc)
-                continue
-            # one consumer thread: rows arrive in seq order
-            metrics._packed.frombytes(row)
-            # the newest report describes the cost model best
-            overwrites += _put_latest(feedback_q, feedback)
-
-    def wait(next_us: int | None) -> int:
+    def wait(next_us: int | None) -> None:
         """Sleep until the event at ``next_us`` is due or the oldest
-        buffered event times out, whichever is first; then apply the
-        reports that came back and flush a timed-out buffer. Returns the
-        wall time in whole microseconds."""
+        buffered event times out, whichever is first; then flush a
+        timed-out buffer."""
         oldest = stages.packager.oldest_arrival_us
         if oldest is not None:
             deadline = oldest + timeout_us
@@ -391,40 +345,22 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
         delay_us = next_us - clock.now_us
         if delay_us > 0:
             time.sleep(delay_us / 1e6)
-        now_us = int(clock.now_us)
-        # the consumer discards only from a full queue, so a report seen
-        # here is still there to take
-        while not feedback_q.empty():
-            stages.packager.update_target_size(feedback_q.get_nowait())
-        if (cut := stages.cut(clock, now_us)) is not None:
-            package_q.put(cut)
-        return now_us
+        deliver(stages.cut(clock, int(clock.now_us)))
 
-    worker = threading.Thread(target=consume, name="asap-consumer", daemon=True)
-    worker.start()
-    try:
-        for chunk in source.chunks():
-            t = np.ascontiguousarray(chunk["t"])
-            fed = 0
-            while fed < len(chunk) and not errors:
-                now_us = wait(int(t[fed]))
-                due = int(t.searchsorted(now_us, side="right"))
-                if due > fed:
-                    stages.feed(chunk[fed:due])
-                    fed = due
-                    while (cut := stages.cut(clock)) is not None:
-                        package_q.put(cut)
-            if errors:
-                break
-        # final timeout drain on the wall clock
-        while stages.packager.buffered and not errors:
-            wait(None)
-    finally:
-        package_q.put(None)
-        worker.join()
-    if errors:
-        raise errors[0]
-    return stages.result(metrics, overwrites)
+    for chunk in source.chunks():
+        t = np.ascontiguousarray(chunk["t"])
+        fed = 0
+        while fed < len(chunk):
+            wait(int(t[fed]))
+            due = int(t.searchsorted(int(clock.now_us), side="right"))
+            if due > fed:
+                stages.feed(chunk[fed:due])
+                fed = due
+                deliver(stages.cut(clock))
+    # final timeout drain on the wall clock
+    while stages.packager.buffered:
+        wait(None)
+    return stages.result(metrics)
 
 
 #: The ``_ROW`` layout read as the parts the CSV writer formats: int64

@@ -11,6 +11,7 @@ from asap_stream.cli import main
 from asap_stream.config import (DEFAULTS, SCENARIOS, build_pipeline_config,
                                 merge, parse_config_file, parse_overrides)
 from asap_stream.errors import ConfigurationError
+from asap_stream.pipeline import METRICS_HEADER
 
 
 class TestConfigLayers:
@@ -115,6 +116,15 @@ class TestCliRun:
         assert main(base + ["--out", str(vouched),
                             "--events-out", str(tmp_path / "ev.csv")]) == 0
         assert checked.read_bytes() == vouched.read_bytes()
+
+    def test_realtime_run_writes_metrics(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["run", "--scenario", "constant", "--mode", "realtime",
+                     "--set", "source.duration_s=0.3",
+                     "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == METRICS_HEADER and len(header.split(",")) == 11
+        assert rows and all(len(row.split(",")) == 11 for row in rows)
 
     def test_file_replay_round_trip(self, tmp_path, capsys):
         # generate events once, then replay them from disk

@@ -286,8 +286,9 @@ class TestAppendOrder:
 
 class TestViewSafety:
     def test_emitted_packages_survive_later_buffer_operations(self):
-        # the realtime runner queues packages while appends go on, so a
-        # package must keep its events whatever the buffer does next
+        # a consumer may keep a package it was handed while appends go
+        # on, so a package must keep its events whatever the buffer does
+        # next
         p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
         held = []
 

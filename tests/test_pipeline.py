@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import queue
 import struct
 import threading
 import tracemalloc
@@ -20,8 +19,7 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
                          make_events, run, write_metrics_csv)
 from asap_stream import pipeline
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
-                                  _HEAD_CACHE, _REASON_CODE, _put_latest,
-                                  _Stages)
+                                  _HEAD_CACHE, _REASON_CODE, _Stages)
 
 
 def _config(**kwargs):
@@ -492,43 +490,6 @@ class TestStagesCut:
         assert stages.cut(clock, 10**9) is None
 
 
-class TestPutLatest:
-    def test_room_left_enqueues(self):
-        q = queue.Queue(maxsize=2)
-        assert _put_latest(q, 1) == 0
-        assert list(q.queue) == [1]
-
-    def test_full_queue_discards_oldest(self):
-        q = queue.Queue(maxsize=2)
-        q.put(1)
-        q.put(2)
-        assert _put_latest(q, 3) == 1
-        assert list(q.queue) == [2, 3]
-
-    def test_reader_draining_between_attempts_discards_nothing(self):
-        class DrainedWhileFull(queue.Queue):
-            """Full on the first put; the reader empties it before the
-            writer's discard gets there."""
-
-            def __init__(self):
-                super().__init__(maxsize=1)
-                self.fulls = 1
-
-            def put_nowait(self, item):
-                if self.fulls:
-                    self.fulls -= 1
-                    raise queue.Full
-                super().put_nowait(item)
-
-        q = DrainedWhileFull()
-        assert _put_latest(q, 7) == 0
-        assert list(q.queue) == [7]
-
-    def test_virtual_run_reports_no_overwrites(self):
-        result = run(_config(), ConstantRateSource(1e5, 0.05, seed=0))
-        assert result.feedback_overwrites == 0
-
-
 class TestRealtimeRun:
     def test_responsivity_bound(self):
         # every size cut must also respect the timeout deadline: no
@@ -542,7 +503,7 @@ class TestRealtimeRun:
         assert result.conservation_holds()
 
     def test_smoke_conservation_and_metrics(self):
-        # short wall-clock run; verifies threading, pacing, and totals
+        # short wall-clock run; verifies pacing, order and totals
         cfg = _config(mode="realtime",
                       packager=PackagerConfig(initial_size=200,
                                               timeout_us=20_000),
@@ -572,7 +533,7 @@ class TestRealtimeRun:
 
     def test_consumer_exception_propagates(self):
         # a consumer that raises must end the run with its exception,
-        # not leave the producer blocked on a queue nobody drains
+        # not leave the run pacing a stream nobody consumes
         class Boom(Exception):
             pass
 
@@ -596,6 +557,43 @@ class TestRealtimeRun:
         runner.join(timeout=10)
         assert not runner.is_alive()
         assert len(outcome) == 1 and isinstance(outcome[0], Boom)
+
+    @pytest.mark.parametrize("kind", ["synthetic", "clustering"])
+    def test_every_report_is_applied_in_order(self, monkeypatch, kind):
+        # each package's report reaches the controller before the next
+        # cut, as in virtual mode: none is dropped, none applied late
+        applied = []
+        update = Packager.update_target_size
+
+        def spy(self, feedback):
+            applied.append(feedback.package_seq)
+            return update(self, feedback)
+
+        monkeypatch.setattr(Packager, "update_target_size", spy)
+        cfg = _config(mode="realtime", consumer=ConsumerConfig(kind=kind))
+        result = run(cfg, ConstantRateSource(1e5, 0.2, seed=3))
+        assert len(result.metrics) > 10
+        assert applied == [m.seq for m in result.metrics] == \
+            list(range(len(result.metrics)))
+
+    def test_consumer_runs_in_the_calling_thread(self, monkeypatch):
+        def refuse_start(thread):
+            raise AssertionError("the realtime run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse_start)
+        callers = []
+
+        class Caller(_Recorder):
+            def process(self, package, clock):
+                callers.append(threading.current_thread())
+                return super().process(package, clock)
+
+        before = threading.active_count()
+        result = run(_config(mode="realtime"), ConstantRateSource(1e4, 0.1),
+                     Caller())
+        assert threading.active_count() == before
+        assert len(callers) == len(result.metrics) > 0
+        assert set(callers) == {threading.current_thread()}
 
 
 class _Chunks(StreamSource):
