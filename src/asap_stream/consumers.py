@@ -67,7 +67,12 @@ class WallClock:
 
 
 class Consumer(Protocol):
-    """Processes packages strictly event by event, reporting elapsed time."""
+    """Processes packages strictly event by event, reporting elapsed time.
+
+    ``package.events`` may be a view of the array the source yielded,
+    which for an :class:`~asap_stream.events.ArraySource` is the caller's
+    own array: a consumer reads it and must not write into it.
+    """
 
     def process(self, package: EventPackage, clock: Clock) -> ProcessingFeedback: ...
 

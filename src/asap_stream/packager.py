@@ -16,12 +16,15 @@ multiplicative fallback ``target *= (span / proc) ** kappa`` is used.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .events import EventPackage, empty_events
+from .events import EventPackage
 from .gamma import SlidingRateEstimator
 
 _US = 1_000_000.0
@@ -178,19 +181,26 @@ class _Cut(EventPackage):
 class Packager:
     """Accumulates events and emits adaptively sized packages.
 
-    The buffer is one array ``_store`` whose live events are
-    ``_store[_head:_end]``. A cut moves the head cursor and hands out a
-    view, so cutting costs nothing per buffered event. An append writes
-    behind ``_end`` while the array has room and otherwise copies the
-    live events and the batch into a new array with room for as many
-    more live events. The store is never written below ``_end``: emitted
-    packages stay valid while later events arrive.
+    The buffer is a deque of the batches :meth:`append` received, each
+    kept as given with its ``t`` view, plus a head offset into the
+    oldest batch and a count of the buffered events. A package that lies
+    inside the oldest batch is handed out as a view of it, so such a cut
+    costs nothing per event; only a package that spans batches is
+    assembled, once, into a new array. No batch is ever written: the
+    caller's arrays stay as they were and emitted packages stay valid
+    while later events arrive.
     """
 
     def __init__(self, config: PackagerConfig):
         config.validate()
         self.config = config
-        self._set_store(empty_events(), 0)
+        # (events, their ``t`` view) per appended batch, oldest first; the
+        # oldest batch, its ``t.item`` and its length are also cached
+        self._batches: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        self._head = 0           # first buffered event in the oldest batch
+        self._buffered = 0
+        self._newest = 0         # newest appended timestamp
+        self._front()
         self._next_seq = 0
         self._target = float(
             min(config.n_max, max(config.n_min, config.initial_size)))
@@ -208,31 +218,57 @@ class Packager:
         self.rate_evps = 0.0
         self._rate_smooth_evps: float | None = None
 
-    def _set_store(self, store: np.ndarray, end: int) -> None:
-        self._store = store
-        self._t = store["t"]
-        self._t_at = self._t.item    # one timestamp as a Python int
-        # the store's rows as raw bytes: numpy copies structured rows
-        # field by field, 30-60x slower than raw rows
-        self._raw = store.view(np.dtype((np.void, store.dtype.itemsize)))
-        self._head = 0
-        self._end = end
-
-    def _copy_rows(self, at: int, src: np.ndarray) -> None:
-        """Write ``src`` into the store from row ``at``: as raw rows when
-        the dtypes match, field by field otherwise."""
-        if src.dtype == self._store.dtype:
-            self._raw[at:at + len(src)] = src.view(self._raw.dtype)
+    def _front(self) -> None:
+        """Cache the oldest batch, its ``t.item`` (one timestamp as a
+        Python int) and its length, after the oldest batch changed."""
+        if self._batches:
+            events, t = self._batches[0]
+            self._oldest, self._t_at, self._len = events, t.item, len(events)
         else:
-            self._store[at:at + len(src)] = src
+            self._oldest, self._t_at, self._len = None, None, 0
+
+    def _t_item(self, i: int) -> int:
+        """The timestamp of the ``i``-th buffered event (0 is the oldest)."""
+        i += self._head
+        if i < self._len:
+            return self._t_at(i)
+        i -= self._len
+        for _, t in islice(self._batches, 1, None):
+            if i < len(t):
+                return t.item(i)
+            i -= len(t)
+        raise IndexError("fewer events buffered")
+
+    def _take(self, count: int) -> list[np.ndarray]:
+        """Remove the ``count`` oldest buffered events (at most
+        :attr:`buffered`); returns them as the batches, or views of the
+        batches, that hold them, oldest first."""
+        self._buffered -= count
+        batches, head, events = self._batches, self._head, self._oldest
+        pieces = []
+        while head + count >= len(events):
+            # the rest of this batch: a whole one is taken unsliced
+            pieces.append(events[head:] if head else events)
+            count -= len(events) - head
+            batches.popleft()
+            head = 0
+            if not count:
+                break
+            events = batches[0][0]
+        else:
+            pieces.append(events[head:head + count])
+            head += count
+        self._head = head
+        self._front()
+        return pieces
 
     @property
     def buffered(self) -> int:
-        return self._end - self._head
+        return self._buffered
 
     @property
     def oldest_arrival_us(self) -> int | None:
-        if self._end == self._head:
+        if not self._buffered:
             return None
         return self._t_at(self._head)
 
@@ -240,31 +276,41 @@ class Packager:
              trigger_us: int) -> _Cut:
         """Emit the ``count`` oldest buffered events (timestamps ``first``
         to ``last``) as one package."""
-        head = self._head
-        self._head = head + count
+        pieces = self._take(count)
+        if len(pieces) == 1:
+            events = pieces[0]
+        else:
+            # joined as raw bytes, in the first piece's dtype: numpy
+            # copies structured rows field by field, and a slice
+            # assignment per piece costs more than the copy on small ones
+            dtype = pieces[0].dtype
+            events = np.frombuffer(bytearray().join([
+                (p if p.dtype == dtype else p.astype(dtype)).tobytes()
+                for p in pieces]), dtype)
         seq = self._next_seq
         self._next_seq = seq + 1
-        return _Cut(self._store[head:head + count], seq, count, last - first,
-                    reason, trigger_us)
+        return _Cut(events, seq, count, last - first, reason, trigger_us)
 
     def check_timeout(self, now_us: int) -> _Cut | None:
         """Flush a buffer whose oldest event has waited at least the timeout."""
         first = self.oldest_arrival_us
         if first is None or now_us - first < self.config.timeout_us:
             return None
-        return self._cut(self.buffered, first, self._t_at(self._end - 1),
-                         "timeout", int(now_us))
+        return self._cut(self._buffered, first, self._newest, "timeout",
+                         int(now_us))
 
     def drop_oldest(self, count: int) -> int:
         """Drop up to ``count`` events from the buffer front; returns the
         number dropped."""
-        n = min(count, self.buffered)
+        n = min(count, self._buffered)
         if n > 0:
-            self._head += n
+            self._take(n)
         return n
 
     def append(self, events: np.ndarray, *, t: np.ndarray | None = None) -> None:
         """Buffer events without cutting packages (see :meth:`next_emission`).
+
+        The batch is kept as given, not copied, and never written.
 
         The rate estimator is the one order check: it raises
         :class:`OrderingError` before any state changes when the batch
@@ -281,7 +327,8 @@ class Packager:
         if n == 0:
             return
         if t is None:
-            self._rate_estimator.update(events["t"])
+            t = events["t"]
+            self._rate_estimator.update(t)
         else:
             self._rate_estimator.fold(t)
         self.rate_evps = rate = self._rate_estimator.rate_evps
@@ -290,19 +337,11 @@ class Packager:
         else:
             self._rate_smooth_evps += self.config.model_smoothing * (
                 rate - self._rate_smooth_evps)
-        live = self.buffered
-        if live == 0:
-            # adopt the batch: its array ends at its last event, so the
-            # next append copies rather than writes into the caller's array
-            self._set_store(events, n)
-        elif self._end + n <= len(self._store):
-            self._copy_rows(self._end, events)
-            self._end += n
-        else:
-            old = self._store[self._head:self._end]
-            self._set_store(np.empty(2 * live + n, dtype=old.dtype), live + n)
-            self._copy_rows(0, old)
-            self._copy_rows(live, events)
+        self._batches.append((events, t))
+        self._newest = t.item(-1)
+        if not self._buffered:
+            self._front()   # the head is 0: emptying popped every batch
+        self._buffered += n
 
     def next_emission(self) -> _Cut | None:
         """Cut at most one package from the buffer.
@@ -315,25 +354,49 @@ class Packager:
 
         Timestamps are ordered, so the size rule reads one timestamp
         (the ``target``-th) and the timeout rule one more (the newest);
-        only a timeout cut searches for its length.
+        only a timeout cut searches for its length, batch by batch.
         """
-        head, end = self._head, self._end
-        if head == end:
+        buffered = self._buffered
+        if not buffered:
             return None
-        t_at = self._t_at
+        head, t_at = self._head, self._t_at
         first = t_at(head)
         deadline = first + self.config.timeout_us
         target = self.target_size
-        if end - head >= target:
-            last = t_at(head + target - 1)
-            if last < deadline:
-                return self._cut(target, first, last, "size", last)
-        if t_at(end - 1) >= deadline:
-            # fewer than ``target`` events precede the deadline
-            stop = min(end, head + target)
-            count = int(np.searchsorted(self._t[head:stop], deadline,
-                                        side="left"))
-            return self._cut(count, first, t_at(head + count - 1), "timeout",
+        if buffered >= target:
+            stop = head + target
+            if stop < self._len:
+                last = t_at(stop - 1)
+                if last < deadline:
+                    # inside the oldest batch, which it does not finish:
+                    # a view, cut here rather than through ``_cut``
+                    self._head = stop
+                    self._buffered = buffered - target
+                    seq = self._next_seq
+                    self._next_seq = seq + 1
+                    return _Cut(self._oldest[head:stop], seq, target,
+                                last - first, "size", last)
+            else:
+                last = self._t_item(target - 1)
+                if last < deadline:
+                    return self._cut(target, first, last, "size", last)
+        if self._newest >= deadline:
+            # fewer than ``target`` events precede the deadline: count
+            # them among the oldest ``target``, bisecting the batch in
+            # which the deadline falls (searchsorted would first copy a
+            # strided view whole)
+            limit = min(buffered, target)
+            count = 0
+            for _, t in self._batches:
+                stop = min(len(t), head + limit - count)
+                if t.item(stop - 1) >= deadline:
+                    count += bisect_left(t, deadline, head, stop) - head
+                    break
+                count += stop - head
+                if count == limit:
+                    break
+                head = 0
+            return self._cut(count, first, self._t_item(count - 1), "timeout",
                              deadline)
         return None
 

@@ -2,13 +2,15 @@
 
 Each digest is the sha256 of the file ``asap run --scenario <scenario>
 --seed 0`` writes, with the run's extra ``--set`` overrides. The bundled
-scenarios pin the run's behaviour byte for byte; two overridden runs pin
-per-package branches they leave idle: a jittered consumer (one draw per
-package, so every ``proc_us`` differs) and a buffer small enough that
-the drop-oldest guard fires (non-zero ``drop_overflow``). A change that
-is meant to alter no behaviour (a refactor, a faster hot path) must keep
-every digest. A change that alters behaviour on purpose updates the
-digest here and says why in CHANGES.md.
+scenarios pin the run's behaviour byte for byte; the overridden runs pin
+what they leave idle: a jittered consumer (one draw per package, so
+every ``proc_us`` differs), a buffer small enough that the drop-oldest
+guard fires (non-zero ``drop_overflow``), and 1024-event chunks,
+unfiltered and filtered, in which most packages span several of the
+packager's appended batches. A change that is meant to alter no
+behaviour (a refactor, a faster hot path) must keep every digest. A
+change that alters behaviour on purpose updates the digest here and
+says why in CHANGES.md.
 """
 
 import hashlib
@@ -28,6 +30,14 @@ GOLDEN_SHA256 = {
     # 31 packages and 738633 overflow drops
     "constant-overflow":
         "7a5ef151a035c668910ba9b0db5be753d2b0d16c129e3a0d25933616267d553d",
+    # 495 packages of about 2100 events, most of them spanning two or
+    # three 1024-event chunks
+    "constant-chunks":
+        "6b882c57badc5270d5ff4faee250fa0ed291a1889032774356b49bbf3e4e7222",
+    # 813 packages and 693444 filter drops: packages spanning the kept
+    # arrays of several chunks
+    "constant-chunks-filtered":
+        "de14b80e299c9a2bc5014067ed5641f444f57916b457b786ce1c5875a02b6745",
 }
 
 #: Runs that are not a bundled scenario as it stands: its name and the
@@ -37,6 +47,10 @@ RUNS = {
     "constant-overflow": ("constant",
                           ["--set", "pipeline.input_buffer_capacity=20000",
                            "--set", "consumer.c_ns=900"]),
+    "constant-chunks": ("constant", ["--set", "source.chunk_events=1024"]),
+    "constant-chunks-filtered": ("constant",
+                                 ["--set", "source.chunk_events=1024",
+                                  "--set", "gamma.a=3e5"]),
 }
 
 

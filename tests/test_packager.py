@@ -260,7 +260,8 @@ class TestAppendOrder:
 
     @pytest.mark.parametrize("aligned_first", [True, False])
     def test_batches_of_another_dtype_reassemble(self, aligned_first):
-        # rows of a dtype other than the store's are copied field by
+        # a package that spans batches takes the dtype of its first
+        # batch, and rows of another dtype are copied into it field by
         # field; the packages must still hold exactly the appended rows
         aligned = np.dtype(EVENT_DTYPE.descr, align=True)
         assert aligned != EVENT_DTYPE
@@ -269,7 +270,8 @@ class TestAppendOrder:
                          rng.integers(0, 260, 600), rng.choice([-1, 1], 600))
         p = Packager(PackagerConfig(initial_size=70, timeout_us=10**9))
         parts = []
-        # adopt, reallocate, fill spare room, cut, then alternate
+        # packages inside one batch, spanning two of either dtype, and
+        # spanning several
         for i, (lo, hi) in enumerate([(0, 100), (100, 150), (150, 170),
                                       (170, 400), (400, 410), (410, 600)]):
             batch = ev[lo:hi]
@@ -288,7 +290,7 @@ class TestViewSafety:
     def test_emitted_packages_survive_later_buffer_operations(self):
         # a consumer may keep a package it was handed while appends go
         # on, so a package must keep its events whatever the buffer does
-        # next
+        # next: views of a batch, packages spanning batches, drops
         p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
         held = []
 
@@ -298,8 +300,8 @@ class TestViewSafety:
         p.append(_events_at(np.arange(0, 300)))
         for _ in range(2):
             keep(p.next_emission().package.events)
-        p.append(_events_at(np.arange(300, 320)))    # reallocates
-        p.append(_events_at(np.arange(320, 330)))    # fills spare room
+        p.append(_events_at(np.arange(300, 320)))    # a second batch
+        p.append(_events_at(np.arange(320, 330)))    # and a third
         keep(p.next_emission().package.events)
         p.append(_events_at(np.arange(330, 450)))
         for em in _drain(p):
@@ -315,6 +317,20 @@ class TestViewSafety:
         for events, snapshot in held:
             assert np.array_equal(events, snapshot)
 
+    def test_a_package_inside_one_batch_is_a_view_of_it(self):
+        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        first, second = _events_at(np.arange(150)), _events_at(
+            np.arange(150, 300))
+        p.append(first)
+        p.append(second)
+        inside = p.next_emission().package.events          # 0..99
+        spanning = p.next_emission().package.events        # 100..199
+        assert np.shares_memory(inside, first)
+        assert not np.shares_memory(spanning, first)
+        assert not np.shares_memory(spanning, second)
+        assert np.array_equal(spanning,
+                              np.concatenate([first[100:], second[:50]]))
+
     def test_append_does_not_write_into_the_callers_array(self):
         p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
         source = _events_at(np.arange(1000))
@@ -323,6 +339,43 @@ class TestViewSafety:
             p.append(source[lo:lo + 70])
             _drain(p)
         assert np.array_equal(source, snapshot)
+
+
+class TestDropOldest:
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1,
+                          max_size=20),
+           target=st.integers(min_value=1, max_value=50),
+           drop_after=st.integers(min_value=0, max_value=19),
+           k=st.integers(min_value=0, max_value=400))
+    @settings(max_examples=200, deadline=None)
+    def test_drops_the_oldest_across_batch_edges(self, sizes, target,
+                                                 drop_after, k):
+        # batches of random sizes, drained after each append, and one
+        # drop at a random point: the packages and the dropped events
+        # rebuild the input, and the dropped ones are the k oldest
+        # buffered then, whichever batches they lie in
+        ev = _events_at(np.arange(sum(sizes)))
+        p = Packager(PackagerConfig(initial_size=target, timeout_us=10**9))
+        parts, appended, out = [], 0, 0
+        for i, size in enumerate(sizes):
+            p.append(ev[appended:appended + size])
+            appended += size
+            for em in _drain(p):
+                parts.append(em.package.events)
+                out += em.package.size
+            if i == min(drop_after, len(sizes) - 1):
+                assert out + p.buffered == appended
+                n = p.drop_oldest(k)
+                assert n == min(k, appended - out)
+                assert p.buffered == appended - out - n
+                parts.append(ev[out:out + n])
+                out += n
+                if p.buffered:
+                    assert p.oldest_arrival_us == out   # t is the index
+        if (rest := p.check_timeout(_NEVER)) is not None:
+            parts.append(rest.events)
+        assert p.buffered == 0
+        assert np.array_equal(np.concatenate(parts), ev)
 
 
 class _SolveEveryTime:

@@ -122,6 +122,27 @@ class TestVirtualRun:
         post = [m.rate_filtered for m in result.metrics[crossing + 50:]]
         assert abs(np.mean(post) - 5e6) <= 0.10 * 5e6
 
+    def test_unfiltered_run_copies_no_event(self):
+        # at gamma = 1 the filter passes each chunk through and nearly
+        # every package (N* ~ 2000) lies inside one 65536-event chunk, so
+        # it is a view of the source's array: the run allocates far
+        # less than one chunk's bytes, 13 per event
+        n = 1_000_000
+        rng = np.random.default_rng(0)
+        t = np.cumsum(rng.exponential(1.0, n)).astype(np.int64)
+        source = ArraySource(make_events(t, np.zeros(n), np.zeros(n),
+                                         np.ones(n)), chunk_size=65536)
+        cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
+        tracemalloc.start()
+        try:
+            result = run(cfg, source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.dropped_by_filter == 0
+        assert result.packaged_events == n
+        assert peak < 65536 * 13, f"peak {peak} bytes"
+
     def test_determinism_bytes(self, tmp_path):
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
         paths = []
