@@ -3,8 +3,8 @@
 ``asap run --scenario <name|path> [--seed N] [--out PATH]
 [--events-out PATH] [--mode virtual|realtime] [--set key=value ...]``
 
-A scenario is either a bundled name (``fig3``, ``fig4``, ``constant``,
-``ramp``) or a path to a flat ``key = value`` config file. The
+A scenario is either a bundled name (a key of ``config.SCENARIOS``) or
+a path to a flat ``key = value`` config file. The
 environment variable ``ASAP_CONFIG`` may point to a base config file
 applied beneath the scenario. Unrecognized ``--<dotted.key> value``
 flags are accepted as per-key overrides, at the same precedence as
@@ -124,8 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a scenario and write metrics CSV")
     runp.add_argument("--scenario", required=True,
-                      help="bundled name (fig3, fig4, constant, ramp) or "
-                           "path to a config file")
+                      help=f"bundled name ({', '.join(cfgmod.SCENARIOS)}) "
+                           "or path to a config file")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out", default="metrics.csv",
                       help="metrics CSV output path")

@@ -2,26 +2,47 @@
 
 A config is a flat mapping of dotted keys to values; config files use
 one ``key = value`` pair per line with ``#`` comments. Precedence is
-command-line flag > config-file key > built-in default.
+command-line flag > config-file key > built-in default. Apart from the
+``source.*`` keys, each key, default and type is declared once, as a
+field of a settings dataclass (:class:`PipelineConfig` and the sections
+it holds); the keys and the builder are derived from those fields.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields, is_dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigurationError
 from .events import (ConstantRateSource, RampRateSource, SensorGeometry,
                      StreamSource, read_event_file)
-from .gamma import GammaConfig
-from .packager import PackagerConfig
-from .pipeline import ConsumerConfig, PipelineConfig
+from .pipeline import PipelineConfig
 
+#: Keys whose names differ from the dotted paths of their fields.
+_KEY_NAMES = {"gamma.a_evps": "gamma.a", "gamma.gamma_min": "gamma.min",
+              "input_buffer_capacity": "pipeline.input_buffer_capacity"}
+
+
+def _settings(value_of: Callable[[str, Any], Any], cls: type = PipelineConfig,
+              prefix: str = "") -> Any:
+    """``cls`` built from ``value_of(key, field default)`` for each of its
+    fields, keyed by the field's dotted path (or its ``_KEY_NAMES``
+    name); a field holding a settings dataclass is built the same way
+    from the keys under its name."""
+    values = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        path = prefix + f.name
+        values[f.name] = (_settings(value_of, type(default), path + ".")
+                          if is_dataclass(default)
+                          else value_of(_KEY_NAMES.get(path, path), default))
+    return cls(**values)
+
+
+#: Every config key and its default: the ``source.*`` keys, then one per
+#: settings field. A value parses to the type of its key's default.
 DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "mode": "virtual",
-    "geometry.width": 346,
-    "geometry.height": 260,
     "source.kind": "constant",          # constant | ramp | file
     "source.rate_evps": 1e6,
     "source.rate_start_evps": 1e5,
@@ -29,26 +50,8 @@ DEFAULTS: dict[str, Any] = {
     "source.duration_s": 1.0,
     "source.path": "",
     "source.chunk_events": 65536,
-    "gamma.a": 5e6,
-    "gamma.beta": 0.25,
-    "gamma.min": 0.01,
-    "gamma.rate_window_us": 10_000,
-    "packager.n_min": 1,
-    "packager.n_max": 1_000_000,
-    "packager.timeout_us": 10_000,
-    "packager.kappa": 0.5,
-    "packager.model_smoothing": 0.2,
-    "packager.headroom": 1.05,
-    "packager.initial_size": 1000,
-    "packager.rate_window_us": 10_000,
-    "consumer.kind": "synthetic",       # synthetic | clustering
-    "consumer.o_us": 1000.0,
-    "consumer.c_ns": 500.0,
-    "consumer.jitter": 0.0,
-    "consumer.radius_px": 10.0,
-    "consumer.ttl_us": 50_000,
-    "pipeline.input_buffer_capacity": 2_000_000,
 }
+_settings(DEFAULTS.setdefault)
 
 #: Bundled scenarios: named key overlays at config-file precedence.
 SCENARIOS: dict[str, dict[str, Any]] = {
@@ -166,44 +169,9 @@ def merge(*layers: Mapping[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-def _validated(cfg: Mapping[str, Any], key: str, positive=False,
-               non_negative=False) -> Any:
-    v = cfg[key]
-    if positive and not v > 0:
-        raise ConfigurationError(f"{key} must be positive, got {v}", key=key)
-    if non_negative and not v >= 0:
-        raise ConfigurationError(f"{key} must be >= 0, got {v}", key=key)
-    return v
-
-
 def build_pipeline_config(cfg: Mapping[str, Any]) -> PipelineConfig:
-    geometry = SensorGeometry(
-        width=int(_validated(cfg, "geometry.width", positive=True)),
-        height=int(_validated(cfg, "geometry.height", positive=True)))
-    pc = PipelineConfig(
-        mode=cfg["mode"],
-        seed=int(cfg["seed"]),
-        geometry=geometry,
-        gamma=GammaConfig(
-            a_evps=cfg["gamma.a"], beta=cfg["gamma.beta"],
-            gamma_min=cfg["gamma.min"],
-            rate_window_us=int(cfg["gamma.rate_window_us"])),
-        packager=PackagerConfig(
-            n_min=int(cfg["packager.n_min"]),
-            n_max=int(cfg["packager.n_max"]),
-            timeout_us=int(cfg["packager.timeout_us"]),
-            kappa=cfg["packager.kappa"],
-            model_smoothing=cfg["packager.model_smoothing"],
-            headroom=cfg["packager.headroom"],
-            initial_size=int(cfg["packager.initial_size"]),
-            rate_window_us=int(cfg["packager.rate_window_us"])),
-        consumer=ConsumerConfig(
-            kind=cfg["consumer.kind"],
-            o_us=cfg["consumer.o_us"], c_ns=cfg["consumer.c_ns"],
-            jitter=cfg["consumer.jitter"],
-            radius_px=cfg["consumer.radius_px"],
-            ttl_us=int(cfg["consumer.ttl_us"])),
-        input_buffer_capacity=int(cfg["pipeline.input_buffer_capacity"]))
+    pc = _settings(lambda key, default: (
+        int(cfg[key]) if isinstance(default, int) else cfg[key]))
     pc.validate()
     return pc
 
@@ -213,18 +181,14 @@ def build_source(cfg: Mapping[str, Any]) -> StreamSource:
                               height=int(cfg["geometry.height"]))
     kind = cfg["source.kind"]
     seed = int(cfg["seed"])
-    chunk = int(_validated(cfg, "source.chunk_events", positive=True))
+    chunk = int(cfg["source.chunk_events"])
     if kind == "constant":
-        return ConstantRateSource(
-            _validated(cfg, "source.rate_evps", positive=True),
-            _validated(cfg, "source.duration_s", positive=True),
-            geometry, seed, chunk)
+        return ConstantRateSource(cfg["source.rate_evps"],
+                                  cfg["source.duration_s"], geometry, seed, chunk)
     if kind == "ramp":
-        return RampRateSource(
-            _validated(cfg, "source.rate_start_evps", positive=True),
-            _validated(cfg, "source.rate_end_evps", positive=True),
-            _validated(cfg, "source.duration_s", positive=True),
-            geometry, seed, chunk)
+        return RampRateSource(cfg["source.rate_start_evps"],
+                              cfg["source.rate_end_evps"],
+                              cfg["source.duration_s"], geometry, seed, chunk)
     if kind == "file":
         path = cfg["source.path"]
         if not path:

@@ -41,10 +41,12 @@ class SensorGeometry:
     height: int = 260
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError(
-                f"sensor geometry must be at least 1x1, got {self.width}x{self.height}"
-            )
+        for key, size in (("geometry.width", self.width),
+                          ("geometry.height", self.height)):
+            if not size >= 1:
+                raise ConfigurationError(
+                    f"sensor geometry must be at least 1x1, got "
+                    f"{self.width}x{self.height}", key=key)
 
 
 #: Default geometry (346x260).
@@ -192,44 +194,54 @@ class ArraySource(StreamSource):
 
 
 class _PoissonSource(StreamSource):
-    """Inhomogeneous Poisson stream generated by inverting the cumulative
-    intensity: unit-rate exponential arrivals are mapped through the
-    inverse of ``Lambda(t)``.
+    """Poisson stream whose rate moves linearly from ``rate_start_evps``
+    to ``rate_end_evps`` over the run, a constant rate having equal ends.
+    It is generated by inverting the cumulative intensity ``Lambda(t)``:
+    unit-rate exponential arrivals are mapped through its inverse.
+    ``rate_keys`` name the config keys of the two rates.
     """
 
-    def __init__(self, duration_s: float, geometry: SensorGeometry, seed: int,
-                 chunk_size: int = 65536):
-        if not duration_s > 0:
+    def __init__(self, rate_start_evps: float, rate_end_evps: float,
+                 duration_s: float, geometry: SensorGeometry, seed: int,
+                 chunk_size: int, rate_keys: tuple[str, str]):
+        if not 0 < duration_s < math.inf:
             raise ConfigurationError(
-                f"stream duration must be positive, got {duration_s}",
-                key="source.duration_s",
-            )
+                f"stream duration must be positive and finite, got "
+                f"{duration_s}", key="source.duration_s")
+        for key, size in (("geometry.width", geometry.width),
+                          ("geometry.height", geometry.height)):
+            if size > 1 << 15:
+                raise ConfigurationError(
+                    f"{key} of a generated stream must be at most "
+                    f"{1 << 15} (int16 pixels), got {size}", key=key)
         self.duration_s = float(duration_s)
         self.geometry = geometry
         self.seed = int(seed)
         self._chunk = _chunk_events(chunk_size)
-
-    def _check_count(self, mean_rate_evps: float, key: str) -> None:
-        """Reject a mean rate whose expected event count over the stream
-        does not fit in int64: generating it would never end."""
-        count = mean_rate_evps * self.duration_s
+        # the expected event count must fit in int64, or generating it
+        # would never end; halves summed: the sum of two finite rates
+        # can overflow
+        count = (0.5 * rate_start_evps + 0.5 * rate_end_evps) * self.duration_s
         if not count <= np.iinfo(np.int64).max:
             raise ConfigurationError(
                 f"expected event count {count:g} (mean rate x duration) "
-                f"exceeds the int64 range", key=key)
-
-    def _invert(self, s: np.ndarray) -> np.ndarray:
-        """Map cumulative expected counts to arrival times in seconds."""
-        raise NotImplementedError
+                f"exceeds the int64 range",
+                key=rate_keys[0 if rate_start_evps > rate_end_evps else 1])
+        self.rate_start_evps = rate_start_evps
+        self.rate_end_evps = rate_end_evps
 
     def chunks(self) -> Iterator[np.ndarray]:
         rng = np.random.Generator(np.random.PCG64(self.seed))
         s_base = 0.0
         w, h = self.geometry.width, self.geometry.height
+        r0 = self.rate_start_evps
+        k = (self.rate_end_evps - r0) / self.duration_s
         while True:
             s = s_base + np.cumsum(rng.exponential(1.0, self._chunk))
             s_base = float(s[-1])
-            t_s = self._invert(s)
+            # Lambda(t) = r0*t + k*t^2/2; positive root of the quadratic
+            t_s = (s / r0 if k == 0.0
+                   else (np.sqrt(r0 * r0 + 2.0 * k * s) - r0) / k)
             done = t_s[-1] >= self.duration_s
             if done:
                 t_s = t_s[t_s < self.duration_s]
@@ -246,23 +258,23 @@ class _PoissonSource(StreamSource):
                 return
 
 
+def _rate(rate_evps: float, what: str, key: str) -> float:
+    if not 0 < rate_evps < math.inf:
+        raise ConfigurationError(
+            f"{what} must be positive and finite, got {rate_evps}", key=key)
+    return float(rate_evps)
+
+
 class ConstantRateSource(_PoissonSource):
     """Homogeneous Poisson stream at a fixed mean rate."""
 
     def __init__(self, rate_evps: float, duration_s: float,
                  geometry: SensorGeometry = DAVIS346, seed: int = 0,
                  chunk_size: int = 65536):
-        if not 0 < rate_evps < math.inf:
-            raise ConfigurationError(
-                f"event rate must be positive and finite, got {rate_evps}",
-                key="source.rate_evps",
-            )
-        super().__init__(duration_s, geometry, seed, chunk_size)
-        self._check_count(rate_evps, "source.rate_evps")
-        self.rate_evps = float(rate_evps)
-
-    def _invert(self, s: np.ndarray) -> np.ndarray:
-        return s / self.rate_evps
+        key = "source.rate_evps"
+        self.rate_evps = _rate(rate_evps, "event rate", key)
+        super().__init__(self.rate_evps, self.rate_evps, duration_s,
+                         geometry, seed, chunk_size, (key, key))
 
 
 class RampRateSource(_PoissonSource):
@@ -271,34 +283,11 @@ class RampRateSource(_PoissonSource):
     def __init__(self, rate_start_evps: float, rate_end_evps: float,
                  duration_s: float, geometry: SensorGeometry = DAVIS346,
                  seed: int = 0, chunk_size: int = 65536):
-        if not 0 < rate_start_evps < math.inf:
-            raise ConfigurationError(
-                f"ramp start rate must be positive and finite, got "
-                f"{rate_start_evps}",
-                key="source.rate_start_evps",
-            )
-        if not 0 < rate_end_evps < math.inf:
-            raise ConfigurationError(
-                f"ramp end rate must be positive and finite, got "
-                f"{rate_end_evps}",
-                key="source.rate_end_evps",
-            )
-        super().__init__(duration_s, geometry, seed, chunk_size)
-        # halves summed: the sum of two finite rates can overflow
-        self._check_count(
-            0.5 * rate_start_evps + 0.5 * rate_end_evps,
-            "source.rate_start_evps" if rate_start_evps > rate_end_evps
-            else "source.rate_end_evps")
-        self.rate_start_evps = float(rate_start_evps)
-        self.rate_end_evps = float(rate_end_evps)
-
-    def _invert(self, s: np.ndarray) -> np.ndarray:
-        r0 = self.rate_start_evps
-        k = (self.rate_end_evps - r0) / self.duration_s
-        if k == 0.0:
-            return s / r0
-        # Lambda(t) = r0*t + k*t^2/2; positive root of the quadratic.
-        return (np.sqrt(r0 * r0 + 2.0 * k * s) - r0) / k
+        keys = ("source.rate_start_evps", "source.rate_end_evps")
+        super().__init__(
+            _rate(rate_start_evps, "ramp start rate", keys[0]),
+            _rate(rate_end_evps, "ramp end rate", keys[1]),
+            duration_s, geometry, seed, chunk_size, keys)
 
 
 def _parse_event_line(line: str, path: str, lineno: int) -> tuple[int, int, int, int]:
@@ -354,6 +343,7 @@ def read_event_file(path, geometry: SensorGeometry = DAVIS346,
     A pixel outside ``geometry`` raises :class:`EventFileError` naming
     the file.
     """
+    _chunk_events(chunk_size)  # before the file is read
     events = read_events(path)
     try:
         return ArraySource(events, geometry, chunk_size)

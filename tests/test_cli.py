@@ -1,6 +1,8 @@
 """CLI scenario runner and flat key=value configuration."""
 
+import dataclasses
 import errno
+import functools
 import os
 import stat
 import threading
@@ -11,7 +13,19 @@ from asap_stream.cli import main
 from asap_stream.config import (DEFAULTS, SCENARIOS, build_pipeline_config,
                                 merge, parse_config_file, parse_overrides)
 from asap_stream.errors import ConfigurationError
-from asap_stream.pipeline import METRICS_HEADER
+from asap_stream.pipeline import METRICS_HEADER, PipelineConfig
+
+#: Settings fields whose dotted paths differ from their config keys.
+_FIELD_OF = {"gamma.a": "gamma.a_evps", "gamma.min": "gamma.gamma_min",
+             "pipeline.input_buffer_capacity": "input_buffer_capacity"}
+
+
+def _replaced(settings, path, value):
+    """``settings`` with the field at dotted ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replaced(getattr(settings, head), rest, value)
+    return dataclasses.replace(settings, **{head: value})
 
 
 class TestConfigLayers:
@@ -54,6 +68,25 @@ class TestConfigLayers:
         assert cfg["gamma.a"] == 2e6        # file wins over default
         assert cfg["gamma.beta"] == DEFAULTS["gamma.beta"]
 
+    def test_defaults_build_the_default_pipeline_config(self):
+        assert build_pipeline_config(merge()) == PipelineConfig()
+
+    @pytest.mark.parametrize("key", [k for k in DEFAULTS
+                                     if not k.startswith("source.")])
+    def test_each_key_reaches_its_field(self, key):
+        default = DEFAULTS[key]
+        value = {"mode": "realtime", "consumer.kind": "clustering"}.get(key)
+        if isinstance(default, int):
+            value = default + 1
+        elif isinstance(default, float):
+            value = default * 1.5 + 0.125
+        path = _FIELD_OF.get(key, key)
+        built = build_pipeline_config(
+            merge(parse_overrides([f"{key}={value}"])))
+        assert built == _replaced(PipelineConfig(), path, value)
+        assert type(functools.reduce(getattr, path.split("."), built)) \
+            is type(default)
+
     def test_build_pipeline_config_validates(self):
         cfg = merge({"consumer.c_ns": -5.0})
         with pytest.raises(ConfigurationError) as err:
@@ -76,6 +109,22 @@ class TestCliRun:
                      "--consumer.c_ns", "-5"])
         assert code == 2
         assert "consumer.c_ns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["geometry.width=40000"], "geometry.width"),
+        (["source.duration_s=inf"], "source.duration_s"),
+        # checked before the event file is read
+        (["source.kind=file", "source.path=missing.csv",
+          "source.chunk_events=0"], "source.chunk_events")],
+        ids=["wide-sensor", "infinite-duration", "chunk-before-file"])
+    def test_source_value_exit_2_names_key(self, tmp_path, capsys, flags, key):
+        argv = ["run", "--scenario", "constant",
+                "--set", "source.duration_s=0.05",
+                "--out", str(tmp_path / "m.csv")]
+        for flag in flags:
+            argv += ["--set", flag]
+        assert main(argv) == 2
+        assert f"configuration error ({key}):" in capsys.readouterr().err
 
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         code = main(["run", "--scenario", "nope",

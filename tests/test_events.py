@@ -23,8 +23,12 @@ class TestGeometry:
         assert DAVIS346.height == 260
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as info:
             SensorGeometry(width=0, height=10)
+        assert info.value.key == "geometry.width"
+        with pytest.raises(ConfigurationError) as info:
+            SensorGeometry(width=10, height=-1)
+        assert info.value.key == "geometry.height"
 
 
 class TestConstantStream:
@@ -118,6 +122,51 @@ class TestExpectedCount:
         ConstantRateSource(2.0**62, 1.0)
         # the mean of two rates near the float maximum does not overflow
         RampRateSource(1.7e308, 1.7e308, 1e-300)
+
+
+class TestGeneratedGeometry:
+    """A generated stream stores pixels as int16, so its sensor must be
+    at most 32768 px across; an event array may still carry a wider one."""
+
+    @pytest.mark.parametrize("width, height, key", [
+        (40_000, 260, "geometry.width"), (346, 32_769, "geometry.height")])
+    @pytest.mark.parametrize("make", [
+        lambda g: ConstantRateSource(1e5, 0.05, geometry=g),
+        lambda g: RampRateSource(1e5, 1e6, 0.05, geometry=g)],
+        ids=["constant", "ramp"])
+    def test_wider_than_int16_rejected(self, make, width, height, key):
+        with pytest.raises(ConfigurationError, match="32768") as info:
+            make(SensorGeometry(width, height))
+        assert info.value.key == key
+
+    def test_int16_wide_sensor_yields_in_bounds_pixels(self):
+        geometry = SensorGeometry(32_768, 32_768)
+        ev = ConstantRateSource(1e5, 0.05, geometry=geometry, seed=1).events()
+        validate_events(ev, geometry)
+        assert ev["x"].min() >= 0 and ev["y"].min() >= 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: ConstantRateSource(1e5, d),
+    lambda d: RampRateSource(1e5, 1e6, d)], ids=["constant", "ramp"])
+@pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.0])
+def test_duration_must_be_positive_and_finite(make, duration):
+    with pytest.raises(ConfigurationError, match="duration") as info:
+        make(duration)
+    assert info.value.key == "source.duration_s"
+
+
+@settings(max_examples=25, deadline=None)
+@given(rate=st.floats(min_value=1e2, max_value=1e6),
+       duration=st.floats(min_value=1e-3, max_value=0.05),
+       seed=st.integers(min_value=0, max_value=2**31),
+       chunk=st.integers(min_value=1, max_value=5000))
+def test_constant_source_is_a_flat_ramp(rate, duration, seed, chunk):
+    const = ConstantRateSource(rate, duration, seed=seed, chunk_size=chunk)
+    ramp = RampRateSource(rate, rate, duration, seed=seed, chunk_size=chunk)
+    const_chunks, ramp_chunks = list(const.chunks()), list(ramp.chunks())
+    assert ([c.tobytes() for c in const_chunks]
+            == [c.tobytes() for c in ramp_chunks])
 
 
 @settings(max_examples=25, deadline=None)
