@@ -234,15 +234,21 @@ class _PoissonSource(StreamSource):
         rng = np.random.Generator(np.random.PCG64(self.seed))
         s_base = 0.0
         w, h = self.geometry.width, self.geometry.height
-        r0 = self.rate_start_evps
-        k = (self.rate_end_evps - r0) / self.duration_s
+        r0, r1 = self.rate_start_evps, self.rate_end_evps
+        k = (r1 - r0) / self.duration_s
+        # Lambda(duration), halves summed as in the count check; a falling
+        # ramp's Lambda peaks after the end, where its root would be NaN
+        s_end = (0.5 * r0 + 0.5 * r1) * self.duration_s
         while True:
             s = s_base + np.cumsum(rng.exponential(1.0, self._chunk))
             s_base = float(s[-1])
-            # Lambda(t) = r0*t + k*t^2/2; positive root of the quadratic
+            done = s_base >= s_end
+            if done:
+                s = s[:np.searchsorted(s, s_end)]
+            # Lambda(t) = r0*t + k*t^2/2; positive root of the quadratic in
+            # the form that does not cancel when k is tiny
             t_s = (s / r0 if k == 0.0
-                   else (np.sqrt(r0 * r0 + 2.0 * k * s) - r0) / k)
-            done = t_s[-1] >= self.duration_s
+                   else 2.0 * s / (np.sqrt(r0 * r0 + 2.0 * k * s) + r0))
             if done:
                 t_s = t_s[t_s < self.duration_s]
             n = len(t_s)

@@ -54,6 +54,13 @@ class SlidingRateEstimator:
     with a running count. An update drops the batches that fell out of
     the window whole and searches only the oldest remaining one, so it
     costs the size of the new batch, not of the window.
+
+    A caller that knows the window's count already, as the pipeline
+    does while the packager's window holds the same timestamps as the
+    filter's raw one, keeps its batches with :meth:`hold` instead: no
+    order check, no search and no count. The next :meth:`fold` or read
+    of :attr:`rate_evps` counts the held batches once, and folding
+    goes on from there.
     """
 
     def __init__(self, window_us: int):
@@ -63,7 +70,7 @@ class SlidingRateEstimator:
                 key="gamma.rate_window_us")
         self.window_us = int(window_us)
         self._batches: deque[np.ndarray] = deque()
-        self._count = 0
+        self._count = 0          # -1: held batches not counted yet
 
     def update(self, timestamps: np.ndarray, *, checked: bool = False) -> float:
         """Fold a batch of ordered timestamps in, an int64 array or field
@@ -105,6 +112,8 @@ class SlidingRateEstimator:
                 raise OrderingError(
                     f"batch starts at timestamp {first}, before the newest "
                     f"one already seen, {newest}")
+            if self._count < 0:
+                self._recount()
         batches.append(t)
         self._count += t.size
         cut = t.item(-1) - self.window_us
@@ -119,8 +128,31 @@ class SlidingRateEstimator:
             batches[0] = oldest[outside:]
             self._count -= outside
 
+    def hold(self, t: np.ndarray) -> None:
+        """Keep a non-empty int64 batch, as given, that the caller has
+        checked to start no earlier than the newest timestamp held and
+        whose window count it knows. Only batches that left the window
+        whole are dropped; the held ones are counted when next needed."""
+        batches = self._batches
+        batches.append(t)
+        cut = t.item(-1) - self.window_us
+        while batches[0].item(-1) < cut:
+            batches.popleft()
+        self._count = -1
+
+    def _recount(self) -> None:
+        """Count the held batches, cutting the oldest at the window's tail."""
+        batches = self._batches
+        cut = batches[-1].item(-1) - self.window_us
+        oldest = batches[0]
+        if oldest.item(0) < cut:
+            batches[0] = oldest[bisect_left(oldest, cut):]
+        self._count = sum(map(len, batches))
+
     @property
     def rate_evps(self) -> float:
+        if self._count < 0:
+            self._recount()
         if self._count == 0:
             return 0.0
         return self._count / (self.window_us / _US)
@@ -155,7 +187,12 @@ class GammaFilter:
 
     Holds the keep-probability ``gamma``, the raw rate estimate
     ``rate_raw_evps`` and the keep-draw generator ``rng`` (numpy PCG64:
-    equal seeds give bit-identical keep decisions). Once per processed
+    equal seeds give bit-identical keep decisions). The generator takes
+    one step per processed event, as :func:`apply_filter` draws, but a
+    batch processed at ``gamma >= 1`` is kept whole without touching
+    it: its events are only counted, and ``rng`` is advanced past all
+    of them in one jump just before the next keep draw, lagging behind
+    by them until then. Once per processed
     batch, gamma takes one smoothing step of gain ``beta`` toward
     ``min(1, a / rate_raw)``, floored at ``gamma_min``; adapting on the
     raw rate has the steady state of adapting on the filtered rate, with
@@ -169,6 +206,7 @@ class GammaFilter:
         self.gamma = 1.0
         self.rate_raw_evps = 0.0
         self.rng = np.random.Generator(np.random.PCG64(seed))
+        self._skipped = 0   # events kept at gamma >= 1, not yet stepped
         self._raw = SlidingRateEstimator(config.rate_window_us)
         #: Timestamps of the last batch's kept events (None before the
         #: first batch): the ``t`` field view of the kept array, or of the
@@ -195,7 +233,14 @@ class GammaFilter:
         target = min(1.0, max(cfg.gamma_min, cfg.a_evps / rate))
         g = self.gamma + cfg.beta * (target - self.gamma)
         self.gamma = min(1.0, max(cfg.gamma_min, g))
-        kept = apply_filter(self, events)
+        if self.gamma >= 1.0:
+            self._skipped += len(events)
+            kept = events
+        else:
+            if self._skipped:
+                self.rng.bit_generator.advance(self._skipped)
+                self._skipped = 0
+            kept = apply_filter(self, events)
         # whole batch kept: the same view; otherwise a subsequence's
         self.kept_t = t if kept is events else kept["t"]
         return kept, len(events) - len(kept)

@@ -307,7 +307,8 @@ class Packager:
             self._take(n)
         return n
 
-    def append(self, events: np.ndarray, *, t: np.ndarray | None = None) -> None:
+    def append(self, events: np.ndarray, *, t: np.ndarray | None = None,
+               rate_evps: float | None = None) -> None:
         """Buffer events without cutting packages (see :meth:`next_emission`).
 
         The batch is kept as given, not copied, and never written.
@@ -322,16 +323,30 @@ class Packager:
         :attr:`GammaFilter.kept_t <asap_stream.gamma.GammaFilter.kept_t>`.
         The rate window then folds it uncopied and checks only that it
         starts no earlier than the newest appended event.
+
+        ``rate_evps``, given with ``t``, is the count of the rate window
+        after this batch, as a rate, known to the caller: the pipeline
+        passes the filter's raw rate while every batch in the raw window
+        reached the packager whole, so that both windows hold the same
+        timestamps. The window then only holds ``t``, unchecked and
+        uncounted (:meth:`SlidingRateEstimator.hold
+        <asap_stream.gamma.SlidingRateEstimator.hold>`); the first batch
+        appended without it is counted against the held ones.
         """
         n = len(events)
         if n == 0:
             return
-        if t is None:
-            t = events["t"]
-            self._rate_estimator.update(t)
+        window = self._rate_estimator
+        if rate_evps is not None:
+            window.hold(t)
         else:
-            self._rate_estimator.fold(t)
-        self.rate_evps = rate = self._rate_estimator.rate_evps
+            if t is None:
+                t = events["t"]
+                window.update(t)
+            else:
+                window.fold(t)
+            rate_evps = window.rate_evps
+        self.rate_evps = rate = rate_evps
         if self._rate_smooth_evps is None:
             self._rate_smooth_evps = rate
         else:

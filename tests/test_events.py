@@ -3,6 +3,7 @@
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,29 @@ class TestRampStream:
         a = RampRateSource(1e5, 1e6, 0.5, seed=17).events()
         b = RampRateSource(1e5, 1e6, 0.5, seed=17).events()
         assert np.array_equal(a, b)
+
+    def test_falling_ramp_counts_follow_the_rate_integral(self):
+        # the unit-rate arrivals of the last chunk run past the peak of
+        # Lambda(t) = r0*t + k*t^2/2, where the root has no real value;
+        # they lie past the end and must yield no event and no warning
+        r0, r1, duration = 8e6, 1e5, 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = RampRateSource(r0, r1, duration, seed=0).events()["t"]
+        assert np.all(t[1:] >= t[:-1])
+        assert 0 <= t[0] and t[-1] < duration * 1e6
+        k = (r1 - r0) / duration
+        edges = np.arange(0.0, duration + 0.25, 0.5)
+        expected = np.diff(r0 * edges + 0.5 * k * edges ** 2)
+        counts = np.diff(np.searchsorted(t, edges * 1e6))
+        assert np.all(np.abs(counts - expected) <= 5 * np.sqrt(expected))
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-14, 1e-15])
+    def test_nearly_flat_ramp_is_the_constant_stream(self, eps):
+        # the root's difference form cancels when k is tiny but not zero
+        ramp = RampRateSource(1e6, 1e6 * (1 + eps), 0.05, seed=1).events()
+        const = ConstantRateSource(1e6, 0.05, seed=1).events()
+        assert np.array_equal(ramp, const)
 
     def test_invalid_rates(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -116,6 +116,30 @@ class TestRateEstimatorProperties:
             rate = est.update(np.array(t[lo:hi], dtype=np.int64))
             assert rate == _brute_force_rate(t[:hi], window)
             assert est.rate_evps == rate
+
+    @given(t=_ordered, cuts=st.lists(st.integers(min_value=0, max_value=200)),
+           steps=st.lists(st.sampled_from(["fold", "hold", "hold unread"])),
+           window=st.integers(min_value=1, max_value=2_000))
+    @example(t=[1, 2, 3], cuts=[2], steps=["hold unread", "fold"],
+             window=1000)
+    @example(t=[0, 1, 5000], cuts=[1, 2], steps=["hold"] * 3, window=10)
+    @settings(max_examples=200, deadline=None)
+    def test_held_batches_count_as_folded_ones(self, t, cuts, steps, window):
+        # any mix of held and folded batches: the held ones are counted
+        # when the rate is read or the next batch is folded
+        est = SlidingRateEstimator(window_us=window)
+        edges = sorted({0, len(t), *(c for c in cuts if c <= len(t))})
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            step = steps[i] if i < len(steps) else "fold"
+            batch = np.array(t[lo:hi], dtype=np.int64)
+            if step == "fold":
+                est.fold(batch)
+            else:
+                est.hold(batch)
+            if step != "hold unread" or hi == len(t):
+                assert est.rate_evps == _brute_force_rate(t[:hi], window)
+            # no batch is kept once it left the window whole
+            assert est._batches[0][-1] >= t[hi - 1] - window
 
     @given(t=st.lists(st.integers(min_value=0, max_value=5_000), min_size=2,
                       max_size=50, unique=True).map(sorted),
@@ -380,6 +404,26 @@ class TestGammaFilter:
             tracemalloc.stop()
         assert kept is batch
         assert peak < bytes_per_event * n
+
+    def test_batches_kept_whole_step_the_generator_before_the_next_draw(self):
+        # gamma = 1 and gamma < 1 phases in turn (beta = 1: gamma is the
+        # target itself); the generator jumps once past the batches kept
+        # whole, so every kept set is that of stepping it on each batch
+        gfilter = GammaFilter(GammaConfig(a_evps=2e5, beta=1.0,
+                                          rate_window_us=1000), seed=7)
+        ref = _state(1.0, seed=7)
+        gaps = np.repeat([10, 1, 10, 1], 4000)      # 1e5 and 1e6 ev/s
+        ev = _events_at(np.cumsum(gaps))
+        gammas = []
+        for lo in range(0, len(ev), 250):
+            batch = ev[lo:lo + 250]
+            kept, _ = gfilter.process(batch)
+            ref.gamma = gfilter.gamma
+            assert kept.tobytes() == apply_filter(ref, batch).tobytes()
+            gammas.append(gfilter.gamma)
+        phases = [g for i, g in enumerate(gammas)
+                  if i == 0 or (g == 1.0) != (gammas[i - 1] == 1.0)]
+        assert len(phases) == 4 and phases[0] == phases[2] == 1.0
 
     def test_disordered_batch_leaves_the_filter_unchanged(self):
         gfilter = GammaFilter(GammaConfig(a_evps=1e5), seed=0)

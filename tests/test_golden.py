@@ -7,7 +7,8 @@ what they leave idle: a jittered consumer (one draw per package, so
 every ``proc_us`` differs), a buffer small enough that the drop-oldest
 guard fires (non-zero ``drop_overflow``), and 1024-event chunks,
 unfiltered and filtered, in which most packages span several of the
-packager's appended batches. A change that is meant to alter no
+packager's appended batches, and a ramp that falls through the discard
+bound. A change that is meant to alter no
 behaviour (a refactor, a faster hot path) must keep every digest. A
 change that alters behaviour on purpose updates the digest here and
 says why in CHANGES.md.
@@ -38,6 +39,11 @@ GOLDEN_SHA256 = {
     # arrays of several chunks
     "constant-chunks-filtered":
         "de14b80e299c9a2bc5014067ed5641f444f57916b457b786ce1c5875a02b6745",
+    # 796 packages and 6298927 filter drops on a ramp that falls through
+    # the discard bound: the packager's rate window leaves the filter's
+    # while batches lose events, and joins it again once they are whole
+    "ramp-down":
+        "3eed8191e0e1884c8e7b2df4e71c441d334ec9a89f19dadac820ca713099b253",
 }
 
 #: Runs that are not a bundled scenario as it stands: its name and the
@@ -51,6 +57,9 @@ RUNS = {
     "constant-chunks-filtered": ("constant",
                                  ["--set", "source.chunk_events=1024",
                                   "--set", "gamma.a=3e5"]),
+    "ramp-down": ("ramp", ["--set", "source.rate_start_evps=1e7",
+                           "--set", "source.rate_end_evps=1e5",
+                           "--set", "source.chunk_events=4096"]),
 }
 
 

@@ -809,3 +809,87 @@ class TestSharedTimestamps:
         assert (shared.rate_evps, shared.buffered) == \
             (ref.rate_evps, ref.buffered)
         assert _drain_keys(shared) == _drain_keys(ref)
+
+
+class TestFollowedRateWindow:
+    """While every batch in the raw rate window reached the packager
+    whole, the packager's window is handed the raw rate instead of
+    counting. After every batch its rate must be the one a packager
+    that counts the same appended events gives."""
+
+    @staticmethod
+    def _feed(cfg, batches):
+        """Run ``batches`` through the stages and the delivery loop as a
+        virtual run does, checking the packager's rate after each feed;
+        returns the metrics, the stages and, per append, whether the
+        raw rate was handed over."""
+        stages = _Stages(cfg)
+        packager, counted = stages.packager, Packager(cfg.packager)
+        append, followed = packager.append, []
+
+        def both(events, **kwargs):
+            followed.append(kwargs.get("rate_evps") is not None)
+            append(events, **kwargs)
+            counted.append(events)
+
+        packager.append = both
+        clock, metrics = VirtualClock(), MetricsTable()
+        deliver = pipeline._delivery(stages, pipeline.build_consumer(cfg),
+                                     clock, metrics)
+        for batch in batches:
+            stages.feed(batch)
+            assert packager.rate_evps == counted.rate_evps
+            deliver(stages.cut(clock))
+        oldest = packager.oldest_arrival_us
+        if oldest is not None:
+            deliver(stages.cut(clock, oldest + cfg.packager.timeout_us))
+        return metrics, stages, followed
+
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=20),
+                         max_size=600),
+           cuts=st.lists(st.integers(min_value=0, max_value=600)),
+           a_evps=st.one_of(st.sampled_from([2e4, 1e5, 1e12]),
+                            st.floats(min_value=1e4, max_value=1e7)),
+           capacity=st.integers(min_value=1, max_value=300),
+           window=st.integers(min_value=1, max_value=500),
+           target=st.integers(min_value=1, max_value=100))
+    # two events at 5, the first cut off by admission, stay in the raw
+    # window of the event at 15 and keep the packager counting
+    @example(gaps=[5, 0, 10], cuts=[2], a_evps=1e12, capacity=1, window=10,
+             target=1)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_rate_equals_counting_for_any_split(self, gaps, cuts, a_evps,
+                                                capacity, window, target):
+        # repeated edges make empty batches, adjacent ones single events
+        ev = _numbered(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        edges = sorted([0, len(ev), *(c for c in cuts if c <= len(ev))])
+        cfg = _config(gamma=GammaConfig(a_evps=a_evps, rate_window_us=window),
+                      packager=PackagerConfig(initial_size=target,
+                                              timeout_us=300,
+                                              rate_window_us=window),
+                      consumer=ConsumerConfig(o_us=50.0, c_ns=500.0),
+                      input_buffer_capacity=capacity)
+        self._feed(cfg, [ev[lo:hi] for lo, hi in zip(edges, edges[1:])])
+
+    def test_a_batch_cut_at_its_head_is_counted(self):
+        # the first batch overflows the buffer by its own head, which the
+        # raw window holds and the packager's does not: the packager
+        # counts until that batch left the raw window, then follows
+        ev = ConstantRateSource(1e6, 0.05, seed=0).events()
+        cfg = _config(packager=PackagerConfig(initial_size=100),
+                      consumer=ConsumerConfig(o_us=100.0, c_ns=100.0),
+                      input_buffer_capacity=1000)
+        batches = [ev[:5000]] + [ev[i:i + 100]
+                                 for i in range(5000, len(ev), 100)]
+        metrics, stages, followed = self._feed(cfg, batches)
+        assert (stages.dropped_by_filter, stages.dropped_by_overflow) == \
+            (0, 4000)
+        # the first batch ends near 5 ms and leaves the 10 ms raw window
+        # about 100 batches later
+        split = batches[0]["t"][-1]
+        first = followed.index(True)
+        assert batches[first - 1]["t"][-1] - 10_000 <= split
+        assert batches[first]["t"][-1] - 10_000 > split
+        assert 95 <= first <= 105 and all(followed[first:])
+        assert len(metrics) == 607
