@@ -131,7 +131,7 @@ class AffineCostModel:
     """
 
     __slots__ = ("smoothing", "samples", "_m_s", "_m_p", "_m_ss", "_m_sp",
-                 "overhead_us", "per_event_us", "_fitted", "ready")
+                 "overhead_us", "per_event_us", "_fitted", "ready", "settled")
 
     def __init__(self, smoothing: float = 0.2):
         self.smoothing = float(smoothing)
@@ -141,15 +141,26 @@ class AffineCostModel:
         self._fitted = False
         #: Whether the fit drives the target: fitted, after the warm-up.
         self.ready = False
+        #: Whether the last fold left all four moments as they were, with
+        #: more than ``MODEL_WARMUP_SAMPLES`` samples. The fold is then a
+        #: fixed point of that report: folding it again changes nothing
+        #: but :attr:`samples`, neither the fit nor :attr:`ready`.
+        self.settled = False
 
     def update(self, size: int, processing_time_us: float) -> bool:
         """Fold one report in; returns :attr:`ready`."""
         a = self.smoothing if self.samples else 1.0
         s, p = float(size), float(processing_time_us)
-        self._m_s = m_s = self._m_s + a * (s - self._m_s)
-        self._m_p = m_p = self._m_p + a * (p - self._m_p)
-        self._m_ss = m_ss = self._m_ss + a * (s * s - self._m_ss)
-        self._m_sp = m_sp = self._m_sp + a * (s * p - self._m_sp)
+        m_s = self._m_s + a * (s - self._m_s)
+        m_p = self._m_p + a * (p - self._m_p)
+        m_ss = self._m_ss + a * (s * s - self._m_ss)
+        m_sp = self._m_sp + a * (s * p - self._m_sp)
+        # unchanged moments give the fit and the fitted flag the previous
+        # fold gave; past the warm-up, ``ready`` is that flag before and after
+        self.settled = (m_s == self._m_s and m_p == self._m_p
+                        and m_ss == self._m_ss and m_sp == self._m_sp
+                        and self.samples >= MODEL_WARMUP_SAMPLES)
+        self._m_s, self._m_p, self._m_ss, self._m_sp = m_s, m_p, m_ss, m_sp
         self.samples += 1
         sq = m_s * m_s
         var = m_ss - sq
@@ -209,6 +220,10 @@ class Packager:
         # (smoothed rate, fitted o, fitted c) of the last solve, whose
         # target ``_target`` still holds; None once the fallback moved it
         self._solved: tuple[float, float, float] | None = None
+        # (size, proc) of the last report when it settled the model and
+        # left the last solve standing: the same report again is counted
+        # without a fold (see update_target_size); None otherwise
+        self._settled: tuple[int, float] | None = None
         self._last_feedback_seq = -1
         # rate of events reaching the packager (post-filter), measured on
         # the events' own timestamps: ``rate_evps`` is the latest window
@@ -347,6 +362,7 @@ class Packager:
                 window.fold(t)
             rate_evps = window.rate_evps
         self.rate_evps = rate = rate_evps
+        self._settled = None   # the smoothed rate, an input of the solve, moves
         if self._rate_smooth_evps is None:
             self._rate_smooth_evps = rate
         else:
@@ -426,15 +442,29 @@ class Packager:
         While the model is ready, ``N*`` is solved again only when the
         smoothed rate or the fitted ``o`` or ``c`` differ from the last
         solve's; otherwise the stored target is the one it would give.
+
+        A report whose fold left the model unchanged past its warm-up
+        (:attr:`AffineCostModel.settled`) and whose solve inputs equalled
+        the last solve's is remembered by its ``(size,
+        processing_time_us)``. Until another report is folded or
+        :meth:`append` moves the smoothed rate, a report with that pair
+        is only counted in ``model.samples``, not folded: its fold would
+        change nothing, and while the model is ready its span only picks
+        between two returns that both leave the target as it is.
         """
         feedback.validate()
         seq = feedback.package_seq
         if seq <= self._last_feedback_seq:
             return
         self._last_feedback_seq = seq
-        proc, span = feedback.processing_time_us, feedback.span_us
+        size, proc = feedback.size, feedback.processing_time_us
         model = self.model
-        ready = model.update(feedback.size, proc)
+        if (size, proc) == self._settled:
+            model.samples += 1
+            return
+        self._settled = None
+        span = feedback.span_us
+        ready = model.update(size, proc)
         if proc == span:
             return
         cfg = self.config
@@ -444,7 +474,10 @@ class Packager:
             o, c = model.overhead_us, model.per_event_us
             solved = (rate_evps, o, c)
             if solved == self._solved:
-                return  # the inputs of the last solve: its target stands
+                # the inputs of the last solve: its target stands
+                if model.settled:
+                    self._settled = (size, proc)
+                return
             target = cfg.headroom * predict_size(rate_evps, o / _US, c / _US,
                                                  lo, hi)
             self._solved = solved

@@ -18,6 +18,7 @@ import time
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import index as _as_index
 from typing import NamedTuple
 
@@ -391,22 +392,28 @@ _HEAD = struct.Struct("=2q2d")
 _RATES = struct.Struct("=3d")
 _DROPS = struct.Struct("=2q")
 _HEAD_CACHE = 256     # distinct size..lag_us texts kept before clearing
+_WRITE_BLOCK = 256    # CSV lines joined into one write
 
 
 def _table_lines(packed):
     """The CSV lines of a table's packed rows. Equal bytes give equal
     reprs, so a part is formatted once for a run of rows with the same
     bytes (γ and the rates of one fed batch, the drops) or once per
-    distinct ``size..lag_us`` bytes, which a steady consumer repeats."""
+    distinct ``size..lag_us`` bytes, which a steady consumer repeats;
+    a ``size..lag_us`` text not kept reuses the ``proc_us`` text of the
+    last one formatted when both are the same non-zero number."""
     heads = {}
-    rates_key = drops_key = None
+    last_proc = rates_key = drops_key = None
     for seq, head_key, r_key, d_key, clk, _ in _SPLIT.iter_unpack(packed):
         head = heads.get(head_key)
         if head is None:
             if len(heads) >= _HEAD_CACHE:
                 heads.clear()
             n, span, proc, lag = _HEAD.unpack(head_key)
-            head = heads[head_key] = f"{n},{span},{proc!r},{lag!r}"
+            # equal non-zero floats have equal bits; zeros carry a sign
+            if proc != last_proc or not proc:
+                proc_text, last_proc = repr(proc), proc
+            head = heads[head_key] = f"{n},{span},{proc_text},{lag!r}"
         if r_key != rates_key:
             rates, rates_key = "%r,%r,%r" % _RATES.unpack(r_key), r_key
         if d_key != drops_key:
@@ -427,9 +434,12 @@ def write_metrics_csv(path, metrics: Sequence[PackageMetrics]) -> None:
     gives it, integers as ``str`` does.
 
     A :class:`MetricsTable` is formatted straight from its packed bytes;
-    any other sequence of rows, field by field."""
+    any other sequence of rows, field by field. The lines are joined and
+    written in blocks of up to ``_WRITE_BLOCK``, so a long table costs
+    one write per block, not per line, and holds one block of text."""
     lines = (_table_lines(metrics._packed)
              if isinstance(metrics, MetricsTable) else _row_lines(metrics))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(METRICS_HEADER + "\n")
-        f.writelines(lines)
+        while block := "".join(islice(lines, _WRITE_BLOCK)):
+            f.write(block)

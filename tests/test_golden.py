@@ -7,11 +7,11 @@ what they leave idle: a jittered consumer (one draw per package, so
 every ``proc_us`` differs), a buffer small enough that the drop-oldest
 guard fires (non-zero ``drop_overflow``), and 1024-event chunks,
 unfiltered and filtered, in which most packages span several of the
-packager's appended batches, and a ramp that falls through the discard
-bound. A change that is meant to alter no
-behaviour (a refactor, a faster hot path) must keep every digest. A
-change that alters behaviour on purpose updates the digest here and
-says why in CHANGES.md.
+packager's appended batches, a ramp that falls through the discard
+bound, and a small-package run whose reports settle and repeat. A
+change that is meant to alter no behaviour (a refactor, a faster hot
+path) must keep every digest. A change that alters behaviour on purpose
+updates the digest here and says why in CHANGES.md.
 """
 
 import hashlib
@@ -44,6 +44,11 @@ GOLDEN_SHA256 = {
     # while batches lose events, and joins it again once they are whole
     "ramp-down":
         "3eed8191e0e1884c8e7b2df4e71c441d334ec9a89f19dadac820ca713099b253",
+    # 12794 packages of about 23 events (o = 20 µs, c = 100 ns): the
+    # cost fit settles and most reports repeat one (size, proc) pair
+    # between appends, so size control counts them without a fold
+    "constant-small":
+        "85efa1d6551008151ecb0c2490019c990f70e6f39cb0d1d5c2ad4f627bc8396a",
 }
 
 #: Runs that are not a bundled scenario as it stands: its name and the
@@ -60,6 +65,10 @@ RUNS = {
     "ramp-down": ("ramp", ["--set", "source.rate_start_evps=1e7",
                            "--set", "source.rate_end_evps=1e5",
                            "--set", "source.chunk_events=4096"]),
+    "constant-small": ("constant", ["--set", "consumer.o_us=20",
+                                    "--set", "consumer.c_ns=100",
+                                    "--set", "packager.initial_size=23",
+                                    "--set", "source.duration_s=0.3"]),
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
                          OrderingError, Packager, PackagerConfig,
                          ProcessingFeedback, make_events, predict_size)
+from asap_stream.packager import MODEL_WARMUP_SAMPLES
 
 
 def _events_at(timestamps):
@@ -59,6 +60,17 @@ class TestAffineCostModel:
         assert model.ready
         assert model.overhead_us == pytest.approx(1000.0, rel=0.01)
         assert model.per_event_us == pytest.approx(0.5, rel=0.01)
+
+    def test_settled_once_a_fold_moves_no_moment_past_the_warmup(self):
+        model = AffineCostModel(smoothing=0.5)
+        settled = []
+        for _ in range(MODEL_WARMUP_SAMPLES + 2):
+            model.update(100, 70.0)
+            settled.append(model.settled)
+        # the moments hold from the second fold on
+        assert settled == [False] * MODEL_WARMUP_SAMPLES + [True, True]
+        model.update(100, 70.5)
+        assert not model.settled
 
     def test_not_ready_before_warmup(self):
         model = AffineCostModel()
@@ -412,6 +424,44 @@ class _SolveEveryTime:
         self.target = min(cfg.n_max, max(cfg.n_min, target))
 
 
+def _assert_controls_alike(p, ref):
+    """The packager's target and cost model are those of ``ref``."""
+    assert p.target_size == ref.target_size
+    fields = ("_m_s", "_m_p", "_m_ss", "_m_sp", "overhead_us", "per_event_us",
+              "ready", "samples")
+    assert ([getattr(p.model, f) for f in fields]
+            == [getattr(ref.model, f) for f in fields])
+
+
+def _run_control(ops, smoothing):
+    """Apply ``ops`` (see the tests below) to a packager and to the
+    reference, comparing their control after every report."""
+    # a 100 µs rate window: a few dozen appended events give rates of
+    # up to ~1e6 ev/s, where N* lies between the bounds
+    cfg = PackagerConfig(n_min=4, n_max=400, initial_size=50,
+                         model_smoothing=smoothing, rate_window_us=100)
+    p = Packager(cfg)
+    ref = _SolveEveryTime(cfg)
+    t, newest = 0, -1
+    for op in ops:
+        if op[0] == "append":
+            _, n, gap = op
+            p.append(_events_at(t + gap * np.arange(n)))
+            t += gap * n
+            continue
+        _, step, size, span, proc, repeat = op
+        if proc == "span":
+            proc = float(span)
+        elif isinstance(proc, tuple):
+            proc = max(0.0, proc[0] + proc[1] * size)
+        for seq in range(newest + step, newest + step + repeat):
+            report = _feedback(seq, size, span, proc)
+            p.update_target_size(report)
+            ref.update(report, p._rate_smooth_evps)
+            newest = max(newest, seq)
+            _assert_controls_alike(p, ref)
+
+
 class TestUpdateTargetSize:
     def test_setpoint_leaves_target_unchanged(self):
         p = Packager(PackagerConfig(initial_size=500))
@@ -520,30 +570,60 @@ class TestUpdateTargetSize:
              smoothing=0.99)
     @settings(max_examples=200, deadline=None)
     def test_target_equals_a_solve_on_every_report(self, ops, smoothing):
-        # a 100 µs rate window: a few dozen appended events give rates of
-        # up to ~1e6 ev/s, where N* lies between the bounds
-        cfg = PackagerConfig(n_min=4, n_max=400, initial_size=50,
-                             model_smoothing=smoothing, rate_window_us=100)
-        p = Packager(cfg)
-        ref = _SolveEveryTime(cfg)
-        t, newest = 0, -1
-        for op in ops:
-            if op[0] == "append":
-                _, n, gap = op
-                p.append(_events_at(t + gap * np.arange(n)))
-                t += gap * n
-                continue
-            _, step, size, span, proc, repeat = op
-            if proc == "span":
-                proc = float(span)
-            elif isinstance(proc, tuple):
-                proc = max(0.0, proc[0] + proc[1] * size)
-            for seq in range(newest + step, newest + step + repeat):
-                report = _feedback(seq, size, span, proc)
-                p.update_target_size(report)
-                ref.update(report, p._rate_smooth_evps)
-                newest = max(newest, seq)
-                assert p.target_size == ref.target_size
+        _run_control(ops, smoothing)
+
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 40),
+                  st.integers(0, 2) | st.integers(0, 30)),
+        # a run of one report, long enough for the fit's moments to reach
+        # their fixed point, or short; sizes, spans and procs come from
+        # small sets, so consecutive runs often repeat a (size, proc)
+        # pair at another span, at the setpoint or not
+        st.tuples(st.just("report"), st.integers(-1, 2),
+                  st.sampled_from([8, 23, 64]),
+                  st.sampled_from([0, 10, 23, 50, 70]),
+                  st.sampled_from(["span", (20.0, 0.1), (-1.0, 1.5),
+                                   50.0, 15.0]),
+                  st.sampled_from([1, 2, 200, 260]))), max_size=12),
+        smoothing=st.sampled_from([0.2, 0.5, 0.99]))
+    # a repeat in warm-up, a settled run, an append between two runs of
+    # the same report, then the report at its setpoint and at other spans
+    @example(ops=[("report", 1, 23, 50, (20.0, 0.1), 2),
+                  ("append", 40, 1), ("report", 1, 64, 70, (20.0, 0.1), 200),
+                  ("report", 1, 23, 50, (20.0, 0.1), 260),
+                  ("append", 20, 2), ("report", 1, 23, 50, (20.0, 0.1), 2),
+                  ("report", 1, 23, 22, (20.0, 0.1), 1),
+                  ("report", 1, 23, 0, (20.0, 0.1), 2),
+                  ("report", 1, 23, 70, (20.0, 0.1), 2)], smoothing=0.2)
+    # a repeat with no rate yet, at the fallback, where its span matters
+    @example(ops=[("report", 1, 8, 50, 15.0, 200),
+                  ("report", 1, 8, 10, 15.0, 2)], smoothing=0.99)
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_reports_control_as_if_each_were_folded(self, ops,
+                                                             smoothing):
+        _run_control(ops, smoothing)
+
+    def test_a_settled_report_repeated_is_counted_without_a_fold(
+            self, monkeypatch):
+        p = Packager(PackagerConfig(initial_size=23))
+        p.append(_events_at(np.arange(0, 1000)))
+        sizes = (20, 30) * 3 + (23,) * 300
+        for seq, size in enumerate(sizes):
+            p.update_target_size(_feedback(seq, size, size, 20.0 + 0.1 * size))
+        assert p.model.settled
+        proc = 20.0 + 0.1 * 23
+        folds = []
+        update = AffineCostModel.update
+        monkeypatch.setattr(AffineCostModel, "update",
+                            lambda m, *a: folds.append(a) or update(m, *a))
+        seq = len(sizes)
+        for span in (22, 23, 0, 40):
+            p.update_target_size(_feedback(seq, 23, span, proc))
+            seq += 1
+        assert folds == [] and p.model.samples == seq
+        p.append(_events_at([1000]))   # the smoothed rate moves
+        p.update_target_size(_feedback(seq, 23, 23, proc))
+        assert folds == [(23, proc)]
 
     def test_unchanged_inputs_are_not_solved_again(self, monkeypatch):
         import asap_stream.packager as packager

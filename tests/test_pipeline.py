@@ -19,7 +19,8 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
                          make_events, run, write_metrics_csv)
 from asap_stream import pipeline
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
-                                  _HEAD_CACHE, _REASON_CODE, _Stages)
+                                  _HEAD_CACHE, _REASON_CODE, _WRITE_BLOCK,
+                                  _Stages, _row_lines)
 
 
 def _config(**kwargs):
@@ -371,6 +372,37 @@ class TestMetricsOutput:
         rows = [PackageMetrics(seq, *head, 1.0, 2.0, 3.0, 0, 0, seq * 1.1)
                 for seq, head in enumerate(heads)]
         self._assert_table_writes_reference(rows, tmp_path / "m.csv")
+
+    def test_table_without_repeated_heads_writes_the_bytes_of_its_rows(
+            self, tmp_path):
+        # every size..lag_us head differs, across more than the cache
+        # keeps; runs of rows share a proc_us, then change its bits only
+        nan = float("nan")
+        payload_nan = struct.unpack("=d", struct.pack("=Q",
+                                                      0x7FF8000000000001))[0]
+        procs = [2.5, 2.5, 0.0, -0.0, -0.0, 0.0, nan, -nan, payload_nan, 7.0]
+        rows = [PackageMetrics(seq, seq + 1, 2, procs[seq // 3 % len(procs)],
+                               0.5 - seq, 1.0, 2.0, 3.0, 0, 0, seq * 1.1)
+                for seq in range(2 * _HEAD_CACHE + 40)]
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, MetricsTable(rows))
+        assert path.read_bytes() == \
+            (METRICS_HEADER + "\n" + "".join(_row_lines(rows))).encode()
+
+    @pytest.mark.parametrize("n", [0, 1, _WRITE_BLOCK - 1, _WRITE_BLOCK,
+                                   _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 1])
+    def test_blocks_write_every_line_once(self, n, tmp_path):
+        rows = [PackageMetrics(seq, 1 + seq % 3, 4, 2.5 + seq % 5, -1.5,
+                               1.0, 2.0, 3.0, seq % 2, 0, seq * 1.1)
+                for seq in range(n)]
+        expected = (METRICS_HEADER + "\n"
+                    + "".join(_row_lines(rows))).encode()
+        for kind, metrics in (("table", MetricsTable(rows)), ("list", rows)):
+            path = tmp_path / f"{kind}.csv"
+            write_metrics_csv(path, metrics)
+            assert path.read_bytes() == expected
+        if not n:
+            assert expected == (METRICS_HEADER + "\n").encode()
 
     def test_table_formats_equal_values_of_other_bits_apart(self, tmp_path):
         nan = float("nan")
