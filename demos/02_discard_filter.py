@@ -9,15 +9,12 @@ at the bound.
 
 import numpy as np
 
-from asap_stream import (ConstantRateSource, GammaConfig, GammaFilter,
-                         SlidingRateEstimator)
+from asap_stream import ConstantRateSource, GammaConfig, GammaFilter
 
 
 def main():
     config = GammaConfig(a_evps=5e6, beta=0.25, rate_window_us=10_000)
     gfilter = GammaFilter(config, seed=0)
-    # the filter measures the raw rate; the kept rate is measured here
-    filtered = SlidingRateEstimator(config.rate_window_us)
 
     slow = ConstantRateSource(2e6, 0.2, seed=1).events()
     fast = ConstantRateSource(1e7, 0.3, seed=2).events()
@@ -30,14 +27,15 @@ def main():
         batch = stream[edges[i]:edges[i + 1]]
         if len(batch) == 0:
             continue
-        kept, _ = gfilter.process(batch)
-        filtered.update(kept["t"])
+        gfilter.process(batch)
+        # the rate window's kept side counts what the filter kept
+        filtered = gfilter.window.fold_kept(gfilter.kept_t)
         if i % 5 == 0:
             print(f"{(i + 1) * 10:>6} {gfilter.rate_raw_evps:>10.3g} "
-                  f"{gfilter.gamma:>7.3f} {filtered.rate_evps:>14.3g}")
+                  f"{gfilter.gamma:>7.3f} {filtered:>14.3g}")
 
     print(f"\nsteady state: gamma {gfilter.gamma:.3f} (expected a/rate = 0.5), "
-          f"filtered rate {filtered.rate_evps:.3g} ev/s "
+          f"filtered rate {filtered:.3g} ev/s "
           f"(bound {config.a_evps:.3g})")
 
 

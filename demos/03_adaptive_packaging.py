@@ -10,7 +10,8 @@ a deliberately bad initial guess.
 import numpy as np
 
 from asap_stream import (ConstantRateSource, EventPackage, Packager,
-                         PackagerConfig, ProcessingFeedback, predict_size)
+                         PackagerConfig, ProcessingFeedback,
+                         SlidingRateEstimator, predict_size)
 
 
 def main():
@@ -18,6 +19,8 @@ def main():
           predict_size(1e6, 1e-3, 5e-7, 1, 1_000_000), "events\n")
 
     packager = Packager(PackagerConfig(initial_size=100, timeout_us=100_000))
+    # the arrival rate the size law solves for, over a 10 ms window
+    rate = SlidingRateEstimator(window_us=10_000)
     stream = ConstantRateSource(1e6, 1.0, seed=0).events()
 
     print(f"{'package':>8} {'target':>7} {'size':>6} {'span_us':>8} "
@@ -28,7 +31,8 @@ def main():
         while (emission := packager.next_emission()) is None:
             if pos >= len(stream):
                 return
-            packager.append(stream[pos:pos + 500])
+            batch = stream[pos:pos + 500]
+            packager.append(batch, rate_evps=rate.update(batch["t"]))
             pos += 500
         pkg: EventPackage = emission.package
         proc_us = 1000.0 + 0.5 * pkg.size  # the consumer's affine cost

@@ -44,23 +44,46 @@ class GammaConfig:
                 key="gamma.rate_window_us")
 
 
+def _slide(batches: deque, count: int, t: np.ndarray, window_us: int) -> int:
+    """Append the non-empty ordered batch ``t`` to the window ``batches``
+    of ``count`` events, drop what fell behind ``t``'s newest timestamp
+    minus ``window_us``; returns the new count.
+
+    The newest batch ends inside the window, so the loop stops. Only the
+    oldest remaining batch is searched, in O(log n) item reads:
+    searchsorted would first copy a strided view whole, and a key=item
+    bisection is twice as slow.
+    """
+    batches.append(t)
+    count += t.size
+    cut = t.item(-1) - window_us
+    while batches[0].item(-1) < cut:
+        count -= batches.popleft().size
+    oldest = batches[0]
+    if oldest.item(0) < cut:
+        outside = bisect_left(oldest, cut)
+        batches[0] = oldest[outside:]
+        count -= outside
+    return count
+
+
 class SlidingRateEstimator:
-    """Event rate over a sliding window ending at the newest timestamp.
+    """Event rates over a sliding window, before and after a filter.
 
-    The window is inclusive at its tail: events with
-    ``t >= newest - window`` are counted. An empty estimator reports 0.
+    The raw side (:meth:`update`, :attr:`rate_evps`) counts every event
+    of the stream; the kept side (:meth:`fold_kept`) counts the part of
+    each raw batch that a filter and admission kept. Each window ends at
+    its own side's newest timestamp and is inclusive at its tail: events
+    with ``t >= newest - window`` are counted. An empty side reports 0.
 
-    The windowed timestamps are kept as the batches they arrived in,
-    with a running count. An update drops the batches that fell out of
-    the window whole and searches only the oldest remaining one, so it
-    costs the size of the new batch, not of the window.
-
-    A caller that knows the window's count already, as the pipeline
-    does while the packager's window holds the same timestamps as the
-    filter's raw one, keeps its batches with :meth:`hold` instead: no
-    order check, no search and no count. The next :meth:`fold` or read
-    of :attr:`rate_evps` counts the held batches once, and folding
-    goes on from there.
+    Each side keeps its timestamps as the batches they arrived in, with
+    a running count. A fold drops the batches that fell out of the
+    window whole and searches only the oldest remaining one, so it costs
+    the size of the new batch, not of the window. A batch was kept whole
+    when its kept view is the very view the raw side folded. While every
+    batch with a timestamp in the window was, both sides hold the same
+    timestamps: the kept side then takes the raw side's batches and
+    count instead of searching.
     """
 
     def __init__(self, window_us: int):
@@ -70,7 +93,13 @@ class SlidingRateEstimator:
                 key="gamma.rate_window_us")
         self.window_us = int(window_us)
         self._batches: deque[np.ndarray] = deque()
-        self._count = 0          # -1: held batches not counted yet
+        self._count = 0
+        self._kept: deque[np.ndarray] = deque()
+        self._kept_count = 0
+        self._window_s = self.window_us / _US
+        # the newest timestamp of the last raw batch not kept whole, plus
+        # the window: the kept window holds only whole batches past it
+        self._short_until = -1 << 63
 
     def update(self, timestamps: np.ndarray, *, checked: bool = False) -> float:
         """Fold a batch of ordered timestamps in, an int64 array or field
@@ -112,50 +141,38 @@ class SlidingRateEstimator:
                 raise OrderingError(
                     f"batch starts at timestamp {first}, before the newest "
                     f"one already seen, {newest}")
-            if self._count < 0:
-                self._recount()
-        batches.append(t)
-        self._count += t.size
-        cut = t.item(-1) - self.window_us
-        # the newest batch ends inside the window, so this stops
-        while batches[0].item(-1) < cut:
-            self._count -= batches.popleft().size
-        oldest = batches[0]
-        if oldest.item(0) < cut:
-            # O(log n) item reads; searchsorted would first copy a strided
-            # view whole, and a key=item bisection is twice as slow
-            outside = bisect_left(oldest, cut)
-            batches[0] = oldest[outside:]
-            self._count -= outside
+        self._count = _slide(batches, self._count, t, self.window_us)
 
-    def hold(self, t: np.ndarray) -> None:
-        """Keep a non-empty int64 batch, as given, that the caller has
-        checked to start no earlier than the newest timestamp held and
-        whose window count it knows. Only batches that left the window
-        whole are dropped; the held ones are counted when next needed."""
-        batches = self._batches
-        batches.append(t)
-        cut = t.item(-1) - self.window_us
-        while batches[0].item(-1) < cut:
-            batches.popleft()
-        self._count = -1
+    def fold_kept(self, t: np.ndarray) -> float:
+        """Fold in what was kept of the batch last folded into the raw
+        side, as an int64 view of a subsequence of it, that very batch
+        when all of it was kept, or an empty view; returns the kept rate.
+        Called once per raw batch, after it.
 
-    def _recount(self) -> None:
-        """Count the held batches, cutting the oldest at the window's tail."""
+        An empty view leaves the kept rate as it is: no event was kept.
+        """
         batches = self._batches
-        cut = batches[-1].item(-1) - self.window_us
-        oldest = batches[0]
-        if oldest.item(0) < cut:
-            batches[0] = oldest[bisect_left(oldest, cut):]
-        self._count = sum(map(len, batches))
+        if t is batches[-1]:
+            if self._short_until < t.item(-1):
+                # every batch in the window was kept whole: the raw
+                # window's timestamps, cut where the raw window was cut
+                self._kept = batches.copy()
+                count = self._kept_count = self._count
+            else:
+                count = self._kept_count = _slide(
+                    self._kept, self._kept_count, t, self.window_us)
+        else:
+            # not kept whole, or its head left the raw window already
+            self._short_until = batches[-1].item(-1) + self.window_us
+            count = self._kept_count
+            if t.size:
+                count = self._kept_count = _slide(
+                    self._kept, count, t, self.window_us)
+        return count / self._window_s if count else 0.0
 
     @property
     def rate_evps(self) -> float:
-        if self._count < 0:
-            self._recount()
-        if self._count == 0:
-            return 0.0
-        return self._count / (self.window_us / _US)
+        return self._count / self._window_s if self._count else 0.0
 
 
 def apply_filter(state, events: np.ndarray) -> np.ndarray:
@@ -196,8 +213,9 @@ class GammaFilter:
     batch, gamma takes one smoothing step of gain ``beta`` toward
     ``min(1, a / rate_raw)``, floored at ``gamma_min``; adapting on the
     raw rate has the steady state of adapting on the filtered rate, with
-    a faster transient. The post-filter rate is measured downstream, by
-    the packager that sizes packages from it.
+    a faster transient. The post-filter rate, which sizes packages, is
+    the kept side of the same :attr:`window`, folded by the caller once
+    admission has taken what it keeps of the batch.
     """
 
     def __init__(self, config: GammaConfig, seed: int = 0):
@@ -207,11 +225,14 @@ class GammaFilter:
         self.rate_raw_evps = 0.0
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._skipped = 0   # events kept at gamma >= 1, not yet stepped
-        self._raw = SlidingRateEstimator(config.rate_window_us)
+        #: The rate window: :meth:`process` folds each batch into its raw
+        #: side; the caller folds what it keeps into its kept side.
+        self.window = SlidingRateEstimator(config.rate_window_us)
         #: Timestamps of the last batch's kept events (None before the
         #: first batch): the ``t`` field view of the kept array, or of the
         #: batch itself when nothing was discarded, whose order the raw
-        #: window has checked. The packager's rate window folds it as is.
+        #: window has checked, as :meth:`SlidingRateEstimator.fold_kept`
+        #: takes it.
         self.kept_t: np.ndarray | None = None
 
     def process(self, events: np.ndarray, *,
@@ -229,7 +250,7 @@ class GammaFilter:
             return events, 0
         cfg = self.config
         # the batch's newest event is in the window: the rate is positive
-        rate = self.rate_raw_evps = self._raw.update(t, checked=checked)
+        rate = self.rate_raw_evps = self.window.update(t, checked=checked)
         target = min(1.0, max(cfg.gamma_min, cfg.a_evps / rate))
         g = self.gamma + cfg.beta * (target - self.gamma)
         self.gamma = min(1.0, max(cfg.gamma_min, g))

@@ -23,9 +23,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, OrderingError
 from .events import EventPackage
-from .gamma import SlidingRateEstimator
 
 _US = 1_000_000.0
 _INF = float("inf")
@@ -61,7 +60,6 @@ class PackagerConfig:
     model_smoothing: float = 0.2   # exponential-averaging gain of the cost fit
     headroom: float = 1.05         # target bias above N* keeping lag negative
     initial_size: int = 1000       # target held until the first feedback
-    rate_window_us: int = 10_000   # window of the incoming-rate estimate
 
     def validate(self) -> None:
         # negated comparisons: NaN fails every bound
@@ -81,9 +79,11 @@ class PackagerConfig:
             raise ConfigurationError(
                 f"packager.kappa must be in (0, 1], got {self.kappa}",
                 key="packager.kappa")
-        if not 0.0 < self.model_smoothing <= 1.0:
+        # at 1 each fold replaces the moments by one sample's, whose
+        # size variance is 0: the fit would never start
+        if not 0.0 < self.model_smoothing < 1.0:
             raise ConfigurationError(
-                f"packager.model_smoothing must be in (0, 1], got "
+                f"packager.model_smoothing must be in (0, 1), got "
                 f"{self.model_smoothing}", key="packager.model_smoothing")
         if not self.headroom >= 1.0:
             raise ConfigurationError(
@@ -93,10 +93,6 @@ class PackagerConfig:
             raise ConfigurationError(
                 f"packager.initial_size must be >= 1, got {self.initial_size}",
                 key="packager.initial_size")
-        if not self.rate_window_us > 0:
-            raise ConfigurationError(
-                f"packager.rate_window_us must be positive, got "
-                f"{self.rate_window_us}", key="packager.rate_window_us")
 
 
 def predict_size(rate_filtered_evps: float, overhead_s: float,
@@ -210,7 +206,7 @@ class Packager:
         self._batches: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._head = 0           # first buffered event in the oldest batch
         self._buffered = 0
-        self._newest = 0         # newest appended timestamp
+        self._newest = -1 << 63  # newest appended timestamp (int64 min)
         self._front()
         self._next_seq = 0
         self._target = float(
@@ -225,12 +221,8 @@ class Packager:
         # without a fold (see update_target_size); None otherwise
         self._settled: tuple[int, float] | None = None
         self._last_feedback_seq = -1
-        # rate of events reaching the packager (post-filter), measured on
-        # the events' own timestamps: ``rate_evps`` is the latest window
-        # count, the pipeline's one post-filter rate; its exponential
-        # smoothing steers the target
-        self._rate_estimator = SlidingRateEstimator(config.rate_window_us)
-        self.rate_evps = 0.0
+        # exponential smoothing of the post-filter rates handed to
+        # ``append``, which steers the target
         self._rate_smooth_evps: float | None = None
 
     def _front(self) -> None:
@@ -322,52 +314,43 @@ class Packager:
             self._take(n)
         return n
 
-    def append(self, events: np.ndarray, *, t: np.ndarray | None = None,
-               rate_evps: float | None = None) -> None:
+    def append(self, events: np.ndarray, *, rate_evps: float,
+               t: np.ndarray | None = None) -> None:
         """Buffer events without cutting packages (see :meth:`next_emission`).
 
         The batch is kept as given, not copied, and never written.
+        ``rate_evps`` is the post-filter event rate after this batch, as
+        :meth:`SlidingRateEstimator.fold_kept
+        <asap_stream.gamma.SlidingRateEstimator.fold_kept>` measures it;
+        its exponential smoothing steers the target.
 
-        The rate estimator is the one order check: it raises
-        :class:`OrderingError` before any state changes when the batch
-        decreases or starts before the newest appended event, which is
-        never older than the newest buffered one.
+        Raises :class:`OrderingError` before any state changes when the
+        batch decreases or starts before the newest appended event,
+        which is never older than the newest buffered one.
 
         ``t``, when given, must be the events' timestamps as an int64
         array or field view whose order was already checked, such as
-        :attr:`GammaFilter.kept_t <asap_stream.gamma.GammaFilter.kept_t>`.
-        The rate window then folds it uncopied and checks only that it
-        starts no earlier than the newest appended event.
-
-        ``rate_evps``, given with ``t``, is the count of the rate window
-        after this batch, as a rate, known to the caller: the pipeline
-        passes the filter's raw rate while every batch in the raw window
-        reached the packager whole, so that both windows hold the same
-        timestamps. The window then only holds ``t``, unchecked and
-        uncounted (:meth:`SlidingRateEstimator.hold
-        <asap_stream.gamma.SlidingRateEstimator.hold>`); the first batch
-        appended without it is counted against the held ones.
+        :attr:`GammaFilter.kept_t <asap_stream.gamma.GammaFilter.kept_t>`:
+        only its start is checked.
         """
         n = len(events)
         if n == 0:
             return
-        window = self._rate_estimator
-        if rate_evps is not None:
-            window.hold(t)
-        else:
-            if t is None:
-                t = events["t"]
-                window.update(t)
-            else:
-                window.fold(t)
-            rate_evps = window.rate_evps
-        self.rate_evps = rate = rate_evps
+        if t is None:
+            t = events["t"]
+            if np.count_nonzero(t[1:] < t[:-1]):
+                raise OrderingError("batch timestamps must be non-decreasing")
+        first = t.item(0)
+        if first < self._newest:
+            raise OrderingError(
+                f"batch starts at timestamp {first}, before the newest "
+                f"one already seen, {self._newest}")
         self._settled = None   # the smoothed rate, an input of the solve, moves
         if self._rate_smooth_evps is None:
-            self._rate_smooth_evps = rate
+            self._rate_smooth_evps = rate_evps
         else:
             self._rate_smooth_evps += self.config.model_smoothing * (
-                rate - self._rate_smooth_evps)
+                rate_evps - self._rate_smooth_evps)
         self._batches.append((events, t))
         self._newest = t.item(-1)
         if not self._buffered:

@@ -216,45 +216,31 @@ class _Stages:
         self._pending_filter = 0
         self._pending_overflow = 0
         self._rates = ()  # set by feed, before there is anything to cut
-        # While every batch whose newest timestamp lies in the raw rate
-        # window reached the packager whole, the packager's window holds
-        # the raw window's timestamps, and the raw rate is its count too.
-        # ``_split_us`` is the newest timestamp of the last batch that
-        # did not; equal windows of ``_follow_us`` are needed to follow.
-        window_us = config.gamma.rate_window_us
-        self._follow_us = (window_us if window_us
-                           == config.packager.rate_window_us else None)
-        self._split_us = -1 << 63
 
     def feed(self, batch: np.ndarray) -> None:
         if not len(batch):
             return   # no event arrived: no stage changes
         self.source_events += len(batch)
-        kept, dropped = self.gfilter.process(batch, checked=self.ordered)
+        gfilter = self.gfilter
+        kept, dropped = gfilter.process(batch, checked=self.ordered)
         # the kept events' timestamp view, order-checked once by the
-        # filter's raw window, feeds the packager's window as well
-        kept_t = self.gfilter.kept_t
+        # filter's raw window, feeds its kept side and the packager
+        kept_t = gfilter.kept_t
         self.dropped_by_filter += dropped
         self._pending_filter += dropped
         excess = self.packager.buffered + len(kept) - self.capacity
-        head = 0
         if excess > 0:
             # drop-oldest: buffered events first, then the batch's own head
             head = excess - self.packager.drop_oldest(excess)
-            kept, kept_t = kept[head:], kept_t[head:]
+            if head:   # else the view stays the one the raw window holds
+                kept, kept_t = kept[head:], kept_t[head:]
             self.dropped_by_overflow += excess
             self._pending_overflow += excess
-        rate = None
-        if dropped or head:
-            self._split_us = batch["t"].item(-1)
-        elif (self._follow_us is not None
-              and self._split_us < kept_t.item(-1) - self._follow_us):
-            rate = self.gfilter.rate_raw_evps
+        rate = gfilter.window.fold_kept(kept_t)
         self.packager.append(kept, t=kept_t, rate_evps=rate)
         # gamma and both rates change only here: read once per batch for
         # the stamps of the packages it completes
-        self._rates = (self.gfilter.gamma, self.gfilter.rate_raw_evps,
-                       self.packager.rate_evps)
+        self._rates = (gfilter.gamma, gfilter.rate_raw_evps, rate)
 
     def cut(self, clock: Clock, now_us: int | None = None) -> _Cut | None:
         """Cut one package, if the buffer completes one, and stamp it with

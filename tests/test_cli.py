@@ -346,6 +346,9 @@ class TestCliRun:
         ("constant", "consumer.radius_px=nan"),
         ("constant", "packager.n_max=1e400"),
         ("constant", "gamma.rate_window_us=1e400"),
+        ("constant", "packager.model_smoothing=1"),
+        # removed: the one rate window is gamma.rate_window_us
+        ("constant", "packager.rate_window_us=100"),
         ("constant", "seed=0.7"),
         ("constant", "packager.n_min=1.5"),
         ("constant", "seed=-1"),

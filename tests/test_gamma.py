@@ -92,6 +92,17 @@ class TestRateEstimator:
         est.update(t)
         assert est._batches[-1] is t
 
+    def test_rate_counts_the_appended_events(self):
+        # each side counts the events in the window ending at its own
+        # newest one, the window's tail included
+        t = np.arange(0, 2_000, 2)
+        est = SlidingRateEstimator(window_us=1_000)
+        assert est.update(t) == pytest.approx(501 / 1e-3)
+        assert est.fold_kept(t) == est.rate_evps
+        est = SlidingRateEstimator(window_us=1_000)
+        est.update(t)
+        assert est.fold_kept(t[::2]) == pytest.approx(251 / 1e-3)
+
 
 def _brute_force_rate(seen, window_us):
     """Rate over every timestamp seen, counted from scratch."""
@@ -118,28 +129,56 @@ class TestRateEstimatorProperties:
             assert est.rate_evps == rate
 
     @given(t=_ordered, cuts=st.lists(st.integers(min_value=0, max_value=200)),
-           steps=st.lists(st.sampled_from(["fold", "hold", "hold unread"])),
+           kept=st.lists(st.tuples(
+               st.sampled_from(["whole", "copy", "subset"]),
+               st.lists(st.booleans(), min_size=1, max_size=8),
+               st.integers(min_value=0, max_value=3), st.booleans())),
            window=st.integers(min_value=1, max_value=2_000))
-    @example(t=[1, 2, 3], cuts=[2], steps=["hold unread", "fold"],
-             window=1000)
-    @example(t=[0, 1, 5000], cuts=[1, 2], steps=["hold"] * 3, window=10)
-    @settings(max_examples=200, deadline=None)
-    def test_held_batches_count_as_folded_ones(self, t, cuts, steps, window):
-        # any mix of held and folded batches: the held ones are counted
-        # when the rate is read or the next batch is folded
+    # an event cut off a batch's head stays in the raw window of the
+    # whole batch after it, where the kept window must not count it
+    @example(t=[5, 6, 15], cuts=[2], window=10,
+             kept=[("whole", [True], 1, False)])
+    # the same with nothing of the first batch kept
+    @example(t=[5, 15], cuts=[1], window=10,
+             kept=[("whole", [True], 1, False)])
+    # the newest event of a batch discarded: the raw window of the whole
+    # batch after it holds it, the kept window no event of that batch
+    @example(t=[5, 8, 16], cuts=[2], window=10,
+             kept=[("subset", [True, False], 0, False)])
+    # a batch longer than the window, kept whole; then one kept in part
+    @example(t=[0, 1, 50, 51, 52], cuts=[3], window=10,
+             kept=[("whole", [True], 0, False),
+                   ("subset", [False, True], 0, False)])
+    @settings(max_examples=300, deadline=None)
+    def test_both_sides_equal_brute_force_for_any_split(self, t, cuts, kept,
+                                                         window):
+        # repeated edges make empty batches, adjacent ones single events;
+        # each batch's kept part is the batch itself, an equal copy or
+        # the subsequence a repeated mask picks, its head cut or not;
+        # an empty kept view may be folded after it, which changes nothing
         est = SlidingRateEstimator(window_us=window)
-        edges = sorted({0, len(t), *(c for c in cuts if c <= len(t))})
+        edges = sorted([0, len(t), *(c for c in cuts if c <= len(t))])
+        kept_seen = []
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            step = steps[i] if i < len(steps) else "fold"
+            how, mask, head, empty_too = (kept[i] if i < len(kept)
+                                          else ("whole", [True], 0, False))
             batch = np.array(t[lo:hi], dtype=np.int64)
-            if step == "fold":
-                est.fold(batch)
+            rate = est.update(batch)
+            assert rate == est.rate_evps == _brute_force_rate(t[:hi], window)
+            if not len(batch):
+                continue   # nothing reached the raw side
+            if how == "whole":
+                part = batch[head:] if head else batch
+            elif how == "copy":
+                part = batch.copy()[head:]
             else:
-                est.hold(batch)
-            if step != "hold unread" or hi == len(t):
-                assert est.rate_evps == _brute_force_rate(t[:hi], window)
-            # no batch is kept once it left the window whole
-            assert est._batches[0][-1] >= t[hi - 1] - window
+                part = batch[np.resize(mask, len(batch))][head:]
+            kept_seen += part.tolist()
+            kept_rate = est.fold_kept(part)
+            assert kept_rate == _brute_force_rate(kept_seen, window)
+            if empty_too:
+                assert est.fold_kept(part[:0]) == kept_rate
+            assert est.rate_evps == rate
 
     @given(t=st.lists(st.integers(min_value=0, max_value=5_000), min_size=2,
                       max_size=50, unique=True).map(sorted),
@@ -384,7 +423,7 @@ class TestGammaFilter:
             kt = gfilter.kept_t
             assert np.array_equal(kt, kept["t"])
             assert np.shares_memory(kt, kept)
-            assert (kt is gfilter._raw._batches[-1]) == (kept is batch)
+            assert (kt is gfilter.window._batches[-1]) == (kept is batch)
         assert (gfilter.gamma < 1.0) == (a_evps < 1e12)
 
     @pytest.mark.parametrize("checked, bytes_per_event", [(False, 8), (True, 1)])

@@ -40,8 +40,9 @@ GOLDEN_SHA256 = {
     "constant-chunks-filtered":
         "de14b80e299c9a2bc5014067ed5641f444f57916b457b786ce1c5875a02b6745",
     # 796 packages and 6298927 filter drops on a ramp that falls through
-    # the discard bound: the packager's rate window leaves the filter's
-    # while batches lose events, and joins it again once they are whole
+    # the discard bound: the rate window's kept side counts on its own
+    # while batches lose events, and takes the raw side's count again
+    # once they are whole
     "ramp-down":
         "3eed8191e0e1884c8e7b2df4e71c441d334ec9a89f19dadac820ca713099b253",
     # 12794 packages of about 23 events (o = 20 µs, c = 100 ns): the

@@ -7,13 +7,27 @@ from hypothesis import strategies as st
 
 from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
                          OrderingError, Packager, PackagerConfig,
-                         ProcessingFeedback, make_events, predict_size)
+                         ProcessingFeedback, SlidingRateEstimator,
+                         make_events, predict_size)
 from asap_stream.packager import MODEL_WARMUP_SAMPLES
 
 
 def _events_at(timestamps):
     n = len(timestamps)
     return make_events(timestamps, np.zeros(n), np.zeros(n), np.ones(n))
+
+
+class _Measured(Packager):
+    """A packager handed the rate of the events appended to it, measured
+    by a :class:`SlidingRateEstimator`, as a pipeline hands it the rate
+    of the events its filter kept."""
+
+    def __init__(self, config, window_us=10_000):
+        super().__init__(config)
+        self.window = SlidingRateEstimator(window_us)
+
+    def append(self, events):
+        super().append(events, rate_evps=self.window.update(events["t"]))
 
 
 def _feedback(seq, size, span_us, proc_us):
@@ -25,10 +39,13 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n_min=0), dict(n_min=10, n_max=5), dict(timeout_us=0),
         dict(kappa=0), dict(kappa=1.5), dict(model_smoothing=0),
-        dict(headroom=0.9), dict(initial_size=0), dict(rate_window_us=0)])
+        dict(headroom=0.9), dict(initial_size=0), dict(model_smoothing=1)])
     def test_invalid(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as err:
             PackagerConfig(**kwargs).validate()
+        # the message names the key the error carries
+        assert err.value.key.startswith("packager.")
+        assert err.value.key in str(err.value)
 
 
 class TestPredictSize:
@@ -102,7 +119,7 @@ def _drain(packager):
 
 class TestAppendAndCut:
     def test_250_events_two_packages_of_100(self):
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=10_000))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=10_000))
         p.append(_events_at(np.arange(250)))
         packages = [em.package for em in _drain(p)]
         assert [pkg.size for pkg in packages] == [100, 100]
@@ -111,13 +128,13 @@ class TestAppendAndCut:
 
     def test_append_nothing_is_noop(self):
         p = Packager(PackagerConfig(initial_size=100))
-        p.append(_events_at([]))
+        p.append(_events_at([]), rate_evps=1e6)
         assert p.next_emission() is None
         assert p.buffered == 0
-        assert p.rate_evps == 0.0
+        assert p._rate_smooth_evps is None
 
     def test_partition_identity(self):
-        p = Packager(PackagerConfig(initial_size=64, timeout_us=1_000_000))
+        p = _Measured(PackagerConfig(initial_size=64, timeout_us=1_000_000))
         ev = _events_at(np.arange(1000))
         out = []
         for i in range(0, 1000, 170):
@@ -129,22 +146,17 @@ class TestAppendAndCut:
 
     def test_out_of_order_rejected(self):
         p = Packager(PackagerConfig(initial_size=100))
-        p.append(_events_at([10, 20]))
-        with pytest.raises(OrderingError):
-            p.append(_events_at([5]))
-        with pytest.raises(OrderingError):
-            p.append(_events_at([30, 25]))
-        assert p.buffered == 2
-
-    def test_rate_counts_the_appended_events(self):
-        p = Packager(PackagerConfig(rate_window_us=1_000))
-        p.append(_events_at(np.arange(0, 2_000, 2)))
-        assert p.rate_evps == pytest.approx(501 / 1e-3)
+        p.append(_events_at([10, 20]), rate_evps=1.0)
+        with pytest.raises(OrderingError, match="before the newest"):
+            p.append(_events_at([5]), rate_evps=2.0)
+        with pytest.raises(OrderingError, match="non-decreasing"):
+            p.append(_events_at([30, 25]), rate_evps=2.0)
+        assert (p.buffered, p._rate_smooth_evps) == (2, 1.0)
 
 
 class TestCheckTimeout:
     def test_idle_buffer_flushes(self):
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=10_000))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=10_000))
         p.append(_events_at([0, 5, 9]))
         pkg = p.check_timeout(now_us=10_000)
         assert pkg is not None and pkg.size == 3
@@ -155,14 +167,14 @@ class TestCheckTimeout:
         assert p.check_timeout(now_us=10**9) is None
 
     def test_just_below_timeout_no_flush(self):
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=10_000))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=10_000))
         p.append(_events_at([0]))
         assert p.check_timeout(now_us=9_999) is None
 
 
 class TestNextEmission:
     def test_size_cut_when_target_reached_in_time(self):
-        p = Packager(PackagerConfig(initial_size=10, timeout_us=10_000))
+        p = _Measured(PackagerConfig(initial_size=10, timeout_us=10_000))
         p.append(_events_at(np.arange(25)))
         em = p.next_emission()
         assert em.reason == "size" and em.package.size == 10
@@ -171,7 +183,7 @@ class TestNextEmission:
         assert p.next_emission() is None and p.buffered == 5
 
     def test_timeout_cut_when_deadline_passes_first(self):
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=1_000))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=1_000))
         # 3 events, then a gap past the deadline of the first
         p.append(_events_at([0, 10, 20, 5_000]))
         em = p.next_emission()
@@ -193,11 +205,11 @@ class TestChunkInvariance:
         # not change which packages are cut, why, or when
         ev = _events_at(np.cumsum(np.asarray(gaps, dtype=np.int64)))
         cfg = PackagerConfig(initial_size=target, timeout_us=timeout)
-        whole = Packager(cfg)
+        whole = _Measured(cfg)
         whole.append(ev)
         expected = _drain(whole)
 
-        split = Packager(cfg)
+        split = _Measured(cfg)
         got = []
         edges = sorted({0, len(ev), *(c for c in cuts if c <= len(ev))})
         for lo, hi in zip(edges, edges[1:]):
@@ -234,12 +246,11 @@ class TestAppendOrder:
     @given(batches=_batches, target=st.integers(min_value=1, max_value=30))
     @settings(max_examples=200, deadline=None)
     def test_rejects_exactly_the_disordered_batches(self, batches, target):
-        # the rate estimator is the packager's one order check: a batch
-        # must be rejected exactly when it decreases or starts before
-        # the newest appended timestamp, also once cuts emptied the
-        # buffer, and a rejected batch must leave no trace
-        cfg = PackagerConfig(initial_size=target, timeout_us=200,
-                             rate_window_us=100)
+        # a batch must be rejected exactly when it decreases or starts
+        # before the newest appended timestamp, also once cuts emptied
+        # the buffer, and a rejected batch must leave no trace; each
+        # batch is handed its own length as its rate
+        cfg = PackagerConfig(initial_size=target, timeout_us=200)
         p, ref = Packager(cfg), Packager(cfg)
         newest = None
         for gaps, offset, decrease_at, then in batches:
@@ -250,16 +261,18 @@ class TestAppendOrder:
                 t[k:] -= t[k] - t[k - 1] + 1
             bad = bool((t[1:] < t[:-1]).any()) or (
                 newest is not None and t[0] < newest)
-            before = (p.buffered, p.rate_evps)
+            before = (p.buffered, p._rate_smooth_evps)
+            rate = float(len(t))
             if bad:
                 with pytest.raises(OrderingError):
-                    p.append(_events_at(t))
-                assert (p.buffered, p.rate_evps) == before
+                    p.append(_events_at(t), rate_evps=rate)
+                assert (p.buffered, p._rate_smooth_evps) == before
             else:
-                p.append(_events_at(t))
-                ref.append(_events_at(t))
+                p.append(_events_at(t), rate_evps=rate)
+                ref.append(_events_at(t), rate_evps=rate)
                 newest = int(t[-1])
-            assert (p.buffered, p.rate_evps) == (ref.buffered, ref.rate_evps)
+            assert (p.buffered, p._rate_smooth_evps) == \
+                (ref.buffered, ref._rate_smooth_evps)
             assert _emission_key(p.next_emission()) == \
                 _emission_key(ref.next_emission())
             if then == "drain":
@@ -280,7 +293,7 @@ class TestAppendOrder:
         rng = np.random.default_rng(3)
         ev = make_events(np.arange(600), rng.integers(0, 346, 600),
                          rng.integers(0, 260, 600), rng.choice([-1, 1], 600))
-        p = Packager(PackagerConfig(initial_size=70, timeout_us=10**9))
+        p = _Measured(PackagerConfig(initial_size=70, timeout_us=10**9))
         parts = []
         # packages inside one batch, spanning two of either dtype, and
         # spanning several
@@ -303,7 +316,7 @@ class TestViewSafety:
         # a consumer may keep a package it was handed while appends go
         # on, so a package must keep its events whatever the buffer does
         # next: views of a batch, packages spanning batches, drops
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=10**9))
         held = []
 
         def keep(events):
@@ -330,7 +343,7 @@ class TestViewSafety:
             assert np.array_equal(events, snapshot)
 
     def test_a_package_inside_one_batch_is_a_view_of_it(self):
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=10**9))
         first, second = _events_at(np.arange(150)), _events_at(
             np.arange(150, 300))
         p.append(first)
@@ -344,7 +357,7 @@ class TestViewSafety:
                               np.concatenate([first[100:], second[:50]]))
 
     def test_append_does_not_write_into_the_callers_array(self):
-        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        p = _Measured(PackagerConfig(initial_size=100, timeout_us=10**9))
         source = _events_at(np.arange(1000))
         snapshot = source.copy()
         for lo in range(0, 1000, 70):
@@ -367,7 +380,7 @@ class TestDropOldest:
         # rebuild the input, and the dropped ones are the k oldest
         # buffered then, whichever batches they lie in
         ev = _events_at(np.arange(sum(sizes)))
-        p = Packager(PackagerConfig(initial_size=target, timeout_us=10**9))
+        p = _Measured(PackagerConfig(initial_size=target, timeout_us=10**9))
         parts, appended, out = [], 0, 0
         for i, size in enumerate(sizes):
             p.append(ev[appended:appended + size])
@@ -439,8 +452,8 @@ def _run_control(ops, smoothing):
     # a 100 µs rate window: a few dozen appended events give rates of
     # up to ~1e6 ev/s, where N* lies between the bounds
     cfg = PackagerConfig(n_min=4, n_max=400, initial_size=50,
-                         model_smoothing=smoothing, rate_window_us=100)
-    p = Packager(cfg)
+                         model_smoothing=smoothing)
+    p = _Measured(cfg, window_us=100)
     ref = _SolveEveryTime(cfg)
     t, newest = 0, -1
     for op in ops:
@@ -502,7 +515,7 @@ class TestUpdateTargetSize:
     def test_non_finite_report_rejected(self, field, bad):
         # after a warm-up that readies the model, a non-finite report
         # must raise and leave the fit and the target as they were
-        p = Packager(PackagerConfig(initial_size=100))
+        p = _Measured(PackagerConfig(initial_size=100))
         p.append(_events_at(np.arange(0, 10_000, 2)))
         for seq, size in enumerate((100, 200, 300, 400, 500, 600)):
             p.update_target_size(_feedback(seq, size, 2 * size,
@@ -605,7 +618,7 @@ class TestUpdateTargetSize:
 
     def test_a_settled_report_repeated_is_counted_without_a_fold(
             self, monkeypatch):
-        p = Packager(PackagerConfig(initial_size=23))
+        p = _Measured(PackagerConfig(initial_size=23))
         p.append(_events_at(np.arange(0, 1000)))
         sizes = (20, 30) * 3 + (23,) * 300
         for seq, size in enumerate(sizes):
@@ -630,7 +643,7 @@ class TestUpdateTargetSize:
         calls = []
         monkeypatch.setattr(packager, "predict_size",
                             lambda *a: calls.append(a) or predict_size(*a))
-        p = Packager(PackagerConfig(initial_size=100))
+        p = _Measured(PackagerConfig(initial_size=100))
         p.append(_events_at(np.arange(0, 10_000, 2)))
         for seq, size in enumerate((100, 200, 300, 400, 500)):
             p.update_target_size(_feedback(seq, size, 2 * size,
@@ -653,7 +666,7 @@ class TestUpdateTargetSize:
         # closed loop against o=1ms, c=0.5us at a 1e6 ev/s arrival rate;
         # target must enter and stay within 10% of N* = 2000
         rng = np.random.default_rng(12)
-        p = Packager(PackagerConfig(initial_size=1000, timeout_us=100_000))
+        p = _Measured(PackagerConfig(initial_size=1000, timeout_us=100_000))
         t = 0.0
         seq = 0
         history = []

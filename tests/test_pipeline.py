@@ -785,6 +785,15 @@ def _drain_keys(packager):
     return keys
 
 
+def _kept_rate(kept, window_us):
+    """The post-filter rate after the ordered timestamps ``kept``, counted
+    from scratch over the window ending at the newest of them."""
+    t = np.asarray(kept, dtype=np.int64)
+    if t.size == 0:
+        return 0.0
+    return int(np.sum(t >= t[-1] - window_us)) / (window_us / 1e6)
+
+
 class TestSharedTimestamps:
     @given(gaps=st.lists(st.integers(min_value=0, max_value=40),
                          max_size=300),
@@ -798,21 +807,21 @@ class TestSharedTimestamps:
     def test_equals_plain_append(self, gaps, cuts, a_evps, capacity, target,
                                  back):
         # feeding the packager the filter's checked timestamps must give
-        # the rates, buffer and cuts of appending the kept events alone,
-        # with the filter discarding or not and admission trimming batches
+        # the buffer and cuts of appending the kept events alone, at the
+        # rate counted from scratch over them, with the filter discarding
+        # or not and admission trimming batches
         t = np.cumsum(np.asarray(gaps, dtype=np.int64))
         ev = make_events(t, np.zeros(len(t)), np.zeros(len(t)),
                          np.ones(len(t)))
-        cfg = _config(gamma=GammaConfig(a_evps=a_evps, rate_window_us=200),
+        cfg = _config(gamma=GammaConfig(a_evps=a_evps, rate_window_us=100),
                       packager=PackagerConfig(initial_size=target,
-                                              timeout_us=150,
-                                              rate_window_us=100),
+                                              timeout_us=150),
                       input_buffer_capacity=capacity)
         stages = _Stages(cfg)
         shared = stages.packager
         ref_filter = GammaFilter(cfg.gamma, seed=cfg.seed)
         ref = Packager(cfg.packager)
-        newest = None
+        appended = []
         edges = sorted({0, len(ev), *(c for c in cuts if c <= len(ev))})
         for lo, hi in zip(edges, edges[1:]):
             stages.feed(ev[lo:hi])
@@ -820,62 +829,64 @@ class TestSharedTimestamps:
             excess = ref.buffered + len(kept) - capacity
             if excess > 0:
                 kept = kept[excess - ref.drop_oldest(excess):]
-            ref.append(kept)
-            if len(kept):
-                newest = int(kept["t"][-1])
-            assert (shared.rate_evps, shared.buffered) == \
-                (ref.rate_evps, ref.buffered)
+            appended += kept["t"].tolist()
+            rate = _kept_rate(appended, 100)
+            ref.append(kept, rate_evps=rate)
+            assert stages._rates[2] == rate
+            assert (shared._rate_smooth_evps, shared.buffered) == \
+                (ref._rate_smooth_evps, ref.buffered)
             assert _drain_keys(shared) == _drain_keys(ref)
-        if newest is None:
+        if not appended:
             return
         # a batch starting before the newest appended event still raises
         # on the shared path and leaves no trace
+        newest = appended[-1]
         stale = np.asarray([newest - back, newest + 1], dtype=np.int64)
-        before = (shared.rate_evps, shared.buffered)
+        before = (shared._rate_smooth_evps, shared.buffered)
         with pytest.raises(OrderingError, match="before the newest"):
-            shared.append(_numbered(stale), t=stale)
-        assert (shared.rate_evps, shared.buffered) == before
+            shared.append(_numbered(stale), t=stale, rate_evps=1e6)
+        assert (shared._rate_smooth_evps, shared.buffered) == before
         later = np.asarray([newest, newest + 1], dtype=np.int64)
-        shared.append(_numbered(later), t=later)
-        ref.append(_numbered(later))
-        assert (shared.rate_evps, shared.buffered) == \
-            (ref.rate_evps, ref.buffered)
+        shared.append(_numbered(later), t=later, rate_evps=1e6)
+        ref.append(_numbered(later), rate_evps=1e6)
+        assert (shared._rate_smooth_evps, shared.buffered) == \
+            (ref._rate_smooth_evps, ref.buffered)
         assert _drain_keys(shared) == _drain_keys(ref)
 
 
 class TestFollowedRateWindow:
-    """While every batch in the raw rate window reached the packager
-    whole, the packager's window is handed the raw rate instead of
-    counting. After every batch its rate must be the one a packager
-    that counts the same appended events gives."""
+    """While every batch in the rate window reached the packager whole,
+    the window's kept side takes the raw side's count. After every batch
+    the post-filter rate must be the one counted from scratch over the
+    events appended to the packager."""
 
     @staticmethod
     def _feed(cfg, batches):
         """Run ``batches`` through the stages and the delivery loop as a
-        virtual run does, checking the packager's rate after each feed;
-        returns the metrics, the stages and, per append, whether the
-        raw rate was handed over."""
+        virtual run does, checking the post-filter rate after each feed;
+        returns the metrics and the stages."""
         stages = _Stages(cfg)
-        packager, counted = stages.packager, Packager(cfg.packager)
-        append, followed = packager.append, []
+        packager = stages.packager
+        append, appended = packager.append, []
 
-        def both(events, **kwargs):
-            followed.append(kwargs.get("rate_evps") is not None)
+        def recorded(events, **kwargs):
             append(events, **kwargs)
-            counted.append(events)
+            appended.extend(events["t"].tolist())
 
-        packager.append = both
+        packager.append = recorded
         clock, metrics = VirtualClock(), MetricsTable()
         deliver = pipeline._delivery(stages, pipeline.build_consumer(cfg),
                                      clock, metrics)
         for batch in batches:
             stages.feed(batch)
-            assert packager.rate_evps == counted.rate_evps
+            if len(batch):
+                assert stages._rates[2] == _kept_rate(
+                    appended, cfg.gamma.rate_window_us)
             deliver(stages.cut(clock))
         oldest = packager.oldest_arrival_us
         if oldest is not None:
             deliver(stages.cut(clock, oldest + cfg.packager.timeout_us))
-        return metrics, stages, followed
+        return metrics, stages
 
     @given(gaps=st.lists(st.integers(min_value=0, max_value=20),
                          max_size=600),
@@ -886,7 +897,7 @@ class TestFollowedRateWindow:
            window=st.integers(min_value=1, max_value=500),
            target=st.integers(min_value=1, max_value=100))
     # two events at 5, the first cut off by admission, stay in the raw
-    # window of the event at 15 and keep the packager counting
+    # window of the event at 15, where the kept window holds only one
     @example(gaps=[5, 0, 10], cuts=[2], a_evps=1e12, capacity=1, window=10,
              target=1)
     @settings(max_examples=150, deadline=None,
@@ -898,30 +909,22 @@ class TestFollowedRateWindow:
         edges = sorted([0, len(ev), *(c for c in cuts if c <= len(ev))])
         cfg = _config(gamma=GammaConfig(a_evps=a_evps, rate_window_us=window),
                       packager=PackagerConfig(initial_size=target,
-                                              timeout_us=300,
-                                              rate_window_us=window),
+                                              timeout_us=300),
                       consumer=ConsumerConfig(o_us=50.0, c_ns=500.0),
                       input_buffer_capacity=capacity)
         self._feed(cfg, [ev[lo:hi] for lo, hi in zip(edges, edges[1:])])
 
     def test_a_batch_cut_at_its_head_is_counted(self):
         # the first batch overflows the buffer by its own head, which the
-        # raw window holds and the packager's does not: the packager
-        # counts until that batch left the raw window, then follows
+        # raw window holds and the kept window does not: the kept rate
+        # differs from the raw one until that batch left the window
         ev = ConstantRateSource(1e6, 0.05, seed=0).events()
         cfg = _config(packager=PackagerConfig(initial_size=100),
                       consumer=ConsumerConfig(o_us=100.0, c_ns=100.0),
                       input_buffer_capacity=1000)
         batches = [ev[:5000]] + [ev[i:i + 100]
                                  for i in range(5000, len(ev), 100)]
-        metrics, stages, followed = self._feed(cfg, batches)
+        metrics, stages = self._feed(cfg, batches)
         assert (stages.dropped_by_filter, stages.dropped_by_overflow) == \
             (0, 4000)
-        # the first batch ends near 5 ms and leaves the 10 ms raw window
-        # about 100 batches later
-        split = batches[0]["t"][-1]
-        first = followed.index(True)
-        assert batches[first - 1]["t"][-1] - 10_000 <= split
-        assert batches[first]["t"][-1] - 10_000 > split
-        assert 95 <= first <= 105 and all(followed[first:])
         assert len(metrics) == 607

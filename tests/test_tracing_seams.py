@@ -54,8 +54,8 @@ def test_every_traced_entry_point_is_called():
                 setattr(owner, attr, fn)
     assert result.dropped_by_filter > 0
     assert {attr for _, attr in seams} == set(calls)
-    # one raw-window update per chunk: the packager's window folds the
-    # kept events' timestamp view, which the filter's window checked
+    # one raw-side update per chunk: the rate window's kept side folds
+    # the kept events' timestamp view, which the raw side checked
     counts = tracer.counts
     assert counts["events.chunks"] > 0
     assert counts["gamma.rate_update_calls"] == counts["events.chunks"]
