@@ -103,12 +103,14 @@ class SlidingRateEstimator:
 
     def update(self, timestamps: np.ndarray, *, checked: bool = False) -> float:
         """Fold a batch of ordered timestamps in, an int64 array or field
-        view uncopied; returns the new estimate.
+        view kept uncopied; returns the new estimate.
 
         A dtype that does not cast safely to int64 (float, uint64, object)
         raises :class:`ValueError` naming it. Raises :class:`OrderingError`,
         with the estimator unchanged, when the batch decreases (not scanned
         with ``checked=True``) or starts before the newest timestamp seen.
+        The newest batch never leaves the window, so its last timestamp is
+        that newest one: the start check is O(1).
         """
         t = np.asarray(timestamps)
         if t.dtype.type is not np.int64:
@@ -119,29 +121,15 @@ class SlidingRateEstimator:
         if t.size:
             if not checked and np.count_nonzero(t[1:] < t[:-1]):
                 raise OrderingError("batch timestamps must be non-decreasing")
-            self.fold(t)
+            batches = self._batches
+            if batches:
+                first, newest = t.item(0), batches[-1].item(-1)
+                if first < newest:
+                    raise OrderingError(
+                        f"batch starts at timestamp {first}, before the "
+                        f"newest one already seen, {newest}")
+            self._count = _slide(batches, self._count, t, self.window_us)
         return self.rate_evps
-
-    def fold(self, t: np.ndarray) -> None:
-        """Fold in a non-empty int64 batch, kept as given (a strided
-        field view too), whose own order the caller has checked, such as
-        a subsequence of a batch that passed :meth:`update`.
-
-        Only the batch's start is checked, in O(1): it raises
-        :class:`OrderingError`, with the estimator unchanged, when the
-        batch starts before the newest timestamp seen. The newest batch
-        never leaves the window, so its last timestamp is that newest
-        one; the window's bounds are read as Python ints.
-        """
-        first = t.item(0)
-        batches = self._batches
-        if batches:
-            newest = batches[-1].item(-1)
-            if first < newest:
-                raise OrderingError(
-                    f"batch starts at timestamp {first}, before the newest "
-                    f"one already seen, {newest}")
-        self._count = _slide(batches, self._count, t, self.window_us)
 
     def fold_kept(self, t: np.ndarray) -> float:
         """Fold in what was kept of the batch last folded into the raw

@@ -11,7 +11,7 @@ exponential averaging and sets the target to the synchronization fixed
 point ``N* = o / (1/R - c)`` (R = filtered event rate), scaled by a
 small headroom factor so the realized lag stays negative despite
 arrival jitter. Until the model has enough samples, a damped
-multiplicative fallback ``target *= (span / proc) ** kappa`` is used.
+multiplicative fallback ``target *= (span / proc) ** 0.5`` is used.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class PackagerConfig:
     n_min: int = 1
     n_max: int = 1_000_000
     timeout_us: int = 10_000
-    kappa: float = 0.5             # damping exponent of the fallback law
     model_smoothing: float = 0.2   # exponential-averaging gain of the cost fit
     headroom: float = 1.05         # target bias above N* keeping lag negative
     initial_size: int = 1000       # target held until the first feedback
@@ -75,10 +74,6 @@ class PackagerConfig:
             raise ConfigurationError(
                 f"packager.timeout_us must be positive, got {self.timeout_us}",
                 key="packager.timeout_us")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ConfigurationError(
-                f"packager.kappa must be in (0, 1], got {self.kappa}",
-                key="packager.kappa")
         # at 1 each fold replaces the moments by one sample's, whose
         # size variance is 0: the fit would never start
         if not 0.0 < self.model_smoothing < 1.0:
@@ -213,12 +208,9 @@ class Packager:
             min(config.n_max, max(config.n_min, config.initial_size)))
         self.target_size = round(self._target)  # the next cut's size
         self.model = AffineCostModel(config.model_smoothing)
-        # (smoothed rate, fitted o, fitted c) of the last solve, whose
-        # target ``_target`` still holds; None once the fallback moved it
-        self._solved: tuple[float, float, float] | None = None
         # (size, proc) of the last report when it settled the model and
-        # left the last solve standing: the same report again is counted
-        # without a fold (see update_target_size); None otherwise
+        # was solved: the same report again is counted without a fold
+        # (see update_target_size); None otherwise
         self._settled: tuple[int, float] | None = None
         self._last_feedback_seq = -1
         # exponential smoothing of the post-filter rates handed to
@@ -422,18 +414,12 @@ class Packager:
         ignored. A report with ``processing_time == span`` is at the
         setpoint and leaves the target unchanged.
 
-        While the model is ready, ``N*`` is solved again only when the
-        smoothed rate or the fitted ``o`` or ``c`` differ from the last
-        solve's; otherwise the stored target is the one it would give.
-
-        A report whose fold left the model unchanged past its warm-up
-        (:attr:`AffineCostModel.settled`) and whose solve inputs equalled
-        the last solve's is remembered by its ``(size,
-        processing_time_us)``. Until another report is folded or
-        :meth:`append` moves the smoothed rate, a report with that pair
-        is only counted in ``model.samples``, not folded: its fold would
-        change nothing, and while the model is ready its span only picks
-        between two returns that both leave the target as it is.
+        A report that is solved and whose fold left the model unchanged
+        past its warm-up (:attr:`AffineCostModel.settled`) is remembered
+        by its ``(size, processing_time_us)``. Until another report is
+        folded or :meth:`append` moves the smoothed rate, a report with
+        that pair is only counted in ``model.samples``: its fold and its
+        solve would change nothing, whatever its span.
         """
         feedback.validate()
         seq = feedback.package_seq
@@ -454,19 +440,13 @@ class Packager:
         lo, hi = cfg.n_min, cfg.n_max
         rate_evps = self._rate_smooth_evps or 0.0
         if ready and rate_evps > 0:
-            o, c = model.overhead_us, model.per_event_us
-            solved = (rate_evps, o, c)
-            if solved == self._solved:
-                # the inputs of the last solve: its target stands
-                if model.settled:
-                    self._settled = (size, proc)
-                return
-            target = cfg.headroom * predict_size(rate_evps, o / _US, c / _US,
-                                                 lo, hi)
-            self._solved = solved
+            target = cfg.headroom * predict_size(
+                rate_evps, model.overhead_us / _US, model.per_event_us / _US,
+                lo, hi)
+            if model.settled:
+                self._settled = (size, proc)
         elif span > 0 and proc > 0:
-            self._solved = None
-            target = self._target * (span / proc) ** cfg.kappa
+            target = self._target * (span / proc) ** 0.5
         else:
             return  # span == 0: no ratio; the model has the sample
         target = target if target > lo else lo

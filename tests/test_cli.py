@@ -32,10 +32,9 @@ class TestConfigLayers:
     def test_defaults_cover_every_documented_key(self):
         for key in ("gamma.a", "gamma.beta", "gamma.min", "gamma.rate_window_us",
                     "seed", "packager.n_min", "packager.n_max",
-                    "packager.timeout_us", "packager.kappa",
-                    "packager.model_smoothing", "consumer.kind",
-                    "consumer.o_us", "consumer.c_ns", "consumer.jitter",
-                    "consumer.radius_px", "consumer.ttl_us"):
+                    "packager.timeout_us", "packager.model_smoothing",
+                    "consumer.kind", "consumer.o_us", "consumer.c_ns",
+                    "consumer.jitter", "consumer.radius_px", "consumer.ttl_us"):
             assert key in DEFAULTS
 
     def test_parse_overrides(self):
@@ -349,6 +348,8 @@ class TestCliRun:
         ("constant", "packager.model_smoothing=1"),
         # removed: the one rate window is gamma.rate_window_us
         ("constant", "packager.rate_window_us=100"),
+        # removed: the fallback law's exponent is fixed at 0.5
+        ("constant", "packager.kappa=0.5"),
         ("constant", "seed=0.7"),
         ("constant", "packager.n_min=1.5"),
         ("constant", "seed=-1"),
