@@ -27,6 +27,10 @@ _US = 1_000_000.0
 #: Events per block of :func:`validate_events`.
 _BLOCK = 65536
 
+#: Events per generated block of a Poisson source: its stream depends
+#: on the seed alone, not on the chunk size.
+_STREAM_BLOCK = 65536
+
 #: Inclusive value range of each integer field a file line must fit.
 _FIELD_RANGE = {name: (int(np.iinfo(EVENT_DTYPE[name]).min),
                        int(np.iinfo(EVENT_DTYPE[name]).max))
@@ -230,7 +234,9 @@ class _PoissonSource(StreamSource):
         self.rate_start_evps = rate_start_evps
         self.rate_end_evps = rate_end_evps
 
-    def chunks(self) -> Iterator[np.ndarray]:
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """The stream in blocks of :data:`_STREAM_BLOCK` events (the
+        last one shorter), each drawn as its gaps, then its x, y and p."""
         rng = np.random.Generator(np.random.PCG64(self.seed))
         s_base = 0.0
         w, h = self.geometry.width, self.geometry.height
@@ -240,7 +246,7 @@ class _PoissonSource(StreamSource):
         # ramp's Lambda peaks after the end, where its root would be NaN
         s_end = (0.5 * r0 + 0.5 * r1) * self.duration_s
         while True:
-            s = s_base + np.cumsum(rng.exponential(1.0, self._chunk))
+            s = s_base + np.cumsum(rng.exponential(1.0, _STREAM_BLOCK))
             s_base = float(s[-1])
             done = s_base >= s_end
             if done:
@@ -262,6 +268,29 @@ class _PoissonSource(StreamSource):
                 yield out
             if done:
                 return
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The stream in chunks of ``chunk_size`` events (the last one
+        shorter): views of the generated blocks, joined where a chunk
+        crosses a block edge, so every chunk size gives the same stream."""
+        size = self._chunk
+        parts: list[np.ndarray] = []
+        have = 0   # events in ``parts``
+        for block in self._blocks():
+            i, n = 0, len(block)
+            while i < n:
+                part = block[i:i + size - have]
+                i += len(part)
+                if len(part) == size:
+                    yield part
+                    continue
+                parts.append(part)
+                have += len(part)
+                if have == size:
+                    yield np.concatenate(parts)
+                    parts, have = [], 0
+        if parts:
+            yield np.concatenate(parts)
 
 
 def _rate(rate_evps: float, what: str, key: str) -> float:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from asap_stream import (DAVIS346, ArraySource, ConfigurationError,
@@ -191,6 +191,31 @@ def test_constant_source_is_a_flat_ramp(rate, duration, seed, chunk):
     const_chunks, ramp_chunks = list(const.chunks()), list(ramp.chunks())
     assert ([c.tobytes() for c in const_chunks]
             == [c.tobytes() for c in ramp_chunks])
+
+
+@settings(max_examples=25, deadline=None)
+@given(ramp=st.sampled_from([None, (1e5, 2e6), (2e6, 1e5)]),
+       duration=st.floats(min_value=1e-3, max_value=0.15),
+       seed=st.integers(min_value=0, max_value=2**31),
+       chunk=st.sampled_from([1, 65535, 65536, 65537, 100_000, 250_000])
+       | st.integers(min_value=1, max_value=250_000))
+@example(ramp=(2e6, 1e5), duration=0.15, seed=0, chunk=1)
+@example(ramp=None, duration=0.15, seed=0, chunk=65537)
+def test_a_generated_stream_is_the_same_at_any_chunk_size(ramp, duration,
+                                                          seed, chunk):
+    # up to about 3e5 events: streams within one generated block and
+    # across several, cut inside, at and across the block edges
+    def make(chunk_size):
+        if ramp is None:
+            return ConstantRateSource(1e6, duration, seed=seed,
+                                      chunk_size=chunk_size)
+        return RampRateSource(*ramp, duration, seed=seed,
+                              chunk_size=chunk_size)
+    expected = make(65536).events().tobytes()
+    chunks = list(make(chunk).chunks())
+    assert all(len(c) == chunk for c in chunks[:-1])
+    assert 0 < len(chunks[-1]) <= chunk
+    assert b"".join(c.tobytes() for c in chunks) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -31,20 +31,20 @@ GOLDEN_SHA256 = {
     # 31 packages and 738633 overflow drops
     "constant-overflow":
         "7a5ef151a035c668910ba9b0db5be753d2b0d16c129e3a0d25933616267d553d",
-    # 495 packages of about 2100 events, most of them spanning two or
+    # 494 packages of about 2100 events, most of them spanning two or
     # three 1024-event chunks
     "constant-chunks":
-        "6b882c57badc5270d5ff4faee250fa0ed291a1889032774356b49bbf3e4e7222",
-    # 813 packages and 693444 filter drops: packages spanning the kept
+        "b978265f3518eb10cebef80d14c920ddcaf11ebab73744f619214bca77242c85",
+    # 813 packages and 694828 filter drops: packages spanning the kept
     # arrays of several chunks
     "constant-chunks-filtered":
-        "de14b80e299c9a2bc5014067ed5641f444f57916b457b786ce1c5875a02b6745",
-    # 796 packages and 6298927 filter drops on a ramp that falls through
+        "68557a6e89fea4e5bdcd39cb4c354e0457ee2c49d1a895fd02ddfdaa04cfd258",
+    # 796 packages and 6294622 filter drops on a ramp that falls through
     # the discard bound: the rate window's kept side counts on its own
     # while batches lose events, and takes the raw side's count again
     # once they are whole
     "ramp-down":
-        "3eed8191e0e1884c8e7b2df4e71c441d334ec9a89f19dadac820ca713099b253",
+        "684d61e4b56c9ac1d704a6c4967ff4fb77af002b77c116309d96af863ebb2f8f",
     # 12794 packages of about 23 events (o = 20 µs, c = 100 ns): the
     # cost fit settles and most reports repeat one (size, proc) pair
     # between appends, so size control counts them without a fold
