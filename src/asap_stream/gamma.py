@@ -109,8 +109,6 @@ class SlidingRateEstimator:
         raises :class:`ValueError` naming it. Raises :class:`OrderingError`,
         with the estimator unchanged, when the batch decreases (not scanned
         with ``checked=True``) or starts before the newest timestamp seen.
-        The newest batch never leaves the window, so its last timestamp is
-        that newest one: the start check is O(1).
         """
         t = np.asarray(timestamps)
         if t.dtype.type is not np.int64:
@@ -123,6 +121,7 @@ class SlidingRateEstimator:
                 raise OrderingError("batch timestamps must be non-decreasing")
             batches = self._batches
             if batches:
+                # the newest batch never leaves the window: O(1)
                 first, newest = t.item(0), batches[-1].item(-1)
                 if first < newest:
                     raise OrderingError(
