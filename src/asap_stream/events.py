@@ -277,10 +277,8 @@ class _PoissonSource(StreamSource):
         parts: list[np.ndarray] = []
         have = 0   # events in ``parts``
         for block in self._blocks():
-            i, n = 0, len(block)
-            while i < n:
-                part = block[i:i + size - have]
-                i += len(part)
+            while len(block):
+                part, block = block[:size - have], block[size - have:]
                 if len(part) == size:
                     yield part
                     continue
