@@ -68,10 +68,6 @@ def make_events(t, x, y, p) -> np.ndarray:
     return out
 
 
-def empty_events() -> np.ndarray:
-    return np.empty(0, dtype=EVENT_DTYPE)
-
-
 def _chunk_events(chunk_size) -> int:
     """``chunk_size`` as a positive event count; raises otherwise."""
     chunk = int(chunk_size)
@@ -174,7 +170,7 @@ class StreamSource:
         """Materialize the full stream (convenience; consumes the source)."""
         parts = list(self.chunks())
         if not parts:
-            return empty_events()
+            return np.empty(0, dtype=EVENT_DTYPE)
         return np.concatenate(parts)
 
 
@@ -364,7 +360,7 @@ def read_events(path) -> np.ndarray:
             last_t = row[0]
             rows.append(row)
     if not rows:
-        return empty_events()
+        return np.empty(0, dtype=EVENT_DTYPE)
     arr = np.array(rows, dtype=np.int64)
     return make_events(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
 

@@ -171,17 +171,14 @@ def apply_filter(state, events: np.ndarray) -> np.ndarray:
     array: the kept rows are selected by index, with ``take`` on the
     positions whose draw fell below ``gamma``, which copies whole rows
     where a boolean mask would copy field by field. The RNG state
-    advances by exactly one draw per input event. At
-    ``gamma >= 1`` every draw would keep its event, since ``random()``
-    lies in [0, 1): the batch itself is returned, uncopied, and the
-    generator is advanced by ``n`` steps without drawing, which leaves
-    it in the state ``n`` ``random()`` draws would.
+    advances by exactly one draw per input event. At ``gamma >= 1``
+    every draw keeps its event, since ``random()`` lies in [0, 1): the
+    result is a copy of the whole batch, and the generator is left in
+    the state ``bit_generator.advance(n)`` gives, which is how
+    :class:`GammaFilter` skips the draws of a batch it keeps whole.
     """
     n = len(events)
     if n == 0:
-        return events
-    if state.gamma >= 1.0:
-        state.rng.bit_generator.advance(n)
         return events
     return events.take(np.flatnonzero(state.rng.random(n) < state.gamma))
 

@@ -96,8 +96,9 @@ def predict_size(rate_filtered_evps: float, overhead_s: float,
 
     Solves ``o + c*N = N/R`` for N and clamps to the bounds. When the
     per-event cost reaches or exceeds the inter-event period
-    (``c >= 1/R``) no size can keep up and ``n_max`` is returned; rate
-    reduction upstream must take over.
+    (``c >= 1/R``) no size can keep up and ``n_max`` is returned.
+    Nothing reduces the rate upstream in that case yet: γ follows only
+    the raw rate and ``gamma.a``, so the consumer falls behind.
     """
     if not rate_filtered_evps > 0:
         raise ConfigurationError(

@@ -31,12 +31,6 @@ from .events import SensorGeometry, DAVIS346, StreamSource
 from .gamma import GammaConfig, GammaFilter
 from .packager import Packager, PackagerConfig, _Cut
 
-METRICS_COLUMNS = ("seq", "size", "span_us", "proc_us", "lag_us", "gamma",
-                   "rate_raw", "rate_filtered", "drop_filter", "drop_overflow",
-                   "clock_us")
-METRICS_HEADER = ",".join(METRICS_COLUMNS)
-
-
 @dataclass
 class ConsumerConfig:
     kind: str = "synthetic"            # "synthetic" or "clustering"
@@ -113,6 +107,11 @@ class PackageMetrics(NamedTuple):
     clock_us: float                    # pipeline clock when the package was emitted
     emit_reason: str = "size"          # "size" or "timeout"; not serialized
 
+
+#: The CSV columns: the :class:`PackageMetrics` fields before ``emit_reason``.
+METRICS_COLUMNS = PackageMetrics._fields[
+    :PackageMetrics._fields.index("emit_reason")]
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 _new_row = tuple.__new__    # a row from a built tuple, no call per field
 
@@ -370,10 +369,9 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
 
 #: The ``_ROW`` layout read as the parts the CSV writer formats: int64
 #: ``seq``; the bytes of ``size`` to ``lag_us``; of γ and both rates; of
-#: the two drop counts; float64 ``clock_us``; the reason code.
-_SPLIT = struct.Struct("=q32s24s16sdB")
-if _SPLIT.size != _ROW.size:
-    raise RuntimeError("pipeline._SPLIT must cover pipeline._ROW byte for byte")
+#: the two drop counts; float64 ``clock_us``: 88 bytes. The rest of the
+#: row, from ``emit_reason`` on, is skipped as padding.
+_SPLIT = struct.Struct(f"=q32s24s16sd{_ROW.size - 88}x")
 _HEAD = struct.Struct("=2q2d")
 _RATES = struct.Struct("=3d")
 _DROPS = struct.Struct("=2q")
@@ -385,21 +383,15 @@ def _table_lines(packed):
     """The CSV lines of a table's packed rows. Equal bytes give equal
     reprs, so a part is formatted once for a run of rows with the same
     bytes (γ and the rates of one fed batch, the drops) or once per
-    distinct ``size..lag_us`` bytes, which a steady consumer repeats;
-    a ``size..lag_us`` text not kept reuses the ``proc_us`` text of the
-    last one formatted when both are the same non-zero number."""
+    distinct ``size..lag_us`` bytes, which a steady consumer repeats."""
     heads = {}
-    last_proc = rates_key = drops_key = None
-    for seq, head_key, r_key, d_key, clk, _ in _SPLIT.iter_unpack(packed):
+    rates_key = drops_key = None
+    for seq, head_key, r_key, d_key, clk in _SPLIT.iter_unpack(packed):
         head = heads.get(head_key)
         if head is None:
             if len(heads) >= _HEAD_CACHE:
                 heads.clear()
-            n, span, proc, lag = _HEAD.unpack(head_key)
-            # equal non-zero floats have equal bits; zeros carry a sign
-            if proc != last_proc or not proc:
-                proc_text, last_proc = repr(proc), proc
-            head = heads[head_key] = f"{n},{span},{proc_text},{lag!r}"
+            head = heads[head_key] = "%d,%d,%r,%r" % _HEAD.unpack(head_key)
         if r_key != rates_key:
             rates, rates_key = "%r,%r,%r" % _RATES.unpack(r_key), r_key
         if d_key != drops_key:
@@ -407,24 +399,22 @@ def _table_lines(packed):
         yield f"{seq},{head},{rates},{drops},{clk!r}\n"
 
 
-def _row_lines(rows):
-    for seq, n, span, proc, lag, g, rr, rf, df, do, clk, _ in rows:
-        yield (f"{seq},{n},{span},{proc!r},{lag!r},{g!r},{rr!r},{rf!r},"
-               f"{df},{do},{clk!r}\n")
-
-
 def write_metrics_csv(path, metrics: Sequence[PackageMetrics]) -> None:
     """Write ``metrics`` to ``path`` as CSV: the ``METRICS_HEADER`` line,
     then one line per row with the columns of ``METRICS_COLUMNS``
-    (``emit_reason`` is not written). Each field is written as ``repr``
-    gives it, integers as ``str`` does.
+    (``emit_reason`` is not written).
 
-    A :class:`MetricsTable` is formatted straight from its packed bytes;
-    any other sequence of rows, field by field. The lines are joined and
-    written in blocks of up to ``_WRITE_BLOCK``, so a long table costs
-    one write per block, not per line, and holds one block of text."""
-    lines = (_table_lines(metrics._packed)
-             if isinstance(metrics, MetricsTable) else _row_lines(metrics))
+    Any sequence of rows that is not a :class:`MetricsTable` is packed
+    into one first, before the file is opened, so a row ``_ROW`` cannot
+    pack raises and leaves ``path`` as it was. Each table is formatted
+    straight from its packed bytes: every integer field as ``str``, and
+    every float field as ``repr`` gives it for a Python ``float``,
+    whatever number type the row held. The lines are joined and written
+    in blocks of up to ``_WRITE_BLOCK``, so a long table costs one write
+    per block, not per line, and holds one block of text."""
+    if not isinstance(metrics, MetricsTable):
+        metrics = MetricsTable(metrics)
+    lines = _table_lines(metrics._packed)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(METRICS_HEADER + "\n")
         while block := "".join(islice(lines, _WRITE_BLOCK)):

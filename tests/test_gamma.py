@@ -304,9 +304,12 @@ class TestApplyFilter:
         ev = ConstantRateSource(1e5, 0.05, seed=1).events()
         state = _state(1.0, seed=11)
         reference = np.random.Generator(np.random.PCG64(11))
-        assert apply_filter(state, ev) is ev
+        assert apply_filter(state, ev).tobytes() == ev.tobytes()
+        skipped = np.random.Generator(np.random.PCG64(11))
+        skipped.bit_generator.advance(len(ev))
         reference.random(len(ev))
         assert state.rng.bit_generator.state == reference.bit_generator.state
+        assert skipped.bit_generator.state == reference.bit_generator.state
         # the next keep draws are the ones a drawing filter would make
         state.gamma = 0.5
         assert np.array_equal(apply_filter(state, ev),

@@ -20,7 +20,7 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
 from asap_stream import pipeline
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
                                   _HEAD_CACHE, _REASON_CODE, _WRITE_BLOCK,
-                                  _Stages, _row_lines)
+                                  _Stages)
 
 
 def _config(**kwargs):
@@ -251,7 +251,7 @@ def _float_equals(x):
 
 
 @st.composite
-def _rows(draw, ints=st.integers(), equals=_equals):
+def _rows(draw, equals=_equals):
     """Metrics rows in runs that share one ``(gamma, rate_raw,
     rate_filtered)`` object triple, as the packages cut from one fed
     batch do. From one run to the next, one, two or all three of the
@@ -259,7 +259,8 @@ def _rows(draw, ints=st.integers(), equals=_equals):
     (the other signed zero, another NaN, an ``np.float64``, an ``int``).
     Each row's ``proc_us`` is a new value or one of ``equals(previous
     row's)``, as a steady consumer reports. Integer fields are drawn
-    from ``ints``."""
+    within int64, as a table stores them."""
+    ints = st.integers(-2**63, 2**63 - 1)
     rates = [draw(_floats) for _ in range(3)]
     proc = draw(_floats)
     rows = []
@@ -279,7 +280,7 @@ def _rows(draw, ints=st.integers(), equals=_equals):
 
 
 #: Rows as a run stores them: int64 integers and plain floats.
-_plain_rows = _rows(st.integers(-2**63, 2**63 - 1), _float_equals)
+_plain_rows = _rows(_float_equals)
 
 
 def _rows_sharing(gamma, *rates):
@@ -299,6 +300,12 @@ def _reference_line(m):
     return (f"{m.seq},{m.size},{m.span_us},{m.proc_us!r},{m.lag_us!r},"
             f"{m.gamma!r},{m.rate_raw!r},{m.rate_filtered!r},"
             f"{m.drop_filter},{m.drop_overflow},{m.clock_us!r}")
+
+
+def _reference_csv(rows):
+    """The bytes of a metrics CSV of ``rows``, line by line."""
+    return "".join(f"{line}\n" for line in
+                   [METRICS_HEADER, *map(_reference_line, rows)]).encode()
 
 
 class _FeedbackRecorder(_Recorder):
@@ -322,11 +329,12 @@ class TestMetricsOutput:
     # rate_filtered from one NaN object to another
     @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
                                 (-0.0, float("nan")), (-0.0, float("nan"))))
-    # rates equal to the previous row's, whose reprs differ
+    # rates equal to the previous row's, of other types that pack to the
+    # same bytes
     @example(rows=_rows_sharing(1.0, (5.0, 2.0), (np.float64(5.0), 2.0),
                                 (5, 2.0), (5.0, 2.0), (5.0, 2)))
-    # processing times equal to the previous row's, whose reprs differ
-    # (signed zeros, int and float, np.float64), then a repeated float
+    # processing times equal to the previous row's (signed zeros, int and
+    # float, np.float64), then a repeated float
     @example(rows=_rows_with_proc(0.0, -0.0, 0.0, 5, 5.0, np.float64(5.0),
                                   5.0, 2.5, 2.5, 2.5))
     @settings(max_examples=200, deadline=None,
@@ -336,9 +344,41 @@ class TestMetricsOutput:
         # file system to commit the previous write
         path = tmp_path / f"m{len(list(tmp_path.iterdir()))}.csv"
         write_metrics_csv(path, rows)
-        expected = "".join(_reference_line(m) + "\n" for m in rows)
+        expected = "".join(_reference_line(m) + "\n"
+                           for m in MetricsTable(rows))
         assert path.read_bytes().decode("utf-8") == \
             METRICS_HEADER + "\n" + expected
+
+    def test_numpy_number_rows_write_as_plain_number_rows(self, tmp_path):
+        # numpy 2 reprs an np.float64 as "np.float64(...)", and every numpy
+        # reprs an np.float32 by its shortest float32 digits
+        typed = [PackageMetrics(
+            np.int64(seq), np.int64(3), np.int64(40), np.float64(5.0),
+            np.float32(0.1), np.float64(0.5), np.float32(1e5 / 3),
+            np.float64(2.5), np.int64(seq), np.int64(0), np.float32(seq * 1.1),
+            "timeout") for seq in range(3)]
+        plain = [PackageMetrics(*(int(v) if isinstance(v, np.integer)
+                                  else float(v) for v in m[:-1]),
+                                m.emit_reason)
+                 for m in typed]
+        for kind, rows in (("typed", typed), ("plain", plain)):
+            path = tmp_path / f"{kind}.csv"
+            write_metrics_csv(path, rows)
+            assert path.read_bytes() == _reference_csv(plain)
+
+    @pytest.mark.parametrize("bad", [
+        {"size": 2**63},          # outside int64
+        {"drop_filter": 1.5},     # not an integer
+        {"emit_reason": "late"},  # not a reason _ROW codes
+    ], ids=["int64-overflow", "float-count", "unknown-reason"])
+    def test_row_that_cannot_be_packed_raises_and_leaves_the_file(
+            self, bad, tmp_path):
+        good = PackageMetrics(0, 1, 2, 3.0, 1.0, 1.0, 2.0, 3.0, 0, 0, 4.0)
+        path = tmp_path / "m.csv"
+        path.write_text("old\n")
+        with pytest.raises((struct.error, KeyError)):
+            write_metrics_csv(path, [good, good._replace(seq=1, **bad)])
+        assert path.read_text() == "old\n"
 
     @given(rows=_plain_rows)
     # signed zeros and distinct NaN objects in gamma and both rates,
@@ -386,8 +426,7 @@ class TestMetricsOutput:
                 for seq in range(2 * _HEAD_CACHE + 40)]
         path = tmp_path / "m.csv"
         write_metrics_csv(path, MetricsTable(rows))
-        assert path.read_bytes() == \
-            (METRICS_HEADER + "\n" + "".join(_row_lines(rows))).encode()
+        assert path.read_bytes() == _reference_csv(rows)
 
     @pytest.mark.parametrize("n", [0, 1, _WRITE_BLOCK - 1, _WRITE_BLOCK,
                                    _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 1])
@@ -395,8 +434,7 @@ class TestMetricsOutput:
         rows = [PackageMetrics(seq, 1 + seq % 3, 4, 2.5 + seq % 5, -1.5,
                                1.0, 2.0, 3.0, seq % 2, 0, seq * 1.1)
                 for seq in range(n)]
-        expected = (METRICS_HEADER + "\n"
-                    + "".join(_row_lines(rows))).encode()
+        expected = _reference_csv(rows)
         for kind, metrics in (("table", MetricsTable(rows)), ("list", rows)):
             path = tmp_path / f"{kind}.csv"
             write_metrics_csv(path, metrics)
