@@ -44,10 +44,10 @@ class GammaConfig:
                 key="gamma.rate_window_us")
 
 
-def _slide(batches: deque, count: int, t: np.ndarray, window_us: int) -> int:
+def _slide(batches: deque, count: int, t: np.ndarray, cut: int) -> int:
     """Append the non-empty ordered batch ``t`` to the window ``batches``
-    of ``count`` events, drop what fell behind ``t``'s newest timestamp
-    minus ``window_us``; returns the new count.
+    of ``count`` events and drop the events older than ``cut`` (``t``'s
+    newest timestamp minus the window); returns the new count.
 
     The newest batch ends inside the window, so the loop stops. Only the
     oldest remaining batch is searched, in O(log n) item reads:
@@ -56,7 +56,6 @@ def _slide(batches: deque, count: int, t: np.ndarray, window_us: int) -> int:
     """
     batches.append(t)
     count += t.size
-    cut = t.item(-1) - window_us
     while batches[0].item(-1) < cut:
         count -= batches.popleft().size
     oldest = batches[0]
@@ -83,7 +82,10 @@ class SlidingRateEstimator:
     when its kept view is the very view the raw side folded. While every
     batch with a timestamp in the window was, both sides hold the same
     timestamps: the kept side then takes the raw side's batches and
-    count instead of searching.
+    count instead of searching. :meth:`update` reads each batch's first
+    and newest timestamps once; the newest stays as an ``int``, which
+    checks where the next batch starts and ends the kept side's window
+    for a batch kept whole.
     """
 
     def __init__(self, window_us: int):
@@ -97,6 +99,7 @@ class SlidingRateEstimator:
         self._kept: deque[np.ndarray] = deque()
         self._kept_count = 0
         self._window_s = self.window_us / _US
+        self._newest = -1 << 63   # the raw side's newest timestamp
         # the newest timestamp of the last raw batch not kept whole, plus
         # the window: the kept window holds only whole batches past it
         self._short_until = -1 << 63
@@ -109,6 +112,8 @@ class SlidingRateEstimator:
         raises :class:`ValueError` naming it. Raises :class:`OrderingError`,
         with the estimator unchanged, when the batch decreases (not scanned
         with ``checked=True``) or starts before the newest timestamp seen.
+        The batch's first and newest timestamps are read once, here; the
+        newest is kept as an ``int`` for the next batch and the kept side.
         """
         t = np.asarray(timestamps)
         if t.dtype.type is not np.int64:
@@ -119,16 +124,15 @@ class SlidingRateEstimator:
         if t.size:
             if not checked and np.count_nonzero(t[1:] < t[:-1]):
                 raise OrderingError("batch timestamps must be non-decreasing")
-            batches = self._batches
-            if batches:
-                # the newest batch never leaves the window: O(1)
-                first, newest = t.item(0), batches[-1].item(-1)
-                if first < newest:
-                    raise OrderingError(
-                        f"batch starts at timestamp {first}, before the "
-                        f"newest one already seen, {newest}")
-            self._count = _slide(batches, self._count, t, self.window_us)
-        return self.rate_evps
+            first = t.item(0)
+            if first < self._newest:
+                raise OrderingError(
+                    f"batch starts at timestamp {first}, before the "
+                    f"newest one already seen, {self._newest}")
+            self._newest = newest = t.item(-1)
+            self._count = _slide(self._batches, self._count, t,
+                                 newest - self.window_us)
+        return self._count / self._window_s if self._count else 0.0
 
     def fold_kept(self, t: np.ndarray) -> float:
         """Fold in what was kept of the batch last folded into the raw
@@ -140,21 +144,23 @@ class SlidingRateEstimator:
         """
         batches = self._batches
         if t is batches[-1]:
-            if self._short_until < t.item(-1):
+            # kept whole: its newest timestamp is the raw side's
+            if self._short_until < self._newest:
                 # every batch in the window was kept whole: the raw
                 # window's timestamps, cut where the raw window was cut
                 self._kept = batches.copy()
                 count = self._kept_count = self._count
             else:
                 count = self._kept_count = _slide(
-                    self._kept, self._kept_count, t, self.window_us)
+                    self._kept, self._kept_count, t,
+                    self._newest - self.window_us)
         else:
             # not kept whole, or its head left the raw window already
-            self._short_until = batches[-1].item(-1) + self.window_us
+            self._short_until = self._newest + self.window_us
             count = self._kept_count
             if t.size:
                 count = self._kept_count = _slide(
-                    self._kept, count, t, self.window_us)
+                    self._kept, count, t, t.item(-1) - self.window_us)
         return count / self._window_s if count else 0.0
 
     @property
@@ -193,11 +199,14 @@ class GammaFilter:
     batch processed at ``gamma >= 1`` is kept whole without touching
     it: its events are only counted, and ``rng`` is advanced past all
     of them in one jump just before the next keep draw, lagging behind
-    by them until then. Once per processed
-    batch, gamma takes one smoothing step of gain ``beta`` toward
-    ``min(1, a / rate_raw)``, floored at ``gamma_min``; adapting on the
-    raw rate has the steady state of adapting on the filtered rate, with
-    a faster transient. The post-filter rate, which sizes packages, is
+    by them until then. Once per processed batch, gamma takes one
+    smoothing step of gain ``beta`` toward
+    ``target = min(1, max(gamma_min, a / rate_raw))`` and is clamped
+    the same way, to ``min(1, max(gamma_min, g + beta * (target - g)))``;
+    both clamps are conditional expressions that give the floats of
+    those calls. Adapting on the raw rate has the steady state of
+    adapting on the filtered rate, with a faster transient. The
+    post-filter rate, which sizes packages, is
     the kept side of the same :attr:`window`, folded by the caller once
     admission has taken what it keeps of the batch.
     """
@@ -229,23 +238,27 @@ class GammaFilter:
         raw rate and the generator stay as they are.
         """
         t = events["t"]
-        if t.size == 0:
+        n = t.size
+        if not n:
             self.kept_t = t
             return events, 0
         cfg = self.config
-        # the batch's newest event is in the window: the rate is positive
+        gmin = cfg.gamma_min
+        # the batch's newest event is in the window: the rate is positive;
+        # each clamp is min(1, max(gmin, x)), as floats, without the calls
         rate = self.rate_raw_evps = self.window.update(t, checked=checked)
-        target = min(1.0, max(cfg.gamma_min, cfg.a_evps / rate))
-        g = self.gamma + cfg.beta * (target - self.gamma)
-        self.gamma = min(1.0, max(cfg.gamma_min, g))
-        if self.gamma >= 1.0:
-            self._skipped += len(events)
-            kept = events
-        else:
-            if self._skipped:
-                self.rng.bit_generator.advance(self._skipped)
-                self._skipped = 0
-            kept = apply_filter(self, events)
-        # whole batch kept: the same view; otherwise a subsequence's
-        self.kept_t = t if kept is events else kept["t"]
-        return kept, len(events) - len(kept)
+        x = cfg.a_evps / rate
+        target = 1.0 if x >= 1.0 else x if x > gmin else gmin
+        g = self.gamma
+        g += cfg.beta * (target - g)
+        self.gamma = g = 1.0 if g >= 1.0 else g if g > gmin else gmin
+        if g >= 1.0:
+            self._skipped += n
+            self.kept_t = t
+            return events, 0
+        if self._skipped:
+            self.rng.bit_generator.advance(self._skipped)
+            self._skipped = 0
+        kept = apply_filter(self, events)
+        self.kept_t = kept["t"]
+        return kept, n - len(kept)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -189,9 +188,9 @@ class Packager:
     oldest batch and a count of the buffered events. A package that lies
     inside the oldest batch is handed out as a view of it, so such a cut
     costs nothing per event; only a package that spans batches is
-    assembled, once, into a new array. No batch is ever written: the
-    caller's arrays stay as they were and emitted packages stay valid
-    while later events arrive.
+    copied, once, from the bytes of its pieces into a new array. No
+    batch is ever written: the caller's arrays stay as they were and
+    emitted packages stay valid while later events arrive.
     """
 
     def __init__(self, config: PackagerConfig):
@@ -201,7 +200,10 @@ class Packager:
         # oldest batch, its ``t.item`` and its length are also cached
         self._batches: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._head = 0           # first buffered event in the oldest batch
-        self._buffered = 0
+        #: The number of buffered events.
+        self.buffered = 0
+        #: The oldest buffered timestamp, None while nothing is buffered.
+        self.oldest_arrival_us: int | None = None
         self._newest = -1 << 63  # newest appended timestamp (int64 min)
         self._front()
         self._next_seq = 0
@@ -220,30 +222,32 @@ class Packager:
 
     def _front(self) -> None:
         """Cache the oldest batch, its ``t.item`` (one timestamp as a
-        Python int) and its length, after the oldest batch changed."""
+        Python int), its length and :attr:`oldest_arrival_us`, after the
+        oldest batch changed."""
         if self._batches:
             events, t = self._batches[0]
             self._oldest, self._t_at, self._len = events, t.item, len(events)
+            self.oldest_arrival_us = t.item(self._head)
         else:
             self._oldest, self._t_at, self._len = None, None, 0
+            self.oldest_arrival_us = None
 
     def _t_item(self, i: int) -> int:
-        """The timestamp of the ``i``-th buffered event (0 is the oldest)."""
-        i += self._head
-        if i < self._len:
-            return self._t_at(i)
-        i -= self._len
-        for _, t in islice(self._batches, 1, None):
-            if i < len(t):
+        """The timestamp of the ``i``-th buffered event (0 is the oldest),
+        found from the newest batch back: a size cut's last event lies in
+        the batch that completed it."""
+        i -= self.buffered
+        for _, t in reversed(self._batches):
+            i += len(t)
+            if i >= 0:
                 return t.item(i)
-            i -= len(t)
         raise IndexError("fewer events buffered")
 
     def _take(self, count: int) -> list[np.ndarray]:
         """Remove the ``count`` oldest buffered events (at most
         :attr:`buffered`); returns them as the batches, or views of the
         batches, that hold them, oldest first."""
-        self._buffered -= count
+        self.buffered -= count
         batches, head, events = self._batches, self._head, self._oldest
         pieces = []
         while head + count >= len(events):
@@ -262,16 +266,6 @@ class Packager:
         self._front()
         return pieces
 
-    @property
-    def buffered(self) -> int:
-        return self._buffered
-
-    @property
-    def oldest_arrival_us(self) -> int | None:
-        if not self._buffered:
-            return None
-        return self._t_at(self._head)
-
     def _cut(self, count: int, first: int, last: int, reason: str,
              trigger_us: int) -> _Cut:
         """Emit the ``count`` oldest buffered events (timestamps ``first``
@@ -280,13 +274,12 @@ class Packager:
         if len(pieces) == 1:
             events = pieces[0]
         else:
-            # joined as raw bytes, in the first piece's dtype: numpy
-            # copies structured rows field by field, and a slice
-            # assignment per piece costs more than the copy on small ones
+            # joined in one copy, as the raw bytes of rows in the first
+            # piece's dtype: numpy copies structured rows field by field
             dtype = pieces[0].dtype
             events = np.frombuffer(bytearray().join([
-                (p if p.dtype == dtype else p.astype(dtype)).tobytes()
-                for p in pieces]), dtype)
+                p if p.dtype == dtype and p.flags.c_contiguous
+                else p.astype(dtype) for p in pieces]), dtype)
         seq = self._next_seq
         self._next_seq = seq + 1
         return _Cut(events, seq, count, last - first, reason, trigger_us)
@@ -296,13 +289,13 @@ class Packager:
         first = self.oldest_arrival_us
         if first is None or now_us - first < self.config.timeout_us:
             return None
-        return self._cut(self._buffered, first, self._newest, "timeout",
+        return self._cut(self.buffered, first, self._newest, "timeout",
                          int(now_us))
 
     def drop_oldest(self, count: int) -> int:
         """Drop up to ``count`` events from the buffer front; returns the
         number dropped."""
-        n = min(count, self._buffered)
+        n = min(count, self.buffered)
         if n > 0:
             self._take(n)
         return n
@@ -346,9 +339,9 @@ class Packager:
                 rate_evps - self._rate_smooth_evps)
         self._batches.append((events, t))
         self._newest = t.item(-1)
-        if not self._buffered:
+        if not self.buffered:
             self._front()   # the head is 0: emptying popped every batch
-        self._buffered += n
+        self.buffered += n
 
     def next_emission(self) -> _Cut | None:
         """Cut at most one package from the buffer.
@@ -363,22 +356,23 @@ class Packager:
         (the ``target``-th) and the timeout rule one more (the newest);
         only a timeout cut searches for its length, batch by batch.
         """
-        buffered = self._buffered
-        if not buffered:
+        first = self.oldest_arrival_us
+        if first is None:
             return None
-        head, t_at = self._head, self._t_at
-        first = t_at(head)
+        buffered, head = self.buffered, self._head
         deadline = first + self.config.timeout_us
         target = self.target_size
         if buffered >= target:
             stop = head + target
             if stop < self._len:
+                t_at = self._t_at
                 last = t_at(stop - 1)
                 if last < deadline:
                     # inside the oldest batch, which it does not finish:
                     # a view, cut here rather than through ``_cut``
                     self._head = stop
-                    self._buffered = buffered - target
+                    self.oldest_arrival_us = t_at(stop)
+                    self.buffered = buffered - target
                     seq = self._next_seq
                     self._next_seq = seq + 1
                     return _Cut(self._oldest[head:stop], seq, target,

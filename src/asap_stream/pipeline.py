@@ -115,11 +115,13 @@ METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 _new_row = tuple.__new__    # a row from a built tuple, no call per field
 
-#: One :class:`PackageMetrics` row as a :class:`MetricsTable` stores it,
-#: in field order and unaligned: int64 ``seq``, ``size`` and ``span_us``,
-#: float64 ``proc_us`` to ``rate_filtered``, int64 drop counts, float64
-#: ``clock_us`` and one byte coding ``emit_reason``. 89 bytes.
-_ROW = struct.Struct("=3q5d2qdB")
+#: The struct code of each :class:`PackageMetrics` field as a
+#: :class:`MetricsTable` stores it: int64 ``seq``, ``size`` and
+#: ``span_us``, float64 ``proc_us`` to ``rate_filtered``, int64 drop
+#: counts, float64 ``clock_us`` and one byte coding ``emit_reason``.
+_CODES = "qqqdddddqqdB"
+#: One row in field order, unaligned: 89 bytes.
+_ROW = struct.Struct("=" + _CODES)
 _EMIT_REASONS = ("size", "timeout")
 _REASON_CODE = {reason: code for code, reason in enumerate(_EMIT_REASONS)}
 
@@ -127,6 +129,24 @@ _REASON_CODE = {reason: code for code, reason in enumerate(_EMIT_REASONS)}
 def _unpacked(fields: tuple) -> PackageMetrics:
     return _new_row(PackageMetrics,
                     fields[:-1] + (_EMIT_REASONS[fields[-1]],))
+
+
+def _refused(index: int, row: tuple) -> ValueError:
+    """The error for row ``index``, which ``_ROW`` cannot pack: it names
+    the row and its first field that does not fit."""
+    fields = PackageMetrics._fields
+    if len(row) != len(fields):
+        return ValueError(f"metrics row {index} has {len(row)} fields, "
+                          f"not {len(fields)}")
+    for name, value, code in zip(fields[:-1], row, _CODES):
+        try:
+            struct.pack("=" + code, value)
+        except struct.error as exc:
+            kind = "an int64" if code == "q" else "a float64"
+            return ValueError(f"metrics row {index}: {name}={value!r} "
+                              f"cannot be stored as {kind} ({exc})")
+    return ValueError(f"metrics row {index}: emit_reason={row[-1]!r} is "
+                      f"not one of {', '.join(_EMIT_REASONS)}")
 
 
 class MetricsTable(Sequence):
@@ -141,11 +161,18 @@ class MetricsTable(Sequence):
     """
 
     def __init__(self, rows: Iterable[PackageMetrics] = ()):
+        """Pack ``rows``; a row ``_ROW`` cannot pack raises
+        :class:`ValueError` naming the row and the field."""
         # not a bytearray: it grows by up to 1/8, which would take an
         # 89-byte row to 100 bytes; an array grows by 1/16
         self._packed = array("B")
-        for *fields, reason in rows:
-            self._packed.frombytes(_ROW.pack(*fields, _REASON_CODE[reason]))
+        for index, row in enumerate(rows):
+            try:
+                *fields, reason = row
+                packed = _ROW.pack(*fields, _REASON_CODE[reason])
+            except (struct.error, KeyError, TypeError, ValueError):
+                raise _refused(index, tuple(row)) from None
+            self._packed.frombytes(packed)
 
     def __len__(self) -> int:
         return len(self._packed) // _ROW.size
@@ -217,26 +244,28 @@ class _Stages:
         self._rates = ()  # set by feed, before there is anything to cut
 
     def feed(self, batch: np.ndarray) -> None:
-        if not len(batch):
+        n = len(batch)
+        if not n:
             return   # no event arrived: no stage changes
-        self.source_events += len(batch)
-        gfilter = self.gfilter
+        self.source_events += n
+        gfilter, packager = self.gfilter, self.packager
         kept, dropped = gfilter.process(batch, checked=self.ordered)
         # the kept events' timestamp view, order-checked once by the
         # filter's raw window, feeds its kept side and the packager
         kept_t = gfilter.kept_t
-        self.dropped_by_filter += dropped
-        self._pending_filter += dropped
-        excess = self.packager.buffered + len(kept) - self.capacity
+        if dropped:
+            self.dropped_by_filter += dropped
+            self._pending_filter += dropped
+        excess = packager.buffered + len(kept) - self.capacity
         if excess > 0:
             # drop-oldest: buffered events first, then the batch's own head
-            head = excess - self.packager.drop_oldest(excess)
+            head = excess - packager.drop_oldest(excess)
             if head:   # else the view stays the one the raw window holds
                 kept, kept_t = kept[head:], kept_t[head:]
             self.dropped_by_overflow += excess
             self._pending_overflow += excess
         rate = gfilter.window.fold_kept(kept_t)
-        self.packager.append(kept, t=kept_t, rate_evps=rate)
+        packager.append(kept, t=kept_t, rate_evps=rate)
         # gamma and both rates change only here: read once per batch for
         # the stamps of the packages it completes
         self._rates = (gfilter.gamma, gfilter.rate_raw_evps, rate)
@@ -406,12 +435,13 @@ def write_metrics_csv(path, metrics: Sequence[PackageMetrics]) -> None:
 
     Any sequence of rows that is not a :class:`MetricsTable` is packed
     into one first, before the file is opened, so a row ``_ROW`` cannot
-    pack raises and leaves ``path`` as it was. Each table is formatted
-    straight from its packed bytes: every integer field as ``str``, and
-    every float field as ``repr`` gives it for a Python ``float``,
-    whatever number type the row held. The lines are joined and written
-    in blocks of up to ``_WRITE_BLOCK``, so a long table costs one write
-    per block, not per line, and holds one block of text."""
+    pack raises :class:`ValueError` and leaves ``path`` as it was. Each
+    table is formatted straight from its packed bytes: every integer
+    field as ``str``, and every float field as ``repr`` gives it for a
+    Python ``float``, whatever number type the row held. The lines are
+    joined and written in blocks of up to ``_WRITE_BLOCK``, so a long
+    table costs one write per block, not per line, and holds one block
+    of text."""
     if not isinstance(metrics, MetricsTable):
         metrics = MetricsTable(metrics)
     lines = _table_lines(metrics._packed)

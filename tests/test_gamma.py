@@ -512,3 +512,53 @@ class TestGammaLaw:
             expected = batch[ref.random(hi - lo) < gamma]
             assert kept.tobytes() == expected.tobytes()
             assert dropped == len(batch) - len(expected)
+
+    @given(batches=st.lists(st.tuples(st.integers(min_value=0, max_value=60),
+                                      st.integers(min_value=0, max_value=40)),
+                            max_size=40),
+           a_evps=st.one_of(st.sampled_from([2e4, 1e5, 5e5, float("inf")]),
+                            st.floats(min_value=1e3, max_value=1e7)),
+           beta=st.one_of(st.just(1.0), st.floats(min_value=0.01,
+                                                  max_value=1.0)),
+           gamma_min=st.one_of(st.sampled_from([0.01, 0.999, 1 - 1e-12]),
+                               st.floats(min_value=0.001, max_value=0.999)),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # a never binds; gamma_min just below 1 with full steps; and a ramp
+    # from 2.5e4 to 1e6 ev/s across a = 1e5
+    @example(batches=[(50, 5)] * 10, a_evps=float("inf"), beta=1.0,
+             gamma_min=0.5, seed=0)
+    @example(batches=[(40, 1), (3, 0), (40, 20), (0, 0), (40, 1)],
+             a_evps=5e5, beta=1.0, gamma_min=1 - 1e-12, seed=1)
+    @example(batches=[(20, gap) for gap in (40, 20, 10, 5, 2, 1, 1, 2, 40)],
+             a_evps=1e5, beta=0.25, gamma_min=0.01, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_gamma_steps_by_the_clamped_law_on_the_window_rate(
+            self, batches, a_evps, beta, gamma_min, seed):
+        # batches of n events, gap µs apart (0: all at one timestamp), in
+        # a 1 ms window: raw rates from 2.5e4 ev/s (40 µs apart) to 1e6
+        # ev/s and beyond, on both sides of a
+        gfilter = GammaFilter(GammaConfig(a_evps=a_evps, beta=beta,
+                                          gamma_min=gamma_min,
+                                          rate_window_us=1000), seed=seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        g, lag, now = 1.0, 0, 0
+        for n, gap in batches:
+            batch = _events_at(now + gap * np.arange(n))
+            now += gap * n + 1
+            kept, dropped = gfilter.process(batch)
+            if n:
+                rate = gfilter.window.rate_evps
+                target = min(1.0, max(gamma_min, a_evps / rate))
+                g = min(1.0, max(gamma_min, g + beta * (target - g)))
+            assert gfilter.gamma == g
+            # apply_filter's rule: one draw per event, kept below gamma
+            expected = batch[ref.random(n) < g]
+            assert kept.tobytes() == expected.tobytes()
+            assert dropped == n - len(expected)
+            # the draws of batches kept whole are skipped until the next
+            # batch that is filtered
+            lag = lag + n if g >= 1.0 else 0
+        state = np.random.Generator(np.random.PCG64())
+        state.bit_generator.state = gfilter.rng.bit_generator.state
+        state.bit_generator.advance(lag)
+        assert state.bit_generator.state == ref.bit_generator.state

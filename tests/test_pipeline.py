@@ -337,6 +337,12 @@ class TestMetricsOutput:
     # float, np.float64), then a repeated float
     @example(rows=_rows_with_proc(0.0, -0.0, 0.0, 5, 5.0, np.float64(5.0),
                                   5.0, 2.5, 2.5, 2.5))
+    # signed zeros and distinct NaN objects in gamma and both rates,
+    # then in proc_us
+    @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
+                                (-0.0, float("nan")), (5.0, -0.0)))
+    @example(rows=_rows_with_proc(0.0, -0.0, 0.0, float("nan"),
+                                  float("nan"), 5.0, 5.0, -0.0))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_csv_rows_match_reference_format(self, rows, tmp_path):
@@ -369,34 +375,41 @@ class TestMetricsOutput:
     @pytest.mark.parametrize("bad", [
         {"size": 2**63},          # outside int64
         {"drop_filter": 1.5},     # not an integer
+        {"gamma": "0.5"},         # not a float
         {"emit_reason": "late"},  # not a reason _ROW codes
-    ], ids=["int64-overflow", "float-count", "unknown-reason"])
+    ], ids=["int64-overflow", "float-count", "text-float", "unknown-reason"])
     def test_row_that_cannot_be_packed_raises_and_leaves_the_file(
             self, bad, tmp_path):
         good = PackageMetrics(0, 1, 2, 3.0, 1.0, 1.0, 2.0, 3.0, 0, 0, 4.0)
         path = tmp_path / "m.csv"
         path.write_text("old\n")
-        with pytest.raises((struct.error, KeyError)):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError) as refused:
             write_metrics_csv(path, [good, good._replace(seq=1, **bad)])
+        assert str(refused.value).startswith(
+            f"metrics row 1: {name}={value!r} ")
         assert path.read_text() == "old\n"
 
+    def test_row_of_another_length_is_refused_by_its_index(self):
+        good = PackageMetrics(0, 1, 2, 3.0, 1.0, 1.0, 2.0, 3.0, 0, 0, 4.0)
+        for row in (good[:5], (), good + ("size",)):
+            with pytest.raises(ValueError, match=(
+                    rf"^metrics row 2 has {len(row)} fields, not 12$")):
+                MetricsTable([good, good, row])
+
     @given(rows=_plain_rows)
-    # signed zeros and distinct NaN objects in gamma and both rates,
-    # then in proc_us
-    @example(rows=_rows_sharing(1.0, (0.0, float("nan")), (-0.0, 5.0),
-                                (-0.0, float("nan")), (5.0, -0.0)))
-    @example(rows=_rows_with_proc(0.0, -0.0, 0.0, float("nan"),
-                                  float("nan"), 5.0, 5.0, -0.0))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_table_writes_the_bytes_of_its_rows(self, rows, tmp_path):
-        paths = [tmp_path / f"{kind}{len(list(tmp_path.iterdir()))}.csv"
-                 for kind in ("table", "list")]
+        # the table and the list it was filled from, each against the
+        # reference text of the rows
         table = MetricsTable(rows)
         assert len(table) == len(rows)
-        write_metrics_csv(paths[0], table)
-        write_metrics_csv(paths[1], rows)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        expected = _reference_csv(rows)
+        for kind, metrics in (("table", table), ("list", rows)):
+            path = tmp_path / f"{kind}{len(list(tmp_path.iterdir()))}.csv"
+            write_metrics_csv(path, metrics)
+            assert path.read_bytes() == expected
 
     def _assert_table_writes_reference(self, rows, path):
         write_metrics_csv(path, MetricsTable(rows))
