@@ -21,7 +21,12 @@ from .packager import ProcessingFeedback
 
 
 class Clock(Protocol):
-    """Pipeline clock: virtual (logical counter) or wall time."""
+    """Pipeline clock: virtual (logical counter) or wall time.
+
+    The run loop moves it only with :meth:`advance_to`, to the next
+    event or timeout deadline; a consumer spends its modelled work with
+    :meth:`advance`.
+    """
 
     @property
     def now_us(self) -> float: ...
@@ -42,8 +47,9 @@ class VirtualClock:
         self.now_us += dt_us
 
     def advance_to(self, t_us: float) -> None:
+        # kept as given: an int deadline past 2**53 stays reached
         if t_us > self.now_us:
-            self.now_us = float(t_us)
+            self.now_us = t_us
 
 
 class WallClock:
@@ -62,8 +68,11 @@ class WallClock:
             pass
 
     def advance_to(self, t_us: float) -> None:
-        # wall time advances on its own
-        return
+        """Sleep until the clock reads ``t_us``; return at once if it
+        already does."""
+        delay_us = t_us - self.now_us
+        if delay_us > 0:
+            time.sleep(delay_us / 1e6)
 
 
 class Consumer(Protocol):
@@ -142,7 +151,9 @@ class ClusteringConsumer:
     Each event either joins the nearest surviving centroid within
     ``radius_px`` (ties broken by lowest creation index) or seeds a new
     cluster. Processing time is the measured elapsed monotonic time, so
-    virtual-mode runs using this consumer are not bit-reproducible.
+    virtual-mode runs using this consumer are not bit-reproducible. The
+    clock is moved to the call's start plus that time, which a wall
+    clock has already reached: the work is not waited for twice.
     """
 
     def __init__(self, radius_px: float = 10.0, ttl_us: int = 50_000,
@@ -186,10 +197,11 @@ class ClusteringConsumer:
         return cluster
 
     def process(self, package: EventPackage, clock: Clock) -> ProcessingFeedback:
+        start_us = clock.now_us
         start = time.perf_counter()
         for ev in package.events:
             self.assign_event(int(ev["t"]), float(ev["x"]), float(ev["y"]))
         elapsed_us = (time.perf_counter() - start) * 1e6
-        clock.advance(elapsed_us)
+        clock.advance_to(start_us + elapsed_us)
         return ProcessingFeedback(package.seq, package.size, package.span_us,
                                   elapsed_us)

@@ -385,7 +385,8 @@ class Packager:
             # fewer than ``target`` events precede the deadline: count
             # them among the oldest ``target``, bisecting the batch in
             # which the deadline falls (searchsorted would first copy a
-            # strided view whole)
+            # strided view whole); the last of those ``limit`` events,
+            # the target-th or the newest, lies at or past it
             limit = min(buffered, target)
             count = 0
             for _, t in self._batches:
@@ -394,8 +395,6 @@ class Packager:
                     count += bisect_left(t, deadline, head, stop) - head
                     break
                 count += stop - head
-                if count == limit:
-                    break
                 head = 0
             return self._cut(count, first, self._t_item(count - 1), "timeout",
                              deadline)

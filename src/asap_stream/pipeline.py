@@ -1,20 +1,20 @@
 """Pipeline orchestration: source -> discard filter -> packager -> consumer.
 
-Both modes step the same stages (:class:`_Stages`): filter a batch,
-admit it to the bounded buffer dropping the oldest events, and cut
-packages one at a time. Virtual mode steps them in one thread on a
+Both modes run one loop over the same stages (:class:`_Stages`): filter
+a batch, admit it to the bounded buffer dropping the oldest events, and
+cut packages one at a time. The mode picks only the clock and how
+batches fall due. Virtual mode feeds the source's chunks whole on a
 logical microsecond clock advanced by event timestamps at the source
 and by processing durations at the consumer; runs are bit-deterministic
 for a given seed (with the synthetic consumer). Realtime mode paces the
-source against the wall clock; it exists for demonstration. Both deliver
-packages through the same loop, in the calling thread, and apply every
-consumer report before the next cut.
+source against the wall clock, feeding the events due at each wake; it
+exists for demonstration. Packages are delivered in the calling thread,
+and every consumer report is applied before the next cut.
 """
 
 from __future__ import annotations
 
 import struct
-import time
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -223,7 +223,7 @@ def build_consumer(config: PipelineConfig, seed_offset: int = 1) -> Consumer:
 
 class _Stages:
     """Discard filter, drop-oldest admission and packager: the stages
-    both runners step.
+    the run loop steps.
 
     :meth:`feed` admits one source batch, :meth:`cut` hands out the
     packages it completes or flushes, stamped with the filter state and
@@ -323,63 +323,12 @@ def _delivery(stages: _Stages, consumer: Consumer, clock: Clock,
     return deliver
 
 
-def run(config: PipelineConfig, source: StreamSource,
-        consumer: Consumer | None = None) -> RunResult:
-    """Drive the source to exhaustion through the full pipeline."""
-    config.validate()
-    if consumer is None:
-        consumer = build_consumer(config)
-    if config.mode == "realtime":
-        return _run_realtime(config, source, consumer)
-    return _run_virtual(config, source, consumer)
+def _due(source: StreamSource, clock: Clock, wait):
+    """Realtime mode's batches: at each wake, the events that are due.
 
-
-def _run_virtual(config: PipelineConfig, source: StreamSource,
-                 consumer: Consumer) -> RunResult:
-    clock = VirtualClock()
-    stages = _Stages(config, source.ordered)
-    metrics = MetricsTable()
-    deliver = _delivery(stages, consumer, clock, metrics)
-    cut = stages.cut
-    for chunk in source.chunks():
-        stages.feed(chunk)
-        deliver(cut(clock))
-    # drain: the residual buffer flushes when its timeout expires
-    oldest = stages.packager.oldest_arrival_us
-    if oldest is not None:
-        deliver(cut(clock, oldest + config.packager.timeout_us))
-    return stages.result(metrics)
-
-
-def _run_realtime(config: PipelineConfig, source: StreamSource,
-                  consumer: Consumer) -> RunResult:
-    """Realtime execution of the same stages and delivery loop.
-
-    The source is paced against the wall clock, each event fed once it
-    is due. The consumer runs in the calling thread, so each report is
-    applied before the next cut, as in virtual mode; events that fall
-    due while it runs are fed when it returns. An exception in the
-    consumer propagates.
-    """
-    clock = WallClock()
-    stages = _Stages(config, source.ordered)
-    timeout_us = config.packager.timeout_us
-    metrics = MetricsTable()
-    deliver = _delivery(stages, consumer, clock, metrics)
-
-    def wait(next_us: int | None) -> None:
-        """Sleep until the event at ``next_us`` is due or the oldest
-        buffered event times out, whichever is first; then flush a
-        timed-out buffer."""
-        oldest = stages.packager.oldest_arrival_us
-        if oldest is not None:
-            deadline = oldest + timeout_us
-            next_us = deadline if next_us is None else min(next_us, deadline)
-        delay_us = next_us - clock.now_us
-        if delay_us > 0:
-            time.sleep(delay_us / 1e6)
-        deliver(stages.cut(clock, int(clock.now_us)))
-
+    Before each batch ``wait`` moves the clock to the next event or to
+    an earlier timeout deadline; the batch is every event the clock has
+    then reached, so none is fed before it is due."""
     for chunk in source.chunks():
         t = np.ascontiguousarray(chunk["t"])
         fed = 0
@@ -387,11 +336,44 @@ def _run_realtime(config: PipelineConfig, source: StreamSource,
             wait(int(t[fed]))
             due = int(t.searchsorted(int(clock.now_us), side="right"))
             if due > fed:
-                stages.feed(chunk[fed:due])
+                yield chunk[fed:due]
                 fed = due
-                deliver(stages.cut(clock))
-    # final timeout drain on the wall clock
-    while stages.packager.buffered:
+
+
+def run(config: PipelineConfig, source: StreamSource,
+        consumer: Consumer | None = None) -> RunResult:
+    """Drive the source to exhaustion through the full pipeline: feed
+    each batch and deliver the packages it completes, then flush the
+    residual buffer when its timeout expires. The mode picks only the
+    clock and the batches (realtime's are :func:`_due`'s, so events that
+    fall due while the consumer runs are fed when it returns). An
+    exception in the consumer propagates."""
+    config.validate()
+    if consumer is None:
+        consumer = build_consumer(config)
+    realtime = config.mode == "realtime"
+    clock = WallClock() if realtime else VirtualClock()
+    stages = _Stages(config, source.ordered)
+    packager, timeout_us = stages.packager, config.packager.timeout_us
+    metrics = MetricsTable()
+    deliver = _delivery(stages, consumer, clock, metrics)
+    cut = stages.cut
+
+    def wait(next_us: int | None) -> None:
+        """Advance the clock to ``next_us`` or to the oldest buffered
+        event's timeout deadline, whichever is first; then flush a
+        timed-out buffer."""
+        oldest = packager.oldest_arrival_us
+        if oldest is not None:
+            deadline = oldest + timeout_us
+            next_us = deadline if next_us is None else min(next_us, deadline)
+        clock.advance_to(next_us)
+        deliver(cut(clock, int(clock.now_us)))
+
+    for batch in _due(source, clock, wait) if realtime else source.chunks():
+        stages.feed(batch)
+        deliver(cut(clock))
+    while packager.buffered:
         wait(None)
     return stages.result(metrics)
 

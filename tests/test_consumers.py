@@ -1,5 +1,7 @@
 """Reference consumers: synthetic cost model and clustering workload."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ class TestWallClock:
         t0 = clock.now_us
         clock.advance(2000)
         assert clock.now_us - t0 >= 2000
+
+    def test_advance_to_sleeps_until_the_time(self):
+        clock = WallClock()
+        target = clock.now_us + 2000
+        clock.advance_to(target)
+        assert clock.now_us >= target
+
+    def test_advance_to_a_time_passed_returns_at_once(self, monkeypatch):
+        def refuse(seconds):
+            raise AssertionError("advance_to slept for a time passed")
+
+        monkeypatch.setattr(time, "sleep", refuse)
+        clock = WallClock()
+        clock.advance_to(clock.now_us - 5)
 
 
 class TestSyntheticConsumer:
@@ -145,6 +161,26 @@ class TestClusteringProcess:
         assert fb.size == 3
         assert fb.span_us == 20
         assert fb.processing_time_us >= 0
+
+    def test_virtual_clock_ends_at_the_start_plus_the_reported_time(self):
+        clock = VirtualClock(500.0)
+        fb = ClusteringConsumer().process(_package([0, 10, 20]), clock)
+        assert clock.now_us == 500.0 + fb.processing_time_us
+
+    def test_a_wall_clock_is_not_waited_on_again(self, monkeypatch):
+        # the measured work has already taken its wall time: waiting it
+        # out again on the clock would double every package's cost
+        def refuse(*args):
+            raise AssertionError("the consumer waited out its own work")
+
+        monkeypatch.setattr(time, "sleep", refuse)
+        monkeypatch.setattr(WallClock, "advance", refuse)
+        clock = WallClock()
+        n = 200
+        fb = ClusteringConsumer().process(
+            _package(np.arange(n), xs=np.arange(n) % 346, ys=np.zeros(n)),
+            clock)
+        assert 0 < fb.processing_time_us <= clock.now_us
 
     def test_events_observed_one_by_one_in_order(self):
         c = ClusteringConsumer()

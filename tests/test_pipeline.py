@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import struct
 import threading
 import tracemalloc
@@ -97,6 +98,19 @@ class TestOverflowGuard:
         result = run(cfg, source)
         assert result.dropped_by_overflow > 0
         assert result.conservation_holds()
+
+
+#: sha256 of the metrics CSV of a virtual run on a 0.2 s, 1e5 ev/s
+#: constant stream (seed 0, 4096-event chunks) that starts at each
+#: timestamp, none of which a float64 holds
+_SHIFTED_SHA256 = {
+    2**53 + 1:
+        "3bdf371bf5e63f91a64a996110ee3fed9192a613be5b4f94781e1ecb9cb3ce8b",
+    2**60 + 3:
+        "9e76f15e52b937ccacf4695e32b84791531b8b49bbe8fe87f77466f1c863538d",
+    2**62 + 12345:
+        "11d416b8538cbecf97427b10699748e32184a1d53e35957ce43c820bb1c2dc0a",
+}
 
 
 class TestVirtualRun:
@@ -197,6 +211,26 @@ class TestVirtualRun:
         assert lines[0] == METRICS_HEADER
         assert len(lines) == len(result.metrics) + 1
         assert all(len(line.split(",")) == 11 for line in lines[1:])
+
+    @pytest.mark.parametrize("t0", sorted(_SHIFTED_SHA256))
+    def test_timestamps_past_2_53_drain(self, t0, tmp_path):
+        # the residual flush waits for an int deadline that a float64
+        # clock cannot hold: unless the clock lands on it exactly, the
+        # buffer never times out and the drain never ends
+        ev = ConstantRateSource(1e5, 0.2, seed=0).events()
+        ev["t"] += t0
+        path = tmp_path / "m.csv"
+
+        def call():
+            result = run(_config(), ArraySource(ev, chunk_size=4096))
+            write_metrics_csv(path, result.metrics)
+
+        runner = threading.Thread(target=call, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the run did not finish"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            _SHIFTED_SHA256[t0]
 
     def test_clustering_consumer_runs(self):
         cfg = _config(consumer=ConsumerConfig(kind="clustering"))
@@ -679,6 +713,42 @@ class TestRealtimeRun:
         assert len(result.metrics) > 10
         assert applied == [m.seq for m in result.metrics] == \
             list(range(len(result.metrics)))
+
+    def test_realtime_logic_on_virtual_time(self, monkeypatch, tmp_path):
+        # realtime mode's loop on a virtual clock is deterministic: the
+        # same run twice writes the same bytes, and keeps the contracts
+        # the wall clock would make timing-dependent
+        monkeypatch.setattr(pipeline, "WallClock", VirtualClock)
+        applied = []
+        update = Packager.update_target_size
+
+        def spy(self, feedback):
+            applied.append(feedback.package_seq)
+            return update(self, feedback)
+
+        monkeypatch.setattr(Packager, "update_target_size", spy)
+        cfg = _config(mode="realtime")
+        csvs = []
+        for name in ("a.csv", "b.csv"):
+            inner, early = pipeline.build_consumer(cfg), []
+
+            class Paced:
+                def process(self, package, clock):
+                    early.append(int(package.events["t"][-1]) - clock.now_us)
+                    return inner.process(package, clock)
+
+            applied.clear()
+            result = run(cfg, ConstantRateSource(1e5, 1.0, seed=0), Paced())
+            metrics = result.metrics
+            assert result.conservation_holds()
+            assert {m.emit_reason for m in metrics} == {"size", "timeout"}
+            assert len(early) == len(metrics) and max(early) <= 0
+            assert applied == [m.seq for m in metrics] == \
+                list(range(len(metrics)))
+            path = tmp_path / name
+            write_metrics_csv(path, metrics)
+            csvs.append(path.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_consumer_runs_in_the_calling_thread(self, monkeypatch):
         def refuse_start(thread):
