@@ -55,7 +55,9 @@ class PackagerConfig:
     n_min: int = 1
     n_max: int = 1_000_000
     timeout_us: int = 10_000
-    model_smoothing: float = 0.2   # exponential-averaging gain of the cost fit
+    # exponential-averaging gain of the cost fit, and only of it: the
+    # target is solved on the window's kept rate as ``append`` hands it
+    model_smoothing: float = 0.2
     headroom: float = 1.05         # target bias above N* keeping lag negative
     initial_size: int = 1000       # target held until the first feedback
 
@@ -216,9 +218,9 @@ class Packager:
         # (see update_target_size); None otherwise
         self._settled: tuple[int, float] | None = None
         self._last_feedback_seq = -1
-        # exponential smoothing of the post-filter rates handed to
-        # ``append``, which steers the target
-        self._rate_smooth_evps: float | None = None
+        # the post-filter rate the last ``append`` was handed, on which
+        # the target is solved
+        self._rate_evps: float | None = None
 
     def _front(self) -> None:
         """Cache the oldest batch, its ``t.item`` (one timestamp as a
@@ -308,7 +310,7 @@ class Packager:
         ``rate_evps`` is the post-filter event rate after this batch, as
         :meth:`SlidingRateEstimator.fold_kept
         <asap_stream.gamma.SlidingRateEstimator.fold_kept>` measures it;
-        its exponential smoothing steers the target.
+        the target is solved on it, as it is, until the next append.
 
         Raises :class:`OrderingError` before any state changes when the
         batch decreases or starts before the newest appended event,
@@ -331,12 +333,8 @@ class Packager:
             raise OrderingError(
                 f"batch starts at timestamp {first}, before the newest "
                 f"one already seen, {self._newest}")
-        self._settled = None   # the smoothed rate, an input of the solve, moves
-        if self._rate_smooth_evps is None:
-            self._rate_smooth_evps = rate_evps
-        else:
-            self._rate_smooth_evps += self.config.model_smoothing * (
-                rate_evps - self._rate_smooth_evps)
+        self._settled = None   # the rate, an input of the solve, moves
+        self._rate_evps = rate_evps
         self._batches.append((events, t))
         self._newest = t.item(-1)
         if not self.buffered:
@@ -411,7 +409,7 @@ class Packager:
         A report that is solved and whose fold left the model unchanged
         past its warm-up (:attr:`AffineCostModel.settled`) is remembered
         by its ``(size, processing_time_us)``. Until another report is
-        folded or :meth:`append` moves the smoothed rate, a report with
+        folded or :meth:`append` moves the rate, a report with
         that pair is only counted in ``model.samples``: its fold and its
         solve would change nothing, whatever its span.
         """
@@ -432,7 +430,7 @@ class Packager:
             return
         cfg = self.config
         lo, hi = cfg.n_min, cfg.n_max
-        rate_evps = self._rate_smooth_evps or 0.0
+        rate_evps = self._rate_evps or 0.0
         if ready and rate_evps > 0:
             target = cfg.headroom * predict_size(
                 rate_evps, model.overhead_us / _US, model.per_event_us / _US,

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from asap_stream import (ConstantRateSource, ConsumerConfig, GammaConfig,
-                         GammaFilter, PackagerConfig, PipelineConfig,
-                         RampRateSource, apply_filter, run, write_metrics_csv)
+from asap_stream import (ArraySource, ConstantRateSource, ConsumerConfig,
+                         GammaConfig, GammaFilter, PackagerConfig,
+                         PipelineConfig, RampRateSource, apply_filter,
+                         build_consumer, run, write_metrics_csv)
 
 _SUITE_T0 = time.perf_counter()
 
@@ -208,6 +209,43 @@ def test_criterion_8_responsivity_bound():
     _report(8, "low-rate responsivity", ok,
             f"max buffered wait {max_span} us <= {timeout_us} us, "
             f"{frac:.1%} of {len(timeouts)} timeout flushes below target size")
+
+
+class _Waits:
+    """The consumer of a run, recording for each package the clock at
+    its start and that start minus the package's newest timestamp."""
+
+    def __init__(self, consumer):
+        self.consumer = consumer
+        self.starts, self.waits = [], []
+
+    def process(self, package, clock):
+        now = clock.now_us
+        self.starts.append(now)
+        self.waits.append(now - int(package.events["t"][-1]))
+        return self.consumer.process(package, clock)
+
+
+def test_criterion_9_no_backlog_after_a_rate_step():
+    # 1e6 ev/s for 1 s, then 1.5e6 ev/s (c*R = 0.75) in 65536-event chunks
+    medians = []
+    for seed in range(5):
+        low = ConstantRateSource(1e6, 1.0, seed=seed).events()
+        high = ConstantRateSource(1.5e6, 1.0, seed=seed + 100).events()
+        high["t"] += 1_000_000
+        cfg = PipelineConfig(seed=seed,
+                             consumer=ConsumerConfig(o_us=1000.0, c_ns=500.0))
+        waits = _Waits(build_consumer(cfg))
+        run(cfg, ArraySource(np.concatenate([low, high]), chunk_size=65536),
+            consumer=waits)
+        starts, delays = np.array(waits.starts), np.array(waits.waits)
+        late = (starts >= 1.5e6) & (starts < 1.95e6)
+        medians.append(float(np.median(delays[late])))
+    ok = max(medians) < 1000.0
+    _report(9, "no standing backlog after a rate step", ok,
+            "median delay from the newest event to the consumer over "
+            "[1.5, 1.95) s, seeds 0-4: "
+            + ", ".join(f"{m:.0f}" for m in medians) + " us (bound 1000 us)")
 
 
 def test_acceptance_suite_runtime():

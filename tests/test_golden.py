@@ -21,30 +21,30 @@ import pytest
 from asap_stream.cli import main
 
 GOLDEN_SHA256 = {
-    "fig3": "0df44ddf2abe0cb6ca7cf2b4c89842db6417e23e55a9f637cf0b6b31e3ba2cfe",
-    "fig4": "1d9cc512a401b1f26a92a27aa46923825fe05ac105a8b5efa640327760d2cbfc",
+    "fig3": "47e6258ca41577f7c56235534bee6461fefca424c47aaa66002644f3919eea53",
+    "fig4": "f4be3f966ac063c78beb1bdc8c9869f4ffd0c3c755eb069729dcb2cc425cf66b",
     "constant":
-        "19416b30b202bda2007b09e0bdcb7209bd1f2e7e61f4903eee0d2e6c80411d94",
-    # 454 packages, each with its own jitter draw
+        "2699a875e420d80a298979c53a7917f2e7ea8708dda38e4bc2d9c1ffb5b6661c",
+    # 463 packages, each with its own jitter draw
     "constant-jitter":
-        "97402127360f1c4b10ce94c1b81434df2a49f86bc8bf7de437c328dc47b9559d",
-    # 31 packages and 738633 overflow drops
+        "250907040b5f354ac5b5ff5dad7b87773e346173ba6dc009a4165f1c8571a33e",
+    # 33 packages and 723279 overflow drops
     "constant-overflow":
-        "7a5ef151a035c668910ba9b0db5be753d2b0d16c129e3a0d25933616267d553d",
-    # 494 packages of about 2100 events, most of them spanning two or
+        "a3ac2507e1cd9badf043e23f9c19b18586530ed376dd1859cbf44a8990c839f0",
+    # 484 packages of about 2100 events, most of them spanning two or
     # three 1024-event chunks
     "constant-chunks":
-        "b978265f3518eb10cebef80d14c920ddcaf11ebab73744f619214bca77242c85",
-    # 813 packages and 694828 filter drops: packages spanning the kept
+        "04f08da518c4c5af1820cdfe70d3011cab2b2acc2bf83e89e29ce88d4a26efc5",
+    # 809 packages and 694828 filter drops: packages spanning the kept
     # arrays of several chunks
     "constant-chunks-filtered":
-        "68557a6e89fea4e5bdcd39cb4c354e0457ee2c49d1a895fd02ddfdaa04cfd258",
-    # 796 packages and 6294622 filter drops on a ramp that falls through
+        "116b4cd3a3bd5772c5b0b8572dfb5d83a4d01c116a52ed7b46a482f9c45addc2",
+    # 863 packages and 6294622 filter drops on a ramp that falls through
     # the discard bound: the rate window's kept side counts on its own
     # while batches lose events, and takes the raw side's count again
     # once they are whole
     "ramp-down":
-        "684d61e4b56c9ac1d704a6c4967ff4fb77af002b77c116309d96af863ebb2f8f",
+        "87fe4107fe07734c58d58dd0fdfb271c1e2aaa648ec7e6fc78805cf230b9618c",
     # 12794 packages of about 23 events (o = 20 µs, c = 100 ns): the
     # cost fit settles and most reports repeat one (size, proc) pair
     # between appends, so size control counts them without a fold

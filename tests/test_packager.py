@@ -131,7 +131,7 @@ class TestAppendAndCut:
         p.append(_events_at([]), rate_evps=1e6)
         assert p.next_emission() is None
         assert p.buffered == 0
-        assert p._rate_smooth_evps is None
+        assert p._rate_evps is None
 
     def test_partition_identity(self):
         p = _Measured(PackagerConfig(initial_size=64, timeout_us=1_000_000))
@@ -151,7 +151,7 @@ class TestAppendAndCut:
             p.append(_events_at([5]), rate_evps=2.0)
         with pytest.raises(OrderingError, match="non-decreasing"):
             p.append(_events_at([30, 25]), rate_evps=2.0)
-        assert (p.buffered, p._rate_smooth_evps) == (2, 1.0)
+        assert (p.buffered, p._rate_evps) == (2, 1.0)
 
 
 class TestCheckTimeout:
@@ -261,18 +261,18 @@ class TestAppendOrder:
                 t[k:] -= t[k] - t[k - 1] + 1
             bad = bool((t[1:] < t[:-1]).any()) or (
                 newest is not None and t[0] < newest)
-            before = (p.buffered, p._rate_smooth_evps)
+            before = (p.buffered, p._rate_evps)
             rate = float(len(t))
             if bad:
                 with pytest.raises(OrderingError):
                     p.append(_events_at(t), rate_evps=rate)
-                assert (p.buffered, p._rate_smooth_evps) == before
+                assert (p.buffered, p._rate_evps) == before
             else:
                 p.append(_events_at(t), rate_evps=rate)
                 ref.append(_events_at(t), rate_evps=rate)
                 newest = int(t[-1])
-            assert (p.buffered, p._rate_smooth_evps) == \
-                (ref.buffered, ref._rate_smooth_evps)
+            assert (p.buffered, p._rate_evps) == \
+                (ref.buffered, ref._rate_evps)
             assert _emission_key(p.next_emission()) == \
                 _emission_key(ref.next_emission())
             if then == "drain":
@@ -470,7 +470,7 @@ def _run_control(ops, smoothing):
         for seq in range(newest + step, newest + step + repeat):
             report = _feedback(seq, size, span, proc)
             p.update_target_size(report)
-            ref.update(report, p._rate_smooth_evps)
+            ref.update(report, p._rate_evps)
             newest = max(newest, seq)
             _assert_controls_alike(p, ref)
 
@@ -533,6 +533,25 @@ class TestUpdateTargetSize:
         assert (p.model.samples, p.model.overhead_us,
                 p.model.per_event_us, p.target_size) == before
 
+    def test_the_solve_uses_the_rate_of_the_last_append(self):
+        # a fit of o = 1000 µs, c = 0.1 µs, ready before any rate is known
+        cfg = PackagerConfig(initial_size=100)
+        p = Packager(cfg)
+        sizes = (100, 200, 300, 400, 500)
+        for seq, size in enumerate(sizes):
+            p.update_target_size(_feedback(seq, size, 2 * size,
+                                           1000.0 + 0.1 * size))
+        assert p.model.ready
+        p.append(_events_at([0, 1, 2]), rate_evps=1e6)
+        p.append(_events_at([3, 4]), rate_evps=2e6)
+        p.update_target_size(_feedback(len(sizes), 300, 600, 1030.0))
+        lo, hi = cfg.n_min, cfg.n_max
+        n = cfg.headroom * predict_size(2e6, p.model.overhead_us / 1e6,
+                                        p.model.per_event_us / 1e6, lo, hi)
+        assert p.target_size == round(min(hi, max(lo, n)))
+        # N* is 2500 at 2e6 ev/s, against 1111 at the first append's rate
+        assert p.target_size == round(1.05 * 2500)
+
     @given(feedbacks=st.lists(
         st.tuples(st.integers(min_value=1, max_value=10**6),
                   st.integers(min_value=0, max_value=10**7),
@@ -546,7 +565,7 @@ class TestUpdateTargetSize:
             assert 16 <= p.target_size <= 4096
 
     @given(ops=st.lists(st.one_of(
-        # an append of ``n`` events ``gap`` µs apart moves the smoothed rate
+        # an append of ``n`` events ``gap`` µs apart moves the rate
         st.tuples(st.just("append"), st.integers(1, 40),
                   st.integers(0, 2) | st.integers(0, 30)),
         # ``repeat`` reports with seqs one apart, starting ``step`` after
@@ -635,7 +654,7 @@ class TestUpdateTargetSize:
             p.update_target_size(_feedback(seq, 23, span, proc))
             seq += 1
         assert folds == [] and p.model.samples == seq
-        p.append(_events_at([1000]))   # the smoothed rate moves
+        p.append(_events_at([1000]))   # the rate moves
         p.update_target_size(_feedback(seq, 23, 23, proc))
         assert folds == [(23, proc)]
 
@@ -660,7 +679,7 @@ class TestUpdateTargetSize:
             p.update_target_size(_feedback(seq, 500, 1000, 270.0))
         assert (p.model.overhead_us, p.model.per_event_us) == fit
         assert len(calls) == solves
-        p.append(_events_at([10_000]))  # moves the smoothed rate
+        p.append(_events_at([10_000]))  # moves the rate
         p.update_target_size(_feedback(210, 500, 1000, 270.0))
         assert len(calls) == solves + 1
 

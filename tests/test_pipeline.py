@@ -105,11 +105,11 @@ class TestOverflowGuard:
 #: timestamp, none of which a float64 holds
 _SHIFTED_SHA256 = {
     2**53 + 1:
-        "3bdf371bf5e63f91a64a996110ee3fed9192a613be5b4f94781e1ecb9cb3ce8b",
+        "82fa0f1dcad4c90213255f78de8424f6103ab4410e3ab89e8488723d33daf8af",
     2**60 + 3:
-        "9e76f15e52b937ccacf4695e32b84791531b8b49bbe8fe87f77466f1c863538d",
+        "3b72863d526e6f44107ff7bd4745d92f1b0850b2479a34f27e9c8403b4d7f672",
     2**62 + 12345:
-        "11d416b8538cbecf97427b10699748e32184a1d53e35957ce43c820bb1c2dc0a",
+        "58220e39d1e3fe252676ff00ded63ecf74bf1dedca77bccb698d9030abe6db3f",
 }
 
 
@@ -954,8 +954,8 @@ class TestSharedTimestamps:
             rate = _kept_rate(appended, 100)
             ref.append(kept, rate_evps=rate)
             assert stages._rates[2] == rate
-            assert (shared._rate_smooth_evps, shared.buffered) == \
-                (ref._rate_smooth_evps, ref.buffered)
+            assert (shared._rate_evps, shared.buffered) == \
+                (ref._rate_evps, ref.buffered)
             assert _drain_keys(shared) == _drain_keys(ref)
         if not appended:
             return
@@ -963,15 +963,15 @@ class TestSharedTimestamps:
         # on the shared path and leaves no trace
         newest = appended[-1]
         stale = np.asarray([newest - back, newest + 1], dtype=np.int64)
-        before = (shared._rate_smooth_evps, shared.buffered)
+        before = (shared._rate_evps, shared.buffered)
         with pytest.raises(OrderingError, match="before the newest"):
             shared.append(_numbered(stale), t=stale, rate_evps=1e6)
-        assert (shared._rate_smooth_evps, shared.buffered) == before
+        assert (shared._rate_evps, shared.buffered) == before
         later = np.asarray([newest, newest + 1], dtype=np.int64)
         shared.append(_numbered(later), t=later, rate_evps=1e6)
         ref.append(_numbered(later), rate_evps=1e6)
-        assert (shared._rate_smooth_evps, shared.buffered) == \
-            (ref._rate_smooth_evps, ref.buffered)
+        assert (shared._rate_evps, shared.buffered) == \
+            (ref._rate_evps, ref.buffered)
         assert _drain_keys(shared) == _drain_keys(ref)
 
 
@@ -1048,4 +1048,4 @@ class TestFollowedRateWindow:
         metrics, stages = self._feed(cfg, batches)
         assert (stages.dropped_by_filter, stages.dropped_by_overflow) == \
             (0, 4000)
-        assert len(metrics) == 607
+        assert len(metrics) == 580
