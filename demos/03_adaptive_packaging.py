@@ -10,8 +10,8 @@ a deliberately bad initial guess.
 import numpy as np
 
 from asap_stream import (ConstantRateSource, EventPackage, Packager,
-                         PackagerConfig, ProcessingFeedback,
-                         SlidingRateEstimator, predict_size)
+                         PackagerConfig, SlidingRateEstimator,
+                         SyntheticConsumer, VirtualClock, predict_size)
 
 
 def main():
@@ -21,6 +21,7 @@ def main():
     packager = Packager(PackagerConfig(initial_size=100, timeout_us=100_000))
     # the arrival rate the size law solves for, over a 10 ms window
     rate = SlidingRateEstimator(window_us=10_000)
+    consumer, clock = SyntheticConsumer(o_us=1000.0, c_ns=500.0), VirtualClock()
     stream = ConstantRateSource(1e6, 1.0, seed=0).events()
 
     print(f"{'package':>8} {'target':>7} {'size':>6} {'span_us':>8} "
@@ -35,10 +36,9 @@ def main():
             packager.append(batch, rate_evps=rate.update(batch["t"]))
             pos += 500
         pkg: EventPackage = emission.package
-        proc_us = 1000.0 + 0.5 * pkg.size  # the consumer's affine cost
-        packager.update_target_size(ProcessingFeedback(
-            package_seq=pkg.seq, size=pkg.size, span_us=pkg.span_us,
-            processing_time_us=proc_us))
+        # the consumer reports one number: the package's processing time
+        proc_us = consumer.process(pkg, clock)
+        packager.update_target_size(pkg.seq, pkg.size, pkg.span_us, proc_us)
         if seq < 10 or seq % 25 == 0:
             print(f"{seq:>8} {packager.target_size:>7} {pkg.size:>6} "
                   f"{pkg.span_us:>8} {proc_us:>8.0f} "

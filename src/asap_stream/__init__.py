@@ -13,10 +13,9 @@ from .events import (EVENT_DTYPE, DAVIS346, ArraySource, ConstantRateSource,
                      read_events, write_event_file)
 from .gamma import (GammaConfig, GammaFilter, SlidingRateEstimator,
                     apply_filter)
-from .packager import (AffineCostModel, Packager, PackagerConfig,
-                       ProcessingFeedback, predict_size)
-from .consumers import (ClusteringConsumer, SyntheticConsumer,
-                        SyntheticCostModel, VirtualClock, WallClock)
+from .packager import AffineCostModel, Packager, PackagerConfig, predict_size
+from .consumers import (ClusteringConsumer, SyntheticConsumer, VirtualClock,
+                        WallClock)
 from .pipeline import (ConsumerConfig, PackageMetrics, PipelineConfig,
                        RunResult, build_consumer, run, write_metrics_csv)
 
@@ -28,10 +27,8 @@ __all__ = [
     "EventPackage", "RampRateSource", "SensorGeometry", "StreamSource",
     "make_events", "read_event_file", "read_events", "write_event_file",
     "GammaConfig", "GammaFilter", "SlidingRateEstimator", "apply_filter",
-    "AffineCostModel", "Packager", "PackagerConfig", "ProcessingFeedback",
-    "predict_size",
-    "ClusteringConsumer", "SyntheticConsumer", "SyntheticCostModel",
-    "VirtualClock", "WallClock",
+    "AffineCostModel", "Packager", "PackagerConfig", "predict_size",
+    "ClusteringConsumer", "SyntheticConsumer", "VirtualClock", "WallClock",
     "ConsumerConfig", "PackageMetrics", "PipelineConfig", "RunResult",
     "build_consumer", "run", "write_metrics_csv",
 ]

@@ -1,15 +1,18 @@
 """Flat dotted-key configuration: defaults, file parsing, and builders.
 
 A config is a flat mapping of dotted keys to values; config files use
-one ``key = value`` pair per line with ``#`` comments. Precedence is
-command-line flag > config-file key > built-in default. Apart from the
-``source.*`` keys, each key, default and type is declared once, as a
-field of a settings dataclass (:class:`PipelineConfig` and the sections
-it holds); the keys and the builder are derived from those fields.
+one ``key = value`` pair per line, where a ``#`` at the start of a line
+or after whitespace starts a comment (``run#1`` keeps its ``#``).
+Precedence is command-line flag > config-file key > built-in default.
+Apart from the ``source.*`` keys, each key, default and type is declared
+once, as a field of a settings dataclass (:class:`SensorGeometry` and
+:class:`PipelineConfig` with the sections it holds); the keys and the
+builders are derived from those fields.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, fields, is_dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Any, Callable, Mapping
@@ -41,7 +44,8 @@ def _settings(value_of: Callable[[str, Any], Any], cls: type = PipelineConfig,
 
 
 #: Every config key and its default: the ``source.*`` keys, then one per
-#: settings field. A value parses to the type of its key's default.
+#: settings field, the sensor geometry's first. A value parses to the
+#: type of its key's default.
 DEFAULTS: dict[str, Any] = {
     "source.kind": "constant",          # constant | ramp | file
     "source.rate_evps": 1e6,
@@ -51,6 +55,7 @@ DEFAULTS: dict[str, Any] = {
     "source.path": "",
     "source.chunk_events": 65536,
 }
+_settings(DEFAULTS.setdefault, SensorGeometry, "geometry.")
 _settings(DEFAULTS.setdefault)
 
 #: Bundled scenarios: named key overlays at config-file precedence.
@@ -119,12 +124,10 @@ def _coerce(key: str, raw: str) -> Any:
             f"invalid value for {key}: {raw!r}", key=key) from None
 
 
-def parse_overrides(pairs: Mapping[str, str] | list[str]) -> dict[str, Any]:
-    """Parse ``key=value`` strings (or a mapping of raw strings)."""
-    items = (pairs.items() if isinstance(pairs, Mapping)
-             else (p.split("=", 1) for p in pairs))
+def parse_overrides(pairs: list[str]) -> dict[str, Any]:
+    """Parse ``key=value`` strings."""
     out: dict[str, Any] = {}
-    for entry in items:
+    for entry in (p.split("=", 1) for p in pairs):
         if len(entry) != 2:
             raise ConfigurationError(
                 f"override must be key=value, got {'='.join(entry)!r}")
@@ -133,6 +136,11 @@ def parse_overrides(pairs: Mapping[str, str] | list[str]) -> dict[str, Any]:
             raise ConfigurationError(f"unknown config key: {key}", key=key)
         out[key] = _coerce(key, raw)
     return out
+
+
+#: A comment: a ``#`` at the start of a line or after whitespace, and
+#: the rest of the line.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config_file(path) -> dict[str, Any]:
@@ -147,7 +155,7 @@ def parse_config_file(path) -> dict[str, Any]:
         raise ConfigurationError(
             f"cannot read config file {path}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:
@@ -177,8 +185,8 @@ def build_pipeline_config(cfg: Mapping[str, Any]) -> PipelineConfig:
 
 
 def build_source(cfg: Mapping[str, Any]) -> StreamSource:
-    geometry = SensorGeometry(width=int(cfg["geometry.width"]),
-                              height=int(cfg["geometry.height"]))
+    geometry = _settings(lambda key, default: int(cfg[key]), SensorGeometry,
+                         "geometry.")
     kind = cfg["source.kind"]
     seed = int(cfg["seed"])
     chunk = int(cfg["source.chunk_events"])

@@ -16,8 +16,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ConfigurationError
-from .events import EventPackage, SensorGeometry, DAVIS346
-from .packager import ProcessingFeedback
+from .events import EventPackage
 
 
 class Clock(Protocol):
@@ -76,64 +75,54 @@ class WallClock:
 
 
 class Consumer(Protocol):
-    """Processes packages strictly event by event, reporting elapsed time.
+    """Processes packages strictly event by event.
 
+    ``process`` returns the package's processing time in microseconds,
+    as a float: the one number the packager sizes packages from.
     ``package.events`` may be a view of the array the source yielded,
-    which for an :class:`~asap_stream.events.ArraySource` is the caller's
-    own array: a consumer reads it and must not write into it.
+    which for an :class:`~asap_stream.events.ArraySource` is the
+    caller's own array: a consumer reads it and must not write into it.
     """
 
-    def process(self, package: EventPackage, clock: Clock) -> ProcessingFeedback: ...
-
-
-@dataclass
-class SyntheticCostModel:
-    """Affine processing-cost model: fixed per-package overhead plus a
-    marginal cost per event, with optional multiplicative jitter."""
-
-    overhead_us: float = 1000.0
-    per_event_us: float = 0.5
-    jitter_fraction: float = 0.0
-
-    def validate(self) -> None:
-        # chained comparisons are false for NaN; a jitter above 1 could
-        # scale a processing time below zero
-        if not 0 <= self.overhead_us < math.inf:
-            raise ConfigurationError(
-                f"consumer.o_us must be finite and >= 0, got "
-                f"{self.overhead_us}", key="consumer.o_us")
-        if not 0 <= self.per_event_us < math.inf:
-            raise ConfigurationError(
-                f"consumer.c_ns must be finite and >= 0, got "
-                f"{self.per_event_us * 1000}", key="consumer.c_ns")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ConfigurationError(
-                f"consumer.jitter must be in [0, 1], got {self.jitter_fraction}",
-                key="consumer.jitter")
+    def process(self, package: EventPackage, clock: Clock) -> float: ...
 
 
 class SyntheticConsumer:
-    """Consumer whose processing time is ``(o + c*size) * (1 + jitter)``.
+    """Consumer whose processing time is ``(o + c*size) * (1 + jitter)``:
+    a fixed per-package overhead of ``o_us``, a marginal cost of ``c_ns``
+    per event, and a multiplicative jitter drawn uniformly from
+    ``[-jitter, jitter]``.
 
     With a virtual clock the duration is purely modeled (bit-exact and
     reproducible for a given seed); with a wall clock it busy-loops for
     the same duration.
     """
 
-    def __init__(self, model: SyntheticCostModel, seed: int = 0):
-        model.validate()
-        self.model = model
+    def __init__(self, o_us: float = 1000.0, c_ns: float = 500.0,
+                 jitter: float = 0.0, seed: int = 0):
+        # chained comparisons are false for NaN; a jitter above 1 could
+        # scale a processing time below zero
+        if not 0 <= o_us < math.inf:
+            raise ConfigurationError(
+                f"consumer.o_us must be finite and >= 0, got {o_us}",
+                key="consumer.o_us")
+        if not 0 <= c_ns < math.inf:
+            raise ConfigurationError(
+                f"consumer.c_ns must be finite and >= 0, got {c_ns}",
+                key="consumer.c_ns")
+        if not 0 <= jitter <= 1:
+            raise ConfigurationError(
+                f"consumer.jitter must be in [0, 1], got {jitter}",
+                key="consumer.jitter")
+        self.o_us, self.c_us, self.jitter = o_us, c_ns / 1000.0, jitter
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
-    def process(self, package: EventPackage, clock: Clock) -> ProcessingFeedback:
-        m = self.model
-        size = package.size
-        proc_us = m.overhead_us + m.per_event_us * size
-        if m.jitter_fraction > 0:
-            u = self._rng.uniform(-m.jitter_fraction, m.jitter_fraction)
-            proc_us *= 1.0 + u
+    def process(self, package: EventPackage, clock: Clock) -> float:
+        proc_us = self.o_us + self.c_us * package.size
+        if self.jitter > 0:
+            proc_us *= 1.0 + self._rng.uniform(-self.jitter, self.jitter)
         clock.advance(proc_us)
-        return ProcessingFeedback(package.seq, size, package.span_us, proc_us)
+        return proc_us
 
 
 @dataclass
@@ -156,8 +145,7 @@ class ClusteringConsumer:
     clock has already reached: the work is not waited for twice.
     """
 
-    def __init__(self, radius_px: float = 10.0, ttl_us: int = 50_000,
-                 geometry: SensorGeometry = DAVIS346):
+    def __init__(self, radius_px: float = 10.0, ttl_us: int = 50_000):
         if not radius_px > 0:     # false for NaN; infinity is unbounded
             raise ConfigurationError(
                 f"consumer.radius_px must be positive, got {radius_px}",
@@ -168,7 +156,6 @@ class ClusteringConsumer:
                 key="consumer.ttl_us")
         self.radius_px = float(radius_px)
         self.ttl_us = int(ttl_us)
-        self.geometry = geometry
         self.clusters: list[Cluster] = []
         self._created = 0
 
@@ -196,12 +183,11 @@ class ClusteringConsumer:
         self.clusters.append(cluster)
         return cluster
 
-    def process(self, package: EventPackage, clock: Clock) -> ProcessingFeedback:
+    def process(self, package: EventPackage, clock: Clock) -> float:
         start_us = clock.now_us
         start = time.perf_counter()
         for ev in package.events:
             self.assign_event(int(ev["t"]), float(ev["x"]), float(ev["y"]))
         elapsed_us = (time.perf_counter() - start) * 1e6
         clock.advance_to(start_us + elapsed_us)
-        return ProcessingFeedback(package.seq, package.size, package.span_us,
-                                  elapsed_us)
+        return elapsed_us

@@ -3,8 +3,8 @@
 The packager accumulates filtered events and cuts packages of
 ``target_size`` events; a timeout bounds how long any event can sit in
 the buffer at low rates. After each package the consumer reports its
-processing time, and the target size is re-solved so that processing
-time matches the package's temporal span.
+processing time in microseconds, and the target size is re-solved so
+that processing time matches the package's temporal span.
 
 Size control fits an affine cost model ``proc ~= o + c * size`` by
 exponential averaging and sets the target to the synchronization fixed
@@ -30,24 +30,6 @@ _INF = float("inf")
 
 #: Feedback samples required before the affine model drives the target.
 MODEL_WARMUP_SAMPLES = 5
-
-
-@dataclass(slots=True)
-class ProcessingFeedback:
-    """Consumer's report for one processed package."""
-
-    package_seq: int
-    size: int
-    span_us: int
-    processing_time_us: float
-
-    def validate(self) -> None:
-        if self.size < 1:
-            raise ValueError("feedback size must be >= 1")
-        # a chained comparison is false for NaN, infinities and negatives
-        if not (0 <= self.span_us < _INF
-                and 0 <= self.processing_time_us < _INF):
-            raise ValueError("span and processing time must be finite, >= 0")
 
 
 @dataclass
@@ -398,13 +380,16 @@ class Packager:
                              deadline)
         return None
 
-    def update_target_size(self, feedback: ProcessingFeedback) -> None:
-        """Fold one feedback report into the cost model and re-aim the target.
+    def update_target_size(self, seq: int, size: int, span_us: int,
+                           processing_time_us: float) -> None:
+        """Fold the processing time of package ``seq``, of ``size``
+        events spanning ``span_us``, into the cost model and re-aim the
+        target.
 
         An invalid report raises ``ValueError`` before any state changes.
-        Out-of-order feedback (seq at or below the newest applied) is
-        ignored. A report with ``processing_time == span`` is at the
-        setpoint and leaves the target unchanged.
+        An out-of-order report (seq at or below the newest applied) is
+        ignored. A report with ``processing_time_us == span_us`` is at
+        the setpoint and leaves the target unchanged.
 
         A report that is solved and whose fold left the model unchanged
         past its warm-up (:attr:`AffineCostModel.settled`) is remembered
@@ -413,18 +398,20 @@ class Packager:
         that pair is only counted in ``model.samples``: its fold and its
         solve would change nothing, whatever its span.
         """
-        feedback.validate()
-        seq = feedback.package_seq
+        proc, span = processing_time_us, span_us
+        if size < 1:
+            raise ValueError("feedback size must be >= 1")
+        # a chained comparison is false for NaN, infinities and negatives
+        if not (0 <= span < _INF and 0 <= proc < _INF):
+            raise ValueError("span and processing time must be finite, >= 0")
         if seq <= self._last_feedback_seq:
             return
         self._last_feedback_seq = seq
-        size, proc = feedback.size, feedback.processing_time_us
         model = self.model
         if (size, proc) == self._settled:
             model.samples += 1
             return
         self._settled = None
-        span = feedback.span_us
         ready = model.update(size, proc)
         if proc == span:
             return

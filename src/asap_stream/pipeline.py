@@ -9,7 +9,7 @@ and by processing durations at the consumer; runs are bit-deterministic
 for a given seed (with the synthetic consumer). Realtime mode paces the
 source against the wall clock, feeding the events due at each wake; it
 exists for demonstration. Packages are delivered in the calling thread,
-and every consumer report is applied before the next cut.
+and every package's processing time is applied before the next cut.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .consumers import (Clock, Consumer, ClusteringConsumer, SyntheticConsumer,
-                        SyntheticCostModel, VirtualClock, WallClock)
+                        VirtualClock, WallClock)
 from .errors import ConfigurationError
-from .events import SensorGeometry, DAVIS346, StreamSource
+from .events import StreamSource
 from .gamma import GammaConfig, GammaFilter
 from .packager import Packager, PackagerConfig, _Cut
 
@@ -45,7 +45,7 @@ class ConsumerConfig:
             raise ConfigurationError(
                 f"consumer.kind must be 'synthetic' or 'clustering', got "
                 f"{self.kind!r}", key="consumer.kind")
-        SyntheticCostModel(self.o_us, self.c_ns / 1000.0, self.jitter).validate()
+        SyntheticConsumer(self.o_us, self.c_ns, self.jitter)  # checks all three
         ClusteringConsumer(self.radius_px, self.ttl_us)  # checks both
 
 
@@ -53,7 +53,6 @@ class ConsumerConfig:
 class PipelineConfig:
     mode: str = "virtual"              # "virtual" or "realtime"
     seed: int = 0
-    geometry: SensorGeometry = DAVIS346
     gamma: GammaConfig = field(default_factory=GammaConfig)
     packager: PackagerConfig = field(default_factory=PackagerConfig)
     consumer: ConsumerConfig = field(default_factory=ConsumerConfig)
@@ -210,15 +209,13 @@ class RunResult:
                 + self.residual_events)
 
 
-def build_consumer(config: PipelineConfig, seed_offset: int = 1) -> Consumer:
+def build_consumer(config: PipelineConfig) -> Consumer:
     c = config.consumer
     if c.kind == "synthetic":
-        model = SyntheticCostModel(overhead_us=c.o_us,
-                                   per_event_us=c.c_ns / 1000.0,
-                                   jitter_fraction=c.jitter)
-        return SyntheticConsumer(model, seed=config.seed + seed_offset)
-    return ClusteringConsumer(radius_px=c.radius_px, ttl_us=c.ttl_us,
-                              geometry=config.geometry)
+        # seeded apart from the filter, which draws with ``config.seed``
+        return SyntheticConsumer(c.o_us, c.c_ns, c.jitter,
+                                 seed=config.seed + 1)
+    return ClusteringConsumer(radius_px=c.radius_px, ttl_us=c.ttl_us)
 
 
 class _Stages:
@@ -304,20 +301,20 @@ class _Stages:
 def _delivery(stages: _Stages, consumer: Consumer, clock: Clock,
               metrics: MetricsTable):
     """The delivery loop of one run: returns ``deliver(package)``, which
-    runs the consumer on ``package``, records its metrics row, applies
-    its report and cuts again, until the buffer completes no package."""
+    runs the consumer on ``package``, records its metrics row, hands the
+    package's processing time to the controller and cuts again, until
+    the buffer completes no package."""
     # looked up once per run, not once per package
     cut, record = stages.cut, metrics._packed.frombytes
     control, pack_row = stages.packager.update_target_size, _ROW.pack
 
     def deliver(package: _Cut | None) -> None:
         while package is not None:
-            feedback = consumer.process(package, clock)
-            proc_us = feedback.processing_time_us
-            span_us = package.span_us
-            record(pack_row(package.seq, package.size, span_us, proc_us,
-                            proc_us - span_us, *package.stamp))
-            control(feedback)
+            proc_us = consumer.process(package, clock)
+            seq, size, span_us = package.seq, package.size, package.span_us
+            record(pack_row(seq, size, span_us, proc_us, proc_us - span_us,
+                            *package.stamp))
+            control(seq, size, span_us, proc_us)
             package = cut(clock)
 
     return deliver

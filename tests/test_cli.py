@@ -11,8 +11,10 @@ import pytest
 
 from asap_stream.cli import main
 from asap_stream.config import (DEFAULTS, SCENARIOS, build_pipeline_config,
-                                merge, parse_config_file, parse_overrides)
+                                build_source, merge, parse_config_file,
+                                parse_overrides)
 from asap_stream.errors import ConfigurationError
+from asap_stream.events import SensorGeometry
 from asap_stream.pipeline import METRICS_HEADER, PipelineConfig
 
 #: Settings fields whose dotted paths differ from their config keys.
@@ -29,6 +31,28 @@ def _replaced(settings, path, value):
 
 
 class TestConfigLayers:
+    def test_defaults_are_pinned(self):
+        # every key, its default and the type its values parse to
+        pinned = {
+            "source.kind": "constant", "source.rate_evps": 1e6,
+            "source.rate_start_evps": 1e5, "source.rate_end_evps": 1e7,
+            "source.duration_s": 1.0, "source.path": "",
+            "source.chunk_events": 65536, "mode": "virtual", "seed": 0,
+            "geometry.width": 346, "geometry.height": 260, "gamma.a": 5e6,
+            "gamma.beta": 0.25, "gamma.min": 0.01,
+            "gamma.rate_window_us": 10000, "packager.n_min": 1,
+            "packager.n_max": 1_000_000, "packager.timeout_us": 10000,
+            "packager.model_smoothing": 0.2, "packager.headroom": 1.05,
+            "packager.initial_size": 1000, "consumer.kind": "synthetic",
+            "consumer.o_us": 1000.0, "consumer.c_ns": 500.0,
+            "consumer.jitter": 0.0, "consumer.radius_px": 10.0,
+            "consumer.ttl_us": 50000,
+            "pipeline.input_buffer_capacity": 2_000_000}
+        assert len(pinned) == 28
+        assert ({key: (value, type(value)) for key, value in DEFAULTS.items()}
+                == {key: (value, type(value))
+                    for key, value in pinned.items()})
+
     def test_defaults_cover_every_documented_key(self):
         for key in ("gamma.a", "gamma.beta", "gamma.min", "gamma.rate_window_us",
                     "seed", "packager.n_min", "packager.n_max",
@@ -80,9 +104,14 @@ class TestConfigLayers:
         elif isinstance(default, float):
             value = default * 1.5 + 0.125
         path = _FIELD_OF.get(key, key)
-        built = build_pipeline_config(
-            merge(parse_overrides([f"{key}={value}"])))
-        assert built == _replaced(PipelineConfig(), path, value)
+        cfg = merge(parse_overrides([f"{key}={value}"]))
+        if key.startswith("geometry."):
+            # the sensor geometry is the source's
+            built, settings = build_source(cfg).geometry, SensorGeometry()
+            path = path.partition(".")[2]
+        else:
+            built, settings = build_pipeline_config(cfg), PipelineConfig()
+        assert built == _replaced(settings, path, value)
         assert type(functools.reduce(getattr, path.split("."), built)) \
             is type(default)
 
@@ -181,6 +210,28 @@ class TestCliRun:
                      "--set", "source.duration_s=0.05",
                      "--out", str(tmp_path / "m1.csv"),
                      "--events-out", str(events_out)]) == 0
+        assert main(["run", "--scenario", "constant",
+                     "--set", "source.kind=file",
+                     "--set", f"source.path={events_out}",
+                     "--out", str(tmp_path / "m2.csv")]) == 0
+        assert (tmp_path / "m1.csv").read_bytes() == \
+            (tmp_path / "m2.csv").read_bytes()
+
+    def test_a_config_file_path_may_contain_a_hash(self, tmp_path):
+        # a ``#`` inside a value is kept; one after whitespace starts a
+        # comment: the config file replays what --set replays
+        events_out = tmp_path / "run#1" / "ev.csv"
+        events_out.parent.mkdir()
+        assert main(["run", "--scenario", "constant",
+                     "--set", "source.duration_s=0.05",
+                     "--out", str(tmp_path / "m0.csv"),
+                     "--events-out", str(events_out)]) == 0
+        scen = tmp_path / "replay.cfg"
+        scen.write_text(f"source.kind = file  # replay\n"
+                        f"source.path = {events_out}\n")
+        assert parse_config_file(scen)["source.path"] == str(events_out)
+        assert main(["run", "--scenario", str(scen),
+                     "--out", str(tmp_path / "m1.csv")]) == 0
         assert main(["run", "--scenario", "constant",
                      "--set", "source.kind=file",
                      "--set", f"source.path={events_out}",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from asap_stream import (ClusteringConsumer, ConfigurationError, EventPackage,
-                         SyntheticConsumer, SyntheticCostModel, VirtualClock,
-                         WallClock, make_events)
+                         SyntheticConsumer, VirtualClock, WallClock,
+                         make_events)
 
 
 def _package(timestamps, xs=None, ys=None, seq=0):
@@ -52,36 +52,38 @@ class TestWallClock:
 
 class TestSyntheticConsumer:
     def test_affine_cost_exact(self):
-        # o = 1 ms, c = 1 us/event, 1000 events -> 2000 us
-        consumer = SyntheticConsumer(SyntheticCostModel(1000.0, 1.0, 0.0))
+        # o = 1 ms, c = 1000 ns/event, 1000 events -> 2000 us
+        consumer = SyntheticConsumer(1000.0, 1000.0, 0.0)
         clock = VirtualClock()
-        fb = consumer.process(_package(np.arange(1000)), clock)
-        assert fb.processing_time_us == 2000.0
+        assert consumer.process(_package(np.arange(1000)), clock) == 2000.0
         assert clock.now_us == 2000.0
 
-    def test_feedback_echoes_package(self):
-        consumer = SyntheticConsumer(SyntheticCostModel(10.0, 0.5, 0.0))
-        pkg = _package([100, 150, 400], seq=7)
-        fb = consumer.process(pkg, VirtualClock())
-        assert fb.package_seq == 7
-        assert fb.size == 3
-        assert fb.span_us == 300
+    def test_process_returns_a_float(self):
+        consumer = SyntheticConsumer(10.0, 500.0, 0.0)
+        proc = consumer.process(_package([100, 150, 400], seq=7),
+                                VirtualClock())
+        assert type(proc) is float and proc == 10.0 + 0.5 * 3
 
     def test_jitter_bounded_and_seeded(self):
-        model = SyntheticCostModel(1000.0, 1.0, 0.1)
-        times_a = [SyntheticConsumer(model, seed=5).process(
-            _package(np.arange(100)), VirtualClock()).processing_time_us
-            for _ in range(1)]
-        times_b = [SyntheticConsumer(model, seed=5).process(
-            _package(np.arange(100)), VirtualClock()).processing_time_us
-            for _ in range(1)]
-        assert times_a == times_b
+        def times(seed):
+            consumer = SyntheticConsumer(1000.0, 1000.0, 0.1, seed=seed)
+            return [consumer.process(_package(np.arange(100)), VirtualClock())
+                    for _ in range(3)]
+
+        times_a = times(5)
+        assert times_a == times(5) != times(6)
         base = 1100.0
-        assert 0.9 * base <= times_a[0] <= 1.1 * base
+        assert all(0.9 * base <= t <= 1.1 * base for t in times_a)
 
     def test_invalid_model(self):
-        with pytest.raises(ConfigurationError):
-            SyntheticConsumer(SyntheticCostModel(-1.0, 0.5, 0.0))
+        for kwargs, key in [(dict(o_us=-1.0), "consumer.o_us"),
+                            (dict(o_us=float("inf")), "consumer.o_us"),
+                            (dict(c_ns=float("nan")), "consumer.c_ns"),
+                            (dict(c_ns=-5.0), "consumer.c_ns"),
+                            (dict(jitter=1.5), "consumer.jitter")]:
+            with pytest.raises(ConfigurationError) as err:
+                SyntheticConsumer(**kwargs)
+            assert err.value.key == key
 
 
 class TestClusteringAssign:
@@ -153,19 +155,16 @@ class TestClusteringAssign:
 
 
 class TestClusteringProcess:
-    def test_feedback_echoes_package(self):
+    def test_process_returns_a_float(self):
         c = ClusteringConsumer()
         pkg = _package([0, 10, 20], xs=[1, 2, 3], ys=[4, 5, 6], seq=3)
-        fb = c.process(pkg, VirtualClock())
-        assert fb.package_seq == 3
-        assert fb.size == 3
-        assert fb.span_us == 20
-        assert fb.processing_time_us >= 0
+        proc = c.process(pkg, VirtualClock())
+        assert type(proc) is float and proc >= 0
 
     def test_virtual_clock_ends_at_the_start_plus_the_reported_time(self):
         clock = VirtualClock(500.0)
-        fb = ClusteringConsumer().process(_package([0, 10, 20]), clock)
-        assert clock.now_us == 500.0 + fb.processing_time_us
+        proc = ClusteringConsumer().process(_package([0, 10, 20]), clock)
+        assert clock.now_us == 500.0 + proc
 
     def test_a_wall_clock_is_not_waited_on_again(self, monkeypatch):
         # the measured work has already taken its wall time: waiting it
@@ -177,10 +176,10 @@ class TestClusteringProcess:
         monkeypatch.setattr(WallClock, "advance", refuse)
         clock = WallClock()
         n = 200
-        fb = ClusteringConsumer().process(
+        proc = ClusteringConsumer().process(
             _package(np.arange(n), xs=np.arange(n) % 346, ys=np.zeros(n)),
             clock)
-        assert 0 < fb.processing_time_us <= clock.now_us
+        assert 0 < proc <= clock.now_us
 
     def test_events_observed_one_by_one_in_order(self):
         c = ClusteringConsumer()

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
                          OrderingError, Packager, PackagerConfig,
-                         ProcessingFeedback, SlidingRateEstimator,
-                         make_events, predict_size)
+                         SlidingRateEstimator, make_events, predict_size)
 from asap_stream.packager import MODEL_WARMUP_SAMPLES
 
 
@@ -28,11 +27,6 @@ class _Measured(Packager):
 
     def append(self, events):
         super().append(events, rate_evps=self.window.update(events["t"]))
-
-
-def _feedback(seq, size, span_us, proc_us):
-    return ProcessingFeedback(package_seq=seq, size=size, span_us=span_us,
-                              processing_time_us=proc_us)
 
 
 class TestConfig:
@@ -417,12 +411,11 @@ class _SolveEveryTime:
     def target_size(self):
         return round(self.target)
 
-    def update(self, report, rate_evps):
-        if report.package_seq <= self.newest:
+    def update(self, seq, size, span, proc, rate_evps):
+        if seq <= self.newest:
             return
-        self.newest = report.package_seq
-        span, proc = report.span_us, report.processing_time_us
-        ready = self.model.update(report.size, proc)
+        self.newest = seq
+        ready = self.model.update(size, proc)
         cfg = self.cfg
         if proc == span:
             return
@@ -468,9 +461,8 @@ def _run_control(ops, smoothing):
         elif isinstance(proc, tuple):
             proc = max(0.0, proc[0] + proc[1] * size)
         for seq in range(newest + step, newest + step + repeat):
-            report = _feedback(seq, size, span, proc)
-            p.update_target_size(report)
-            ref.update(report, p._rate_evps)
+            p.update_target_size(seq, size, span, proc)
+            ref.update(seq, size, span, proc, p._rate_evps)
             newest = max(newest, seq)
             _assert_controls_alike(p, ref)
 
@@ -478,25 +470,25 @@ def _run_control(ops, smoothing):
 class TestUpdateTargetSize:
     def test_setpoint_leaves_target_unchanged(self):
         p = Packager(PackagerConfig(initial_size=500))
-        p.update_target_size(_feedback(0, 500, 700, 700.0))
+        p.update_target_size(0, 500, 700, 700.0)
         assert p.target_size == 500
 
     def test_fallback_scales_by_the_root_of_span_over_proc(self):
         # before the model is ready: 400 * (500 / 1000) ** 0.5 = 282.8
         p = Packager(PackagerConfig(initial_size=400))
-        p.update_target_size(_feedback(0, 400, 500, 1000.0))
+        p.update_target_size(0, 400, 500, 1000.0)
         assert p.target_size == 283
 
     def test_stale_feedback_ignored(self):
         p = Packager(PackagerConfig(initial_size=400))
-        p.update_target_size(_feedback(5, 400, 500, 1000.0))
+        p.update_target_size(5, 400, 500, 1000.0)
         before = p.target_size
-        p.update_target_size(_feedback(3, 400, 500, 4000.0))
+        p.update_target_size(3, 400, 500, 4000.0)
         assert p.target_size == before
 
     def test_zero_span_feeds_model_but_skips_fallback(self):
         p = Packager(PackagerConfig(initial_size=400))
-        p.update_target_size(_feedback(0, 400, 0, 1000.0))
+        p.update_target_size(0, 400, 0, 1000.0)
         assert p.target_size == 400
         assert p.model.samples == 1
 
@@ -505,8 +497,8 @@ class TestUpdateTargetSize:
         # report with the same seq that follows is applied
         p = Packager(PackagerConfig(initial_size=400))
         with pytest.raises(ValueError):
-            p.update_target_size(_feedback(0, 0, 500, 1000.0))
-        p.update_target_size(_feedback(0, 400, 500, 1000.0))
+            p.update_target_size(0, 0, 500, 1000.0)
+        p.update_target_size(0, 400, 500, 1000.0)
         assert p.model.samples == 1
         assert p.target_size == 283
 
@@ -519,17 +511,14 @@ class TestUpdateTargetSize:
         p = _Measured(PackagerConfig(initial_size=100))
         p.append(_events_at(np.arange(0, 10_000, 2)))
         for seq, size in enumerate((100, 200, 300, 400, 500, 600)):
-            p.update_target_size(_feedback(seq, size, 2 * size,
-                                           20.0 + 0.5 * size))
+            p.update_target_size(seq, size, 2 * size, 20.0 + 0.5 * size)
         assert p.model.ready
         before = (p.model.samples, p.model.overhead_us,
                   p.model.per_event_us, p.target_size)
-        report = _feedback(6, 300, 600, 170.0)
-        setattr(report, field, bad)
+        report = dict(seq=6, size=300, span_us=600, processing_time_us=170.0)
+        report[field] = bad
         with pytest.raises(ValueError, match="finite"):
-            report.validate()
-        with pytest.raises(ValueError, match="finite"):
-            p.update_target_size(report)
+            p.update_target_size(**report)
         assert (p.model.samples, p.model.overhead_us,
                 p.model.per_event_us, p.target_size) == before
 
@@ -539,12 +528,11 @@ class TestUpdateTargetSize:
         p = Packager(cfg)
         sizes = (100, 200, 300, 400, 500)
         for seq, size in enumerate(sizes):
-            p.update_target_size(_feedback(seq, size, 2 * size,
-                                           1000.0 + 0.1 * size))
+            p.update_target_size(seq, size, 2 * size, 1000.0 + 0.1 * size)
         assert p.model.ready
         p.append(_events_at([0, 1, 2]), rate_evps=1e6)
         p.append(_events_at([3, 4]), rate_evps=2e6)
-        p.update_target_size(_feedback(len(sizes), 300, 600, 1030.0))
+        p.update_target_size(len(sizes), 300, 600, 1030.0)
         lo, hi = cfg.n_min, cfg.n_max
         n = cfg.headroom * predict_size(2e6, p.model.overhead_us / 1e6,
                                         p.model.per_event_us / 1e6, lo, hi)
@@ -561,7 +549,7 @@ class TestUpdateTargetSize:
     def test_clamping_under_adversarial_feedback(self, feedbacks):
         p = Packager(PackagerConfig(n_min=16, n_max=4096, initial_size=100))
         for seq, (size, span, proc) in enumerate(feedbacks):
-            p.update_target_size(_feedback(seq, size, span, proc))
+            p.update_target_size(seq, size, span, proc)
             assert 16 <= p.target_size <= 4096
 
     @given(ops=st.lists(st.one_of(
@@ -642,7 +630,7 @@ class TestUpdateTargetSize:
         p.append(_events_at(np.arange(0, 1000)))
         sizes = (20, 30) * 3 + (23,) * 300
         for seq, size in enumerate(sizes):
-            p.update_target_size(_feedback(seq, size, size, 20.0 + 0.1 * size))
+            p.update_target_size(seq, size, size, 20.0 + 0.1 * size)
         assert p.model.settled
         proc = 20.0 + 0.1 * 23
         folds = []
@@ -651,11 +639,11 @@ class TestUpdateTargetSize:
                             lambda m, *a: folds.append(a) or update(m, *a))
         seq = len(sizes)
         for span in (22, 23, 0, 40):
-            p.update_target_size(_feedback(seq, 23, span, proc))
+            p.update_target_size(seq, 23, span, proc)
             seq += 1
         assert folds == [] and p.model.samples == seq
         p.append(_events_at([1000]))   # the rate moves
-        p.update_target_size(_feedback(seq, 23, 23, proc))
+        p.update_target_size(seq, 23, 23, proc)
         assert folds == [(23, proc)]
 
     def test_unchanged_inputs_are_not_solved_again(self, monkeypatch):
@@ -666,21 +654,20 @@ class TestUpdateTargetSize:
         p = _Measured(PackagerConfig(initial_size=100))
         p.append(_events_at(np.arange(0, 10_000, 2)))
         for seq, size in enumerate((100, 200, 300, 400, 500)):
-            p.update_target_size(_feedback(seq, size, 2 * size,
-                                           20.0 + 0.5 * size))
+            p.update_target_size(seq, size, 2 * size, 20.0 + 0.5 * size)
         assert p.model.ready and len(calls) == 1
         # one size over and over: the fit moves until the size variance
         # decays below its floor, then holds; the rate has not moved, so
         # the settled memo counts the repeats without folding or solving
         for seq in range(5, 200):
-            p.update_target_size(_feedback(seq, 500, 1000, 270.0))
+            p.update_target_size(seq, 500, 1000, 270.0)
         fit, solves = (p.model.overhead_us, p.model.per_event_us), len(calls)
         for seq in range(200, 210):
-            p.update_target_size(_feedback(seq, 500, 1000, 270.0))
+            p.update_target_size(seq, 500, 1000, 270.0)
         assert (p.model.overhead_us, p.model.per_event_us) == fit
         assert len(calls) == solves
         p.append(_events_at([10_000]))  # moves the rate
-        p.update_target_size(_feedback(210, 500, 1000, 270.0))
+        p.update_target_size(210, 500, 1000, 270.0)
         assert len(calls) == solves + 1
 
     def test_converges_to_fixed_point_with_affine_consumer(self):
@@ -701,7 +688,7 @@ class TestUpdateTargetSize:
             assert em is not None
             pkg = em.package
             proc = 1000.0 + 0.5 * pkg.size
-            p.update_target_size(_feedback(seq, pkg.size, pkg.span_us, proc))
+            p.update_target_size(seq, pkg.size, pkg.span_us, proc)
             seq += 1
             history.append(p.target_size)
             p.check_timeout(_NEVER)

@@ -16,8 +16,8 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
                          ConsumerConfig, GammaConfig, PackageMetrics,
                          PackagerConfig, GammaFilter, OrderingError, Packager,
                          PipelineConfig, RampRateSource, StreamSource,
-                         SyntheticConsumer, SyntheticCostModel, VirtualClock,
-                         make_events, run, write_metrics_csv)
+                         SyntheticConsumer, VirtualClock, make_events, run,
+                         write_metrics_csv)
 from asap_stream import pipeline
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
                                   _HEAD_CACHE, _REASON_CODE, _WRITE_BLOCK,
@@ -32,7 +32,7 @@ class _Recorder:
     """Synthetic consumer that keeps a copy of every package it is handed."""
 
     def __init__(self):
-        self.inner = SyntheticConsumer(SyntheticCostModel(100.0, 0.1))
+        self.inner = SyntheticConsumer(100.0, 100.0)
         self.packages = []
 
     def process(self, package, clock):
@@ -343,16 +343,16 @@ def _reference_csv(rows):
 
 
 class _FeedbackRecorder(_Recorder):
-    """Also keeps each report the consumer returned."""
+    """Also keeps each processing time the consumer returned."""
 
     def __init__(self):
         super().__init__()
         self.reports = []
 
     def process(self, package, clock):
-        feedback = super().process(package, clock)
-        self.reports.append(feedback)
-        return feedback
+        proc_us = super().process(package, clock)
+        self.reports.append(proc_us)
+        return proc_us
 
 
 class TestMetricsOutput:
@@ -532,10 +532,7 @@ class TestMetricsOutput:
     def test_numpy_processing_times_are_written_as_floats(self, tmp_path):
         class NumpyTimes(_Recorder):
             def process(self, package, clock):
-                feedback = super().process(package, clock)
-                return dataclasses.replace(
-                    feedback, processing_time_us=np.float64(
-                        feedback.processing_time_us))
+                return np.float64(super().process(package, clock))
 
         cfg = _config(consumer=ConsumerConfig(o_us=100, c_ns=100))
         paths = []
@@ -547,6 +544,29 @@ class TestMetricsOutput:
             write_metrics_csv(paths[-1], result.metrics)
         text = paths[0].read_text()
         assert "np." not in text and text == paths[1].read_text()
+
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_a_consumer_reports_its_processing_time_as_a_number(
+            self, tmp_path, number):
+        # a consumer returns one number, the package's processing time:
+        # one that converts the synthetic consumer's time to ``number``
+        # runs as the synthetic consumer does on its own
+        cfg = _config(packager=PackagerConfig(initial_size=23),
+                      consumer=ConsumerConfig(o_us=20, c_ns=100, jitter=0.1))
+
+        class Converting:
+            inner = pipeline.build_consumer(cfg)
+
+            def process(self, package, clock):
+                return number(self.inner.process(package, clock))
+
+        paths = []
+        for consumer in (Converting(), None):
+            result = run(cfg, ConstantRateSource(1e6, 0.05, seed=4), consumer)
+            paths.append(tmp_path / f"{len(paths)}.csv")
+            write_metrics_csv(paths[-1], result.metrics)
+        assert len(result.metrics) > 500
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_metrics_hold_at_most_100_bytes_a_package(self):
         # the small_packages workload's consumer at 1e6 ev/s: N* ~ 23
@@ -587,7 +607,7 @@ class TestMetricsOutput:
                 getattr(m, name)
             assert m.size == len(events)
             assert m.span_us == int(events["t"][-1] - events["t"][0])
-            assert m.proc_us == report.processing_time_us
+            assert m.proc_us == report
             assert m.lag_us == m.proc_us - m.span_us
             assert m.gamma == 1.0 and m.drop_filter == m.drop_overflow == 0
             assert m.emit_reason in ("size", "timeout")
@@ -703,9 +723,9 @@ class TestRealtimeRun:
         applied = []
         update = Packager.update_target_size
 
-        def spy(self, feedback):
-            applied.append(feedback.package_seq)
-            return update(self, feedback)
+        def spy(self, seq, *report):
+            applied.append(seq)
+            return update(self, seq, *report)
 
         monkeypatch.setattr(Packager, "update_target_size", spy)
         cfg = _config(mode="realtime", consumer=ConsumerConfig(kind=kind))
@@ -722,9 +742,9 @@ class TestRealtimeRun:
         applied = []
         update = Packager.update_target_size
 
-        def spy(self, feedback):
-            applied.append(feedback.package_seq)
-            return update(self, feedback)
+        def spy(self, seq, *report):
+            applied.append(seq)
+            return update(self, seq, *report)
 
         monkeypatch.setattr(Packager, "update_target_size", spy)
         cfg = _config(mode="realtime")
