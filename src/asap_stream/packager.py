@@ -32,6 +32,18 @@ _INF = float("inf")
 MODEL_WARMUP_SAMPLES = 5
 
 
+def ProcessingFeedback(package_seq: int, size: int, span_us: int,
+                       processing_time_us: float) -> float:
+    """What a consumer returns, built from the fields of the report it
+    returned before :meth:`Consumer.process` returned a plain float.
+
+    Deprecated and not exported: it keeps consumers written against the
+    four-field report running (the benchmark's faulty-consumer check
+    builds one), and goes with its last caller.
+    """
+    return float(processing_time_us)
+
+
 @dataclass
 class PackagerConfig:
     n_min: int = 1
