@@ -74,6 +74,13 @@ class SlidingRateEstimator:
     each raw batch that a filter and admission kept. Each window ends at
     its own side's newest timestamp and is inclusive at its tail: events
     with ``t >= newest - window`` are counted. An empty side reports 0.
+    The raw side divides its count by the window. So does the kept side,
+    once its timestamps have covered the window; during its first window
+    it divides by the span they cover (see :meth:`fold_kept`), so that
+    packages are sized on the stream's rate from its first batch. The
+    raw side, which steers γ, keeps count / window: a first batch of a
+    few close events must not read as a rate that makes γ discard, and
+    reading the rate low delays discarding by at most one window.
 
     Each side keeps its timestamps as the batches they arrived in, with
     a running count. A fold drops the batches that fell out of the
@@ -98,6 +105,8 @@ class SlidingRateEstimator:
         self._count = 0
         self._kept: deque[np.ndarray] = deque()
         self._kept_count = 0
+        # the stream's first kept timestamp, None until one is kept
+        self._first_kept: int | None = None
         self._window_s = self.window_us / _US
         self._newest = -1 << 63   # the raw side's newest timestamp
         # the newest timestamp of the last raw batch not kept whole, plus
@@ -140,28 +149,46 @@ class SlidingRateEstimator:
         when all of it was kept, or an empty view; returns the kept rate.
         Called once per raw batch, after it.
 
+        The rate is the kept count over the window, except while the
+        kept timestamps cover less of it: from the stream's first kept
+        timestamp to the newest, a span that is positive but shorter
+        than the window, nothing has left the window yet, and the count
+        is divided by that span. Dividing by the whole window would read
+        a stream that started a millisecond ago at a tenth of its rate.
         An empty view leaves the kept rate as it is: no event was kept.
         """
         batches = self._batches
         if t is batches[-1]:
             # kept whole: its newest timestamp is the raw side's
-            if self._short_until < self._newest:
+            newest = self._newest
+            if self._short_until < newest:
                 # every batch in the window was kept whole: the raw
                 # window's timestamps, cut where the raw window was cut
                 self._kept = batches.copy()
                 count = self._kept_count = self._count
             else:
                 count = self._kept_count = _slide(
-                    self._kept, self._kept_count, t,
-                    self._newest - self.window_us)
+                    self._kept, self._kept_count, t, newest - self.window_us)
         else:
             # not kept whole, or its head left the raw window already
             self._short_until = self._newest + self.window_us
             count = self._kept_count
             if t.size:
+                newest = t.item(-1)
                 count = self._kept_count = _slide(
-                    self._kept, count, t, t.item(-1) - self.window_us)
-        return count / self._window_s if count else 0.0
+                    self._kept, count, t, newest - self.window_us)
+            elif count:
+                newest = self._kept[-1].item(-1)
+            else:
+                return 0.0
+        first = self._first_kept
+        if first is None:
+            # the first fold that kept anything: ``t`` holds the first
+            first = self._first_kept = t.item(0)
+        span = newest - first
+        if 0 < span < self.window_us:
+            return count * _US / span
+        return count / self._window_s
 
     @property
     def rate_evps(self) -> float:

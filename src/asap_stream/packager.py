@@ -11,7 +11,11 @@ exponential averaging and sets the target to the synchronization fixed
 point ``N* = o / (1/R - c)`` (R = filtered event rate), scaled by a
 small headroom factor so the realized lag stays negative despite
 arrival jitter. Until the model has enough samples, a damped
-multiplicative fallback ``target *= (span / proc) ** 0.5`` is used.
+multiplicative fallback ``target *= (proc / span) ** 0.5`` is used: for
+an affine consumer ``proc / span = o*R/N + c*R`` falls as N grows, so a
+package that took longer than it spans was too small. Each step moves
+the target toward N* without passing it, and toward ``n_max`` when no
+size keeps up (``c >= 1/R``), as :func:`predict_size` does.
 """
 
 from __future__ import annotations
@@ -398,6 +402,12 @@ class Packager:
         events spanning ``span_us``, into the cost model and re-aim the
         target.
 
+        While the fit is not ready, or no rate is known, the target is
+        scaled by ``(processing_time_us / span_us) ** 0.5``: ``proc /
+        span = o*R/N + c*R`` falls as the size N grows, so the step
+        grows a package that took longer than it spans and shrinks one
+        that took less, toward N*. A span of 0 gives no ratio and no step.
+
         An invalid report raises ``ValueError`` before any state changes.
         An out-of-order report (seq at or below the newest applied) is
         ignored. A report with ``processing_time_us == span_us`` is at
@@ -437,7 +447,7 @@ class Packager:
             if model.settled:
                 self._settled = (size, proc)
         elif span > 0 and proc > 0:
-            target = self._target * (span / proc) ** 0.5
+            target = self._target * (proc / span) ** 0.5
         else:
             return  # span == 0: no ratio; the model has the sample
         target = target if target > lo else lo

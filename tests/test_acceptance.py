@@ -248,6 +248,43 @@ def test_criterion_9_no_backlog_after_a_rate_step():
             + ", ".join(f"{m:.0f}" for m in medians) + " us (bound 1000 us)")
 
 
+class _Deliveries:
+    """The consumer of a run, recording for each package its cut reason
+    and the clock after it was processed minus its oldest timestamp."""
+
+    def __init__(self, consumer):
+        self.consumer = consumer
+        self.reasons, self.latencies = [], []
+
+    def process(self, package, clock):
+        proc_us = self.consumer.process(package, clock)
+        self.reasons.append(package.reason)
+        self.latencies.append(clock.now_us - int(package.events["t"][0]))
+        return proc_us
+
+
+def test_criterion_10_responsive_from_the_first_package():
+    # 2e6 ev/s in 1024-event chunks against o = 2000 µs, c = 100 ns
+    # (N* = 5000): the loop must not build a backlog while it warms up
+    timeout_us = PackagerConfig().timeout_us
+    worst = []
+    for seed in range(3):
+        cfg = PipelineConfig(seed=seed,
+                             consumer=ConsumerConfig(o_us=2000.0, c_ns=100.0))
+        deliveries = _Deliveries(build_consumer(cfg))
+        run(cfg, ArraySource(ConstantRateSource(2e6, 0.5, seed=seed).events(),
+                             chunk_size=1024), consumer=deliveries)
+        worst.append(max(latency for reason, latency in
+                         zip(deliveries.reasons, deliveries.latencies)
+                         if reason == "size"))
+    ok = max(worst) <= timeout_us
+    _report(10, "responsive from the first package", ok,
+            "worst size-cut latency, from the oldest event to the end of "
+            "its processing, seeds 0-2: "
+            + ", ".join(f"{w / 1000:.2f}" for w in worst)
+            + f" ms (bound {timeout_us / 1000:.0f} ms)")
+
+
 def test_acceptance_suite_runtime():
     elapsed = time.perf_counter() - _SUITE_T0
     print(f"\nacceptance suite runtime: {elapsed:.1f} s (budget 60 s)")

@@ -103,6 +103,41 @@ class TestRateEstimator:
         est.update(t)
         assert est.fold_kept(t[::2]) == pytest.approx(251 / 1e-3)
 
+    def test_kept_side_divides_by_its_covered_span_in_its_first_window(self):
+        # one event per 500 µs from t = 1000, against a 10 ms window: the
+        # raw side reads count / W throughout; the kept side reads count
+        # over the span from 1000 to its newest timestamp until that span
+        # reaches W, and count / W from then on
+        est = SlidingRateEstimator(window_us=10_000)
+        t = np.arange(1_000, 12_000, 500)
+        steps = [
+            # batch, raw rate, kept rate
+            (t[:1], 100.0, 100.0),            # a span of 0: count / W
+            (t[1:3], 300.0, 3 * 1e6 / 1_000),
+            (t[3:20], 2000.0, 20 * 1e6 / 9_500),
+            (t[20:21], 2100.0, 2100.0),       # the span reaches W
+            (t[21:22], 2100.0, 2100.0),
+        ]
+        for batch, raw, kept in steps:
+            assert est.update(batch) == raw
+            assert est.fold_kept(batch) == kept
+        # an empty kept view leaves the covered-span rate as it is
+        est = SlidingRateEstimator(window_us=10_000)
+        est.update(t[:3])
+        rate = est.fold_kept(t[:3])
+        est.update(t[3:5])
+        assert est.fold_kept(t[3:3]) == rate == 3 * 1e6 / 1_000
+
+    def test_kept_side_counts_from_the_first_kept_timestamp(self):
+        # nothing of the first batch kept: the covered span starts at the
+        # first timestamp that was, not at the raw stream's first
+        est = SlidingRateEstimator(window_us=10_000)
+        est.update(np.array([0, 100]))
+        assert est.fold_kept(np.empty(0, dtype=np.int64)) == 0.0
+        batch = np.array([1_000, 1_500, 3_000])
+        assert est.update(batch) == 500.0
+        assert est.fold_kept(batch[1:]) == 2 * 1e6 / 1_500
+
 
 def _brute_force_rate(seen, window_us):
     """Rate over every timestamp seen, counted from scratch."""
@@ -110,6 +145,20 @@ def _brute_force_rate(seen, window_us):
     if t.size == 0:
         return 0.0
     return int(np.sum(t >= t[-1] - window_us)) / (window_us / 1e6)
+
+
+def _brute_force_kept_rate(seen, window_us):
+    """The kept side's rate over every kept timestamp seen, counted from
+    scratch: divided by the span they cover while it is positive and
+    shorter than the window, else by the window."""
+    t = np.asarray(seen, dtype=np.int64)
+    if t.size == 0:
+        return 0.0
+    count = int(np.sum(t >= t[-1] - window_us))
+    span = int(t[-1] - t[0])
+    if 0 < span < window_us:
+        return count * 1e6 / span
+    return count / (window_us / 1e6)
 
 
 _ordered = st.lists(st.integers(min_value=0, max_value=5_000),
@@ -175,7 +224,7 @@ class TestRateEstimatorProperties:
                 part = batch[np.resize(mask, len(batch))][head:]
             kept_seen += part.tolist()
             kept_rate = est.fold_kept(part)
-            assert kept_rate == _brute_force_rate(kept_seen, window)
+            assert kept_rate == _brute_force_kept_rate(kept_seen, window)
             if empty_too:
                 assert est.fold_kept(part[:0]) == kept_rate
             assert est.rate_evps == rate

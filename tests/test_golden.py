@@ -21,35 +21,35 @@ import pytest
 from asap_stream.cli import main
 
 GOLDEN_SHA256 = {
-    "fig3": "47e6258ca41577f7c56235534bee6461fefca424c47aaa66002644f3919eea53",
-    "fig4": "f4be3f966ac063c78beb1bdc8c9869f4ffd0c3c755eb069729dcb2cc425cf66b",
+    "fig3": "b67b4d7938365ad7c159bb199f3fd5c9dcc84ff2e7a88fca6fd6b20039d35fab",
+    "fig4": "39f958ae3b0d993a04ae11ff99d883e724763b13db4d173e8ecc343971c866b8",
     "constant":
-        "2699a875e420d80a298979c53a7917f2e7ea8708dda38e4bc2d9c1ffb5b6661c",
-    # 463 packages, each with its own jitter draw
+        "2123d16beaa986e2ae5c7e836871536b588de89e4a368880c688858c1284235c",
+    # 458 packages, each with its own jitter draw
     "constant-jitter":
-        "250907040b5f354ac5b5ff5dad7b87773e346173ba6dc009a4165f1c8571a33e",
-    # 33 packages and 723279 overflow drops
+        "e76565cfe30436371998df76b171ab6ac477b64338edc0e58dcad5cfe99220c2",
+    # 33 packages and 717038 overflow drops
     "constant-overflow":
-        "a3ac2507e1cd9badf043e23f9c19b18586530ed376dd1859cbf44a8990c839f0",
-    # 484 packages of about 2100 events, most of them spanning two or
+        "429e73cccb3c9348057fd85faf2d163a80577e18ea2a86af8e00837b45852b17",
+    # 478 packages of about 2100 events, most of them spanning two or
     # three 1024-event chunks
     "constant-chunks":
-        "04f08da518c4c5af1820cdfe70d3011cab2b2acc2bf83e89e29ce88d4a26efc5",
-    # 809 packages and 694828 filter drops: packages spanning the kept
+        "aac71f2aa9eb4b9a94c7620ceb5ba2f603a62235f860f28ed69e37d8bbc3e10c",
+    # 804 packages and 694828 filter drops: packages spanning the kept
     # arrays of several chunks
     "constant-chunks-filtered":
-        "116b4cd3a3bd5772c5b0b8572dfb5d83a4d01c116a52ed7b46a482f9c45addc2",
-    # 863 packages and 6294622 filter drops on a ramp that falls through
+        "2815dc7c4071a5407d8598d5016cb2a99fff18c436aa20de507a9c1a691e7176",
+    # 850 packages and 6294622 filter drops on a ramp that falls through
     # the discard bound: the rate window's kept side counts on its own
     # while batches lose events, and takes the raw side's count again
     # once they are whole
     "ramp-down":
-        "87fe4107fe07734c58d58dd0fdfb271c1e2aaa648ec7e6fc78805cf230b9618c",
-    # 12794 packages of about 23 events (o = 20 µs, c = 100 ns): the
+        "ce7880232be761e77664dbb0fb12506647bb7ccde1ff03e0bfab6d8ed4b293bf",
+    # 12795 packages of about 23 events (o = 20 µs, c = 100 ns): the
     # cost fit settles and most reports repeat one (size, proc) pair
     # between appends, so size control counts them without a fold
     "constant-small":
-        "85efa1d6551008151ecb0c2490019c990f70e6f39cb0d1d5c2ad4f627bc8396a",
+        "4b8462d33b623641adca6617c694fdfa9f64dd833d7a5fbed81335cead12a66d",
 }
 
 #: Runs that are not a bundled scenario as it stands: its name and the

@@ -1,8 +1,10 @@
 """Adaptive packager: cut rules, timeout, cost model, size control."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
@@ -424,7 +426,7 @@ class _SolveEveryTime:
                 rate_evps, self.model.overhead_us / 1e6,
                 self.model.per_event_us / 1e6, cfg.n_min, cfg.n_max)
         elif span > 0 and proc > 0:
-            target = self.target * (span / proc) ** 0.5
+            target = self.target * (proc / span) ** 0.5
         else:
             return
         self.target = min(cfg.n_max, max(cfg.n_min, target))
@@ -473,11 +475,37 @@ class TestUpdateTargetSize:
         p.update_target_size(0, 500, 700, 700.0)
         assert p.target_size == 500
 
-    def test_fallback_scales_by_the_root_of_span_over_proc(self):
-        # before the model is ready: 400 * (500 / 1000) ** 0.5 = 282.8
+    def test_fallback_scales_by_the_root_of_proc_over_span(self):
+        # before the model is ready: 400 * (1000 / 500) ** 0.5 = 565.7; a
+        # package that took longer than it spans is too small
         p = Packager(PackagerConfig(initial_size=400))
         p.update_target_size(0, 400, 500, 1000.0)
-        assert p.target_size == 283
+        assert p.target_size == 566
+
+    @given(o_us=st.floats(1.0, 1e4), rate=st.floats(1e3, 1e7),
+           c_r=st.floats(0.0, 0.99), initial=st.integers(1, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_fallback_steps_toward_the_fixed_point(self, o_us, rate, c_r,
+                                                   initial):
+        # an affine consumer that can keep up (o > 0, c < 1/R, no
+        # jitter): proc/span = o*R/N + c*R is above 1 below N* and below
+        # 1 above it, so no fallback step may move the target away from
+        # N*, beyond what rounding the size it reports moves it
+        c_us = c_r / rate * 1e6
+        n_star = o_us / (1e6 / rate - c_us)
+        assume(1 <= n_star <= 10**6)
+        p = Packager(PackagerConfig(initial_size=initial))
+
+        def off(n):
+            return abs(math.log(n / n_star))
+
+        # no append hands a rate, so every report takes the fallback step
+        for seq in range(MODEL_WARMUP_SAMPLES + 2):
+            before, size = p._target, p.target_size
+            p.update_target_size(seq, size, size / rate * 1e6,
+                                 o_us + c_us * size)
+            assert off(p._target) <= (off(size) + abs(math.log(before / size))
+                                      + 1e-9)
 
     def test_stale_feedback_ignored(self):
         p = Packager(PackagerConfig(initial_size=400))
@@ -500,7 +528,7 @@ class TestUpdateTargetSize:
             p.update_target_size(0, 0, 500, 1000.0)
         p.update_target_size(0, 400, 500, 1000.0)
         assert p.model.samples == 1
-        assert p.target_size == 283
+        assert p.target_size == 566
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])

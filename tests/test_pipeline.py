@@ -105,11 +105,11 @@ class TestOverflowGuard:
 #: timestamp, none of which a float64 holds
 _SHIFTED_SHA256 = {
     2**53 + 1:
-        "82fa0f1dcad4c90213255f78de8424f6103ab4410e3ab89e8488723d33daf8af",
+        "2ed487c7b2d6455d500fd8bbbeebe67425a372d2f37c4609cedc8d7b640ad96f",
     2**60 + 3:
-        "3b72863d526e6f44107ff7bd4745d92f1b0850b2479a34f27e9c8403b4d7f672",
+        "7fcd652d487b49438ec397e4f4e6484a68f64d40ac7d8c7c9ec53b4ed873740c",
     2**62 + 12345:
-        "58220e39d1e3fe252676ff00ded63ecf74bf1dedca77bccb698d9030abe6db3f",
+        "055b24f4d6ce8c1db37874faf64df67415be1518a047ae7890a7a3659dbb5c5c",
 }
 
 
@@ -928,11 +928,17 @@ def _drain_keys(packager):
 
 def _kept_rate(kept, window_us):
     """The post-filter rate after the ordered timestamps ``kept``, counted
-    from scratch over the window ending at the newest of them."""
+    from scratch over the window ending at the newest of them, and
+    divided by the span they cover while it is positive and shorter
+    than the window."""
     t = np.asarray(kept, dtype=np.int64)
     if t.size == 0:
         return 0.0
-    return int(np.sum(t >= t[-1] - window_us)) / (window_us / 1e6)
+    count = int(np.sum(t >= t[-1] - window_us))
+    span = int(t[-1] - t[0])
+    if 0 < span < window_us:
+        return count * 1e6 / span
+    return count / (window_us / 1e6)
 
 
 class TestSharedTimestamps:
@@ -1068,4 +1074,4 @@ class TestFollowedRateWindow:
         metrics, stages = self._feed(cfg, batches)
         assert (stages.dropped_by_filter, stages.dropped_by_overflow) == \
             (0, 4000)
-        assert len(metrics) == 580
+        assert len(metrics) == 392

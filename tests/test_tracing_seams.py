@@ -26,15 +26,18 @@ def _counted(fn, key, calls):
 def test_every_traced_entry_point_is_called():
     # 3e5 ev/s against a = 2e5 in 1024-event chunks: the filter
     # discards, the packager cuts by size, feedback steers it, and the
-    # residual buffer is flushed by timeout
+    # residual buffer is flushed by timeout: the last event comes more
+    # than a timeout after the others, so it is left buffered alone, and
+    # n_min = 2 keeps it from completing a package whatever the sizes
     rng = np.random.default_rng(0)
     t = np.sort(rng.integers(0, 100_000, 30_000))
+    t = np.append(t, t[-1] + PackagerConfig().timeout_us + 1)
     n = len(t)
     events = asap_stream.make_events(t, rng.integers(0, 346, n),
                                      rng.integers(0, 260, n),
                                      rng.choice([-1, 1], n))
     cfg = PipelineConfig(gamma=GammaConfig(a_evps=2e5),
-                         packager=PackagerConfig(initial_size=50),
+                         packager=PackagerConfig(n_min=2, initial_size=50),
                          consumer=ConsumerConfig(o_us=100, c_ns=100))
     tracer = tracing.Tracer()
     seams = [(owner, attr)
