@@ -167,10 +167,10 @@ class AffineCostModel:
 
 class _Cut(EventPackage):
     """A package with why (``reason``: "size" or "timeout") and when on
-    the arrival clock (``trigger_us``) it was cut, and the ``stamp`` a
-    pipeline adds. It is its own ``package``: it reads as an emission."""
+    the arrival clock (``trigger_us``) it was cut. It is its own
+    ``package``: it reads as an emission."""
 
-    __slots__ = ("reason", "trigger_us", "stamp")
+    __slots__ = ("reason", "trigger_us")
 
     def __init__(self, events: np.ndarray, seq: int, size: int, span_us: int,
                  reason: str, trigger_us: int):

@@ -29,7 +29,7 @@ from .consumers import (Clock, Consumer, ClusteringConsumer, SyntheticConsumer,
 from .errors import ConfigurationError
 from .events import StreamSource
 from .gamma import GammaConfig, GammaFilter
-from .packager import Packager, PackagerConfig, _Cut
+from .packager import Packager, PackagerConfig
 
 @dataclass
 class ConsumerConfig:
@@ -219,19 +219,22 @@ def build_consumer(config: PipelineConfig) -> Consumer:
 
 
 class _Stages:
-    """Discard filter, drop-oldest admission and packager: the stages
-    the run loop steps.
+    """Discard filter, drop-oldest admission, packager and consumer: the
+    stages a run steps, and the run's :class:`MetricsTable`.
 
-    :meth:`feed` admits one source batch, :meth:`cut` hands out the
-    packages it completes or flushes, stamped with the filter state and
-    the drops since the previous package.
+    :meth:`feed` admits one source batch, :meth:`deliver` cuts the
+    packages it completes and hands each to the consumer, and
+    :meth:`wait` advances the clock and flushes a timed-out buffer.
     """
 
-    def __init__(self, config: PipelineConfig, ordered: bool = False):
+    def __init__(self, config: PipelineConfig, consumer: Consumer,
+                 clock: Clock, ordered: bool = False):
         self.gfilter = GammaFilter(config.gamma, seed=config.seed)
         self.ordered = ordered   # the source vouches for its batches' order
         self.packager = Packager(config.packager)
+        self.consumer, self.clock = consumer, clock
         self.capacity = config.input_buffer_capacity
+        self.metrics = MetricsTable()
         self.source_events = 0
         self.packaged_events = 0
         self.dropped_by_filter = 0
@@ -264,60 +267,65 @@ class _Stages:
         rate = gfilter.window.fold_kept(kept_t)
         packager.append(kept, t=kept_t, rate_evps=rate)
         # gamma and both rates change only here: read once per batch for
-        # the stamps of the packages it completes
+        # the rows of the packages it completes
         self._rates = (gfilter.gamma, gfilter.rate_raw_evps, rate)
 
-    def cut(self, clock: Clock, now_us: int | None = None) -> _Cut | None:
-        """Cut one package, if the buffer completes one, and stamp it with
-        the :class:`PackageMetrics` fields known when it was cut: those
-        after ``lag_us``, in field order, with ``emit_reason`` coded as
-        ``_ROW`` stores it. Called once per package, so
-        that feedback applied between two packages steers the next cut.
+    def deliver(self, now_us: int | None = None) -> None:
+        """Cut the packages the buffer completes, one at a time: run the
+        consumer on each, record its row and hand its processing time to
+        the controller before the next cut, so that it steers that cut.
 
-        With ``now_us``, flush the buffer instead if its oldest event
-        has waited the timeout by then.
+        A row holds the clock at the cut, read before the consumer runs,
+        and the drops since the previous package. With ``now_us``, the
+        first cut flushes the buffer instead, if its oldest event has
+        waited the timeout by then.
         """
-        cut = (self.packager.next_emission() if now_us is None
-               else self.packager.check_timeout(now_us))
-        if cut is not None:
+        packager = self.packager
+        cut = (packager.next_emission() if now_us is None
+               else packager.check_timeout(now_us))
+        if cut is None:
+            return
+        # looked up once per call that cuts, not once per package: most
+        # fed batches complete none
+        clock, process = self.clock, self.consumer.process
+        record, pack_row = self.metrics._packed.frombytes, _ROW.pack
+        control, next_cut = packager.update_target_size, packager.next_emission
+        gamma, rate_raw, rate = self._rates
+        filtered, overflowed = self._pending_filter, self._pending_overflow
+        self._pending_filter = self._pending_overflow = 0
+        while cut is not None:
             clock.advance_to(cut.trigger_us)
-            cut.stamp = self._rates + (self._pending_filter,
-                                       self._pending_overflow, clock.now_us,
-                                       _REASON_CODE[cut.reason])
-            self._pending_filter = self._pending_overflow = 0
-            self.packaged_events += cut.size
-        return cut
+            seq, size, span_us = cut.seq, cut.size, cut.span_us
+            self.packaged_events += size
+            cut_us, reason = clock.now_us, _REASON_CODE[cut.reason]
+            proc_us = process(cut, clock)
+            record(pack_row(seq, size, span_us, proc_us, proc_us - span_us,
+                            gamma, rate_raw, rate, filtered, overflowed,
+                            cut_us, reason))
+            control(seq, size, span_us, proc_us)
+            filtered = overflowed = 0
+            cut = next_cut()
 
-    def result(self, metrics: MetricsTable) -> RunResult:
+    def wait(self, next_us: int | None) -> None:
+        """Advance the clock to ``next_us`` or to the oldest buffered
+        event's timeout deadline, whichever is first; then flush a
+        timed-out buffer."""
+        packager = self.packager
+        oldest = packager.oldest_arrival_us
+        if oldest is not None:
+            deadline = oldest + packager.config.timeout_us
+            next_us = deadline if next_us is None else min(next_us, deadline)
+        self.clock.advance_to(next_us)
+        self.deliver(int(self.clock.now_us))
+
+    def result(self) -> RunResult:
         return RunResult(
-            metrics=metrics, source_events=self.source_events,
+            metrics=self.metrics, source_events=self.source_events,
             packaged_events=self.packaged_events,
             dropped_by_filter=self.dropped_by_filter,
             dropped_by_overflow=self.dropped_by_overflow,
             residual_events=self.packager.buffered,
             final_gamma=self.gfilter.gamma)
-
-
-def _delivery(stages: _Stages, consumer: Consumer, clock: Clock,
-              metrics: MetricsTable):
-    """The delivery loop of one run: returns ``deliver(package)``, which
-    runs the consumer on ``package``, records its metrics row, hands the
-    package's processing time to the controller and cuts again, until
-    the buffer completes no package."""
-    # looked up once per run, not once per package
-    cut, record = stages.cut, metrics._packed.frombytes
-    control, pack_row = stages.packager.update_target_size, _ROW.pack
-
-    def deliver(package: _Cut | None) -> None:
-        while package is not None:
-            proc_us = consumer.process(package, clock)
-            seq, size, span_us = package.seq, package.size, package.span_us
-            record(pack_row(seq, size, span_us, proc_us, proc_us - span_us,
-                            *package.stamp))
-            control(seq, size, span_us, proc_us)
-            package = cut(clock)
-
-    return deliver
 
 
 def _due(source: StreamSource, clock: Clock, wait):
@@ -350,29 +358,15 @@ def run(config: PipelineConfig, source: StreamSource,
         consumer = build_consumer(config)
     realtime = config.mode == "realtime"
     clock = WallClock() if realtime else VirtualClock()
-    stages = _Stages(config, source.ordered)
-    packager, timeout_us = stages.packager, config.packager.timeout_us
-    metrics = MetricsTable()
-    deliver = _delivery(stages, consumer, clock, metrics)
-    cut = stages.cut
-
-    def wait(next_us: int | None) -> None:
-        """Advance the clock to ``next_us`` or to the oldest buffered
-        event's timeout deadline, whichever is first; then flush a
-        timed-out buffer."""
-        oldest = packager.oldest_arrival_us
-        if oldest is not None:
-            deadline = oldest + timeout_us
-            next_us = deadline if next_us is None else min(next_us, deadline)
-        clock.advance_to(next_us)
-        deliver(cut(clock, int(clock.now_us)))
-
-    for batch in _due(source, clock, wait) if realtime else source.chunks():
+    stages = _Stages(config, consumer, clock, source.ordered)
+    batches = (_due(source, clock, stages.wait) if realtime
+               else source.chunks())
+    for batch in batches:
         stages.feed(batch)
-        deliver(cut(clock))
-    while packager.buffered:
-        wait(None)
-    return stages.result(metrics)
+        stages.deliver()
+    while stages.packager.buffered:
+        stages.wait(None)
+    return stages.result()
 
 
 #: The ``_ROW`` layout read as the parts the CSV writer formats: int64

@@ -20,7 +20,7 @@ from asap_stream import (ArraySource, ConfigurationError, ConstantRateSource,
                          write_metrics_csv)
 from asap_stream import pipeline
 from asap_stream.pipeline import (METRICS_COLUMNS, METRICS_HEADER, MetricsTable,
-                                  _HEAD_CACHE, _REASON_CODE, _WRITE_BLOCK,
+                                  _HEAD_CACHE, _WRITE_BLOCK,
                                   _Stages)
 
 
@@ -621,31 +621,40 @@ class TestMetricsOutput:
             [_reference_line(m) for m in metrics]
 
 
+def _stages(cfg):
+    """The stages of a virtual run of ``cfg``, with its own consumer."""
+    return _Stages(cfg, pipeline.build_consumer(cfg), VirtualClock())
+
+
 class TestStagesCut:
     def test_cut_at_a_time_flushes_once_the_timeout_passed(self):
         cfg = _config(packager=PackagerConfig(initial_size=100,
                                               timeout_us=50),
                       input_buffer_capacity=4)
-        stages = _Stages(cfg)
+        stages = _stages(cfg)
         # six events into room for four: two overflow drops pending
         stages.feed(_numbered(np.arange(10, 16)))
         pending = (stages._pending_filter, stages._pending_overflow)
         assert pending == (0, 2)
-        clock = VirtualClock()
+        clock = stages.clock
         # the oldest buffered event is at 12: its deadline is 62
-        assert stages.cut(clock) is None
-        assert stages.cut(clock, 61) is None
+        stages.deliver()
+        stages.deliver(61)
         assert (stages._pending_filter, stages._pending_overflow) == pending
+        assert len(stages.metrics) == 0
         assert clock.now_us == 0.0 and stages.packaged_events == 0
-        cut = stages.cut(clock, 62)
-        assert (cut.reason, cut.trigger_us, cut.size) == ("timeout", 62, 4)
-        assert clock.now_us == 62.0
-        # emit_reason is stamped as the code the metrics table stores
-        assert cut.stamp == stages._rates + pending + (
-            62.0, _REASON_CODE["timeout"])
+        stages.deliver(62)
+        [row] = stages.metrics
+        assert (row.size, row.emit_reason, row.clock_us) == \
+            (4, "timeout", 62.0)
+        assert (row.gamma, row.rate_raw, row.rate_filtered) == stages._rates
+        assert (row.drop_filter, row.drop_overflow) == pending
+        # the row holds the clock at the cut; the consumer then moved it
+        assert row.proc_us > 0 and clock.now_us == 62.0 + row.proc_us
         assert (stages._pending_filter, stages._pending_overflow) == (0, 0)
         assert stages.packaged_events == 4
-        assert stages.cut(clock, 10**9) is None
+        stages.deliver(10**9)
+        assert len(stages.metrics) == 1
 
 
 class TestRealtimeRun:
@@ -964,7 +973,7 @@ class TestSharedTimestamps:
                       packager=PackagerConfig(initial_size=target,
                                               timeout_us=150),
                       input_buffer_capacity=capacity)
-        stages = _Stages(cfg)
+        stages = _stages(cfg)
         shared = stages.packager
         ref_filter = GammaFilter(cfg.gamma, seed=cfg.seed)
         ref = Packager(cfg.packager)
@@ -1009,10 +1018,10 @@ class TestFollowedRateWindow:
 
     @staticmethod
     def _feed(cfg, batches):
-        """Run ``batches`` through the stages and the delivery loop as a
-        virtual run does, checking the post-filter rate after each feed;
-        returns the metrics and the stages."""
-        stages = _Stages(cfg)
+        """Run ``batches`` through the stages as a virtual run does,
+        checking the post-filter rate after each feed; returns the
+        metrics and the stages."""
+        stages = _stages(cfg)
         packager = stages.packager
         append, appended = packager.append, []
 
@@ -1021,19 +1030,16 @@ class TestFollowedRateWindow:
             appended.extend(events["t"].tolist())
 
         packager.append = recorded
-        clock, metrics = VirtualClock(), MetricsTable()
-        deliver = pipeline._delivery(stages, pipeline.build_consumer(cfg),
-                                     clock, metrics)
         for batch in batches:
             stages.feed(batch)
             if len(batch):
                 assert stages._rates[2] == _kept_rate(
                     appended, cfg.gamma.rate_window_us)
-            deliver(stages.cut(clock))
+            stages.deliver()
         oldest = packager.oldest_arrival_us
         if oldest is not None:
-            deliver(stages.cut(clock, oldest + cfg.packager.timeout_us))
-        return metrics, stages
+            stages.deliver(oldest + cfg.packager.timeout_us)
+        return stages.metrics, stages
 
     @given(gaps=st.lists(st.integers(min_value=0, max_value=20),
                          max_size=600),
