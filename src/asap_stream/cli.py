@@ -14,6 +14,7 @@ flags are accepted as per-key overrides, at the same precedence as
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -48,24 +49,40 @@ def _parse_extra_flags(extras: list[str]) -> list[str]:
     return out
 
 
+def _reserve(target: str) -> str:
+    """Create an empty file beside ``target`` under a name no file held,
+    and return that name. It is created as ``open`` creates a file, so
+    the umask decides its mode."""
+    for n in itertools.count():
+        name = f"{target}.{os.getpid()}-{n}.tmp"
+        try:
+            os.close(os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                             0o666))
+            return name
+        except FileExistsError:
+            pass
+
+
 def _atomic_write(path: str, writer) -> None:
     """Write the file ``path`` resolves to with ``writer(file_name)``.
 
-    A regular or new file is written to a temp file beside it and then
-    renamed onto it, so a failed run leaves no partial output and a
-    symlink keeps pointing at it. Anything else (a FIFO, a device) is
-    written directly, since the rename would replace it. An OS error is
-    reported as an :class:`AsapError` that names ``path``.
+    A regular or new file is written to a new temp file beside it (see
+    :func:`_reserve`) and then renamed onto it, so a failed run leaves
+    no partial output, a symlink keeps pointing at it, and no other file
+    is touched. Anything else (a FIFO, a device) is written directly,
+    since the rename would replace it. An OS error is reported as an
+    :class:`AsapError` that names ``path``.
     """
     target = os.path.realpath(path)
     special = os.path.exists(target) and not os.path.isfile(target)
-    tmp = target if special else f"{target}.tmp"
+    tmp = None
     try:
+        tmp = target if special else _reserve(target)
         writer(tmp)
         if not special:
             os.replace(tmp, target)
     except BaseException as exc:
-        if not special and os.path.exists(tmp):
+        if not special and tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
             raise AsapError(

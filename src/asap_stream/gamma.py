@@ -255,16 +255,20 @@ class GammaFilter:
         #: takes it.
         self.kept_t: np.ndarray | None = None
 
-    def process(self, events: np.ndarray, *,
-                checked: bool = False) -> tuple[np.ndarray, int]:
+    def process(self, events: np.ndarray, *, checked: bool = False,
+                t: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """Filter one batch; returns (kept events, dropped count).
 
         ``checked=True`` vouches for the batch's order, as an ``ArraySource``
         does, so the raw window checks only where the batch starts.
+        ``t``, when given, is the batch's timestamps (its ``t`` field
+        view, or an int64 array equal to it), used in place of a view
+        made here.
         An empty batch changes nothing: no event arrived, so gamma, the
         raw rate and the generator stay as they are.
         """
-        t = events["t"]
+        if t is None:
+            t = events["t"]
         n = t.size
         if not n:
             self.kept_t = t

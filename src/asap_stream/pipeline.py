@@ -3,19 +3,23 @@
 Both modes run one loop over the same stages (:class:`_Stages`): filter
 a batch, admit it to the bounded buffer dropping the oldest events, and
 cut packages one at a time. The mode picks only the clock and how
-batches fall due. Virtual mode feeds the source's chunks whole on a
-logical microsecond clock advanced by event timestamps at the source
-and by processing durations at the consumer; runs are bit-deterministic
-for a given seed (with the synthetic consumer). Realtime mode paces the
-source against the wall clock, feeding the events due at each wake; it
-exists for demonstration. Packages are delivered in the calling thread,
-and every package's processing time is applied before the next cut.
+batches fall due. Virtual mode feeds the source's chunks on a logical
+microsecond clock advanced by event timestamps at the source and by
+processing durations at the consumer. It splits a chunk that spans the
+rate window into views that each span less, so that every package is
+sized on a rate read while its own events arrived. Virtual runs are
+bit-deterministic for a given seed (with the synthetic consumer).
+Realtime mode paces the source against the wall clock, feeding the
+events due at each wake; it exists for demonstration. Packages are
+delivered in the calling thread, and every package's processing time is
+applied before the next cut.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -243,20 +247,23 @@ class _Stages:
         self._pending_overflow = 0
         self._rates = ()  # set by feed, before there is anything to cut
 
-    def feed(self, batch: np.ndarray) -> None:
+    def feed(self, batch: np.ndarray, t: np.ndarray | None = None) -> None:
+        """Admit one batch; ``t``, when given, is its timestamps as an
+        int64 view, which the filter then takes in place of its own."""
         n = len(batch)
         if not n:
             return   # no event arrived: no stage changes
         self.source_events += n
         gfilter, packager = self.gfilter, self.packager
-        kept, dropped = gfilter.process(batch, checked=self.ordered)
+        kept, dropped = gfilter.process(batch, checked=self.ordered, t=t)
         # the kept events' timestamp view, order-checked once by the
         # filter's raw window, feeds its kept side and the packager
         kept_t = gfilter.kept_t
         if dropped:
             self.dropped_by_filter += dropped
             self._pending_filter += dropped
-        excess = packager.buffered + len(kept) - self.capacity
+            n -= dropped   # the kept events
+        excess = packager.buffered + n - self.capacity
         if excess > 0:
             # drop-oldest: buffered events first, then the batch's own head
             head = excess - packager.drop_oldest(excess)
@@ -333,7 +340,8 @@ def _due(source: StreamSource, clock: Clock, wait):
 
     Before each batch ``wait`` moves the clock to the next event or to
     an earlier timeout deadline; the batch is every event the clock has
-    then reached, so none is fed before it is due."""
+    then reached, so none is fed before it is due. Each comes with its
+    timestamps, a view of a contiguous copy of its chunk's."""
     for chunk in source.chunks():
         t = np.ascontiguousarray(chunk["t"])
         fed = 0
@@ -341,8 +349,32 @@ def _due(source: StreamSource, clock: Clock, wait):
             wait(int(t[fed]))
             due = int(t.searchsorted(int(clock.now_us), side="right"))
             if due > fed:
-                yield chunk[fed:due]
+                yield chunk[fed:due], t[fed:due]
                 fed = due
+
+
+def _spans(chunks, window_us: int):
+    """Virtual mode's batches: each chunk with its ``t`` field view, the
+    chunk itself when its timestamps span less than ``window_us``, else
+    consecutive views of it that each do, measured from their own first
+    event.
+
+    Each edge is found by ``bisect_left`` on the ``t`` view, as the rate
+    window's ``_slide`` does: ``searchsorted`` would copy a strided view
+    whole. An edge is searched for only when it is at most the chunk's
+    newest timestamp, so it stays in the int64 range."""
+    for chunk in chunks:
+        t = chunk["t"]
+        n = t.size
+        if not n or t.item(-1) - t.item(0) < window_us:
+            yield chunk, t
+            continue
+        newest, lo = t.item(-1), 0
+        while lo < n:
+            edge = t.item(lo) + window_us
+            hi = n if newest < edge else bisect_left(t, edge, lo)
+            yield chunk[lo:hi], t[lo:hi]
+            lo = hi
 
 
 def run(config: PipelineConfig, source: StreamSource,
@@ -350,8 +382,9 @@ def run(config: PipelineConfig, source: StreamSource,
     """Drive the source to exhaustion through the full pipeline: feed
     each batch and deliver the packages it completes, then flush the
     residual buffer when its timeout expires. The mode picks only the
-    clock and the batches (realtime's are :func:`_due`'s, so events that
-    fall due while the consumer runs are fed when it returns). An
+    clock and the batches: virtual mode's are :func:`_spans`', none
+    wider than the rate window; realtime's are :func:`_due`'s, so events
+    that fall due while the consumer runs are fed when it returns. An
     exception in the consumer propagates."""
     config.validate()
     if consumer is None:
@@ -360,10 +393,11 @@ def run(config: PipelineConfig, source: StreamSource,
     clock = WallClock() if realtime else VirtualClock()
     stages = _Stages(config, consumer, clock, source.ordered)
     batches = (_due(source, clock, stages.wait) if realtime
-               else source.chunks())
-    for batch in batches:
-        stages.feed(batch)
-        stages.deliver()
+               else _spans(source.chunks(), stages.gfilter.window.window_us))
+    feed, deliver = stages.feed, stages.deliver
+    for batch, t in batches:
+        feed(batch, t)
+        deliver()
     while stages.packager.buffered:
         stages.wait(None)
     return stages.result()

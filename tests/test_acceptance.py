@@ -285,6 +285,66 @@ def test_criterion_10_responsive_from_the_first_package():
             + f" ms (bound {timeout_us / 1000:.0f} ms)")
 
 
+#: Rate profiles the consumer can carry (c·R <= 0.8 with c = 0.5 µs):
+#: (rate ev/s, duration s) segments and the seed of the first one. The
+#: fall is the worst that ROADMAP item 20's targeted search found.
+_PROFILES = {
+    "fall": (((1e6, 0.395), (8.6e5, 0.02), (7.5e5, 0.243), (1e4, 0.395)), 3),
+    "burst": (((2e5, 0.5), (1.6e6, 0.1), (2e5, 0.5)), 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _profile(segments, seed):
+    """Constant-rate segments joined end to end; segment i is seeded
+    ``seed + 100*i`` and starts where the earlier ones end."""
+    parts, offset_us = [], 0
+    for i, (rate, duration) in enumerate(segments):
+        ev = ConstantRateSource(rate, duration, seed=seed + 100 * i).events()
+        ev["t"] += offset_us
+        parts.append(ev)
+        offset_us += round(duration * 1e6)
+    return np.concatenate(parts)
+
+
+class _Delays:
+    """The consumer of a run, recording for each package the clock at
+    its start minus the time it was cut: its queueing delay."""
+
+    def __init__(self, consumer):
+        self.consumer = consumer
+        self.delays = []
+
+    def process(self, package, clock):
+        self.delays.append(clock.now_us - package.trigger_us)
+        return self.consumer.process(package, clock)
+
+
+@pytest.mark.parametrize("name,chunk", [
+    ("fall", 65536),
+    ("fall", 1024),
+    ("burst", 65536),
+    pytest.param("burst", 1024, marks=pytest.mark.xfail(
+        reason="ROADMAP item 19: after the up-step the loop sees the "
+               "higher rate too late, and a backlog of about 11 ms forms",
+        strict=True)),
+])
+def test_criterion_11_bounded_delay_on_a_rate_fall(name, chunk):
+    # each package is sized on a rate read while its own events arrived:
+    # no chunk sizes the packages before a fall at the rate after it
+    cfg = PipelineConfig(seed=0,
+                         consumer=ConsumerConfig(o_us=1000, c_ns=500))
+    delays = _Delays(build_consumer(cfg))
+    run(cfg, ArraySource(_profile(*_PROFILES[name]), chunk_size=chunk),
+        consumer=delays)
+    bound = cfg.packager.timeout_us
+    worst = max(delays.delays)
+    _report(11, f"bounded queueing delay ({name}, {chunk}-event chunks)",
+            worst <= bound,
+            f"max delay from the cut to the consumer {worst / 1000:.1f} ms "
+            f"over {len(delays.delays)} packages (bound {bound / 1000:.0f} ms)")
+
+
 def test_acceptance_suite_runtime():
     elapsed = time.perf_counter() - _SUITE_T0
     print(f"\nacceptance suite runtime: {elapsed:.1f} s (budget 60 s)")

@@ -9,11 +9,12 @@ import threading
 
 import pytest
 
+from asap_stream import cli
 from asap_stream.cli import main
 from asap_stream.config import (DEFAULTS, SCENARIOS, build_pipeline_config,
                                 build_source, merge, parse_config_file,
                                 parse_overrides)
-from asap_stream.errors import ConfigurationError
+from asap_stream.errors import AsapError, ConfigurationError
 from asap_stream.events import SensorGeometry
 from asap_stream.pipeline import METRICS_HEADER, PipelineConfig
 
@@ -283,8 +284,38 @@ class TestCliRun:
         code = main(["run", "--scenario", "constant",
                      "--set", "gamma.beta=7", "--out", str(out)])
         assert code == 2
-        assert not out.exists()
-        assert not (tmp_path / "m.csv.tmp").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, OSError])
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, error):
+        def writer(name):
+            with open(name, "w") as f:
+                f.write("partial")
+            raise error("disk full")
+
+        expected = AsapError if error is OSError else error
+        with pytest.raises(expected):
+            cli._atomic_write(str(tmp_path / "m.csv"), writer)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_keeps_a_file_named_like_its_temp_file(self, tmp_path):
+        # the output is written beside the target under a name of its
+        # own: a user's file at <out>.tmp is neither replaced nor renamed
+        # onto the output, whose mode is the umask's
+        out, kept = tmp_path / "m.csv", tmp_path / "m.csv.tmp"
+        kept.write_bytes(b"precious\n")
+        kept.chmod(0o444)
+        assert main(["run", "--scenario", "constant",
+                     "--set", "source.duration_s=0.05",
+                     "--out", str(out)]) == 0
+        assert kept.read_bytes() == b"precious\n"
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o444
+        assert out.read_text().startswith("seq,size,")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "m.csv", "m.csv.tmp"]
 
     def test_out_through_symlink_writes_its_target(self, tmp_path):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"

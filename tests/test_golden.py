@@ -21,16 +21,16 @@ import pytest
 from asap_stream.cli import main
 
 GOLDEN_SHA256 = {
-    "fig3": "b67b4d7938365ad7c159bb199f3fd5c9dcc84ff2e7a88fca6fd6b20039d35fab",
-    "fig4": "39f958ae3b0d993a04ae11ff99d883e724763b13db4d173e8ecc343971c866b8",
+    "fig3": "20919f5cf87c7ba3c0c693342e2d43080501b03ced91e539533f80e7cf912285",
+    "fig4": "941f146086700c5e5f11a36a5941a71303923d0c9211804d643cff78d6601e53",
     "constant":
-        "2123d16beaa986e2ae5c7e836871536b588de89e4a368880c688858c1284235c",
-    # 458 packages, each with its own jitter draw
+        "440d82516323a7478fb7c69e4f21c107492a8d4d9fe2a0103c2dd36ca12bc172",
+    # 459 packages, each with its own jitter draw
     "constant-jitter":
-        "e76565cfe30436371998df76b171ab6ac477b64338edc0e58dcad5cfe99220c2",
-    # 33 packages and 717038 overflow drops
+        "d3602ae5c40f4dbc37c5b6359bda11ebe19019c2166c4ad8e38cf5f448d900fe",
+    # 96 packages of about 9970 events and 94951 overflow drops
     "constant-overflow":
-        "429e73cccb3c9348057fd85faf2d163a80577e18ea2a86af8e00837b45852b17",
+        "48065d355420127122f348f5e6f0ea6cd5e56446ad92c7829be71cf5c128a341",
     # 478 packages of about 2100 events, most of them spanning two or
     # three 1024-event chunks
     "constant-chunks":
@@ -39,25 +39,27 @@ GOLDEN_SHA256 = {
     # arrays of several chunks
     "constant-chunks-filtered":
         "2815dc7c4071a5407d8598d5016cb2a99fff18c436aa20de507a9c1a691e7176",
-    # 850 packages and 6294622 filter drops on a ramp that falls through
+    # 841 packages and 6294622 filter drops on a ramp that falls through
     # the discard bound: the rate window's kept side counts on its own
     # while batches lose events, and takes the raw side's count again
     # once they are whole
     "ramp-down":
-        "ce7880232be761e77664dbb0fb12506647bb7ccde1ff03e0bfab6d8ed4b293bf",
-    # 12795 packages of about 23 events (o = 20 µs, c = 100 ns): the
+        "58b0fbbe14a8b89227ca0e776428ad70ba3e95ef3f7ada16a649ad17ffd290ad",
+    # 12994 packages of about 23 events (o = 20 µs, c = 100 ns): the
     # cost fit settles and most reports repeat one (size, proc) pair
     # between appends, so size control counts them without a fold
     "constant-small":
-        "4b8462d33b623641adca6617c694fdfa9f64dd833d7a5fbed81335cead12a66d",
+        "1e0d75f5ff9b9c5833ca1efd882fc7fa1b472c162be92501503dbff6c8b54c03",
 }
 
 #: Runs that are not a bundled scenario as it stands: its name and the
 #: overrides on top of it.
 RUNS = {
     "constant-jitter": ("constant", ["--set", "consumer.jitter=0.2"]),
+    # room for 1.2 packages of N* = 10000 events (o = 1000 µs, c·R =
+    # 0.9): drop-oldest admission fires
     "constant-overflow": ("constant",
-                          ["--set", "pipeline.input_buffer_capacity=20000",
+                          ["--set", "pipeline.input_buffer_capacity=12000",
                            "--set", "consumer.c_ns=900"]),
     "constant-chunks": ("constant", ["--set", "source.chunk_events=1024"]),
     "constant-chunks-filtered": ("constant",

@@ -105,11 +105,11 @@ class TestOverflowGuard:
 #: timestamp, none of which a float64 holds
 _SHIFTED_SHA256 = {
     2**53 + 1:
-        "2ed487c7b2d6455d500fd8bbbeebe67425a372d2f37c4609cedc8d7b640ad96f",
+        "c06bb4ca6fcdb4f79bbe777d8d0cde91a51b89777ed425fa7ce7310cba9d59ff",
     2**60 + 3:
-        "7fcd652d487b49438ec397e4f4e6484a68f64d40ac7d8c7c9ec53b4ed873740c",
+        "f010ac805d254e1e900e2310ab9789fba80ea837f7a3c76168ae683fe0580f1c",
     2**62 + 12345:
-        "055b24f4d6ce8c1db37874faf64df67415be1518a047ae7890a7a3659dbb5c5c",
+        "4d1b70633d11c734eca0a48abbdbf06dc18f5f3553c353a24ed462677056ae9a",
 }
 
 
@@ -343,15 +343,17 @@ def _reference_csv(rows):
 
 
 class _FeedbackRecorder(_Recorder):
-    """Also keeps each processing time the consumer returned."""
+    """Also keeps each processing time the consumer returned, and each
+    package's cut reason."""
 
     def __init__(self):
         super().__init__()
-        self.reports = []
+        self.reports, self.reasons = [], []
 
     def process(self, package, clock):
         proc_us = super().process(package, clock)
         self.reports.append(proc_us)
+        self.reasons.append(package.reason)
         return proc_us
 
 
@@ -601,7 +603,8 @@ class TestMetricsOutput:
         assert [m.seq for m in metrics[1:3]] == [1, 2]
         rows = list(metrics)
         assert len(rows) == n and rows[0] == metrics[0]
-        for m, events, report in zip(rows, rec.packages, rec.reports):
+        for m, events, report, reason in zip(rows, rec.packages,
+                                             rec.reports, rec.reasons):
             assert isinstance(m, PackageMetrics)
             for name in (*METRICS_COLUMNS, "emit_reason"):
                 getattr(m, name)
@@ -610,11 +613,12 @@ class TestMetricsOutput:
             assert m.proc_us == report
             assert m.lag_us == m.proc_us - m.span_us
             assert m.gamma == 1.0 and m.drop_filter == m.drop_overflow == 0
-            assert m.emit_reason in ("size", "timeout")
+            # the row keeps the reason of the cut the consumer was handed
+            assert m.emit_reason == reason
+            assert reason in ("size", "timeout")
         if mode == "virtual":
-            # size cuts, then the residual buffer flushes on its timeout
-            assert (metrics[0].emit_reason, metrics[-1].emit_reason) == \
-                ("size", "timeout")
+            # the first package is cut by size
+            assert metrics[0].emit_reason == "size"
         path = tmp_path / "m.csv"
         write_metrics_csv(path, metrics)
         assert path.read_text().splitlines()[1:] == \
@@ -875,6 +879,101 @@ class TestOrderingContract:
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+@st.composite
+def _chunked(draw):
+    """A rate window and an ordered stream cut into chunks: some empty,
+    some of one event, some many windows wide, with runs of equal
+    timestamps that can straddle an edge, and optionally ending at the
+    largest int64 timestamp."""
+    window = draw(st.integers(min_value=1, max_value=40))
+    gaps = draw(st.lists(st.one_of(st.just(0),
+                                   st.integers(min_value=0,
+                                               max_value=3 * window)),
+                         max_size=300))
+    t = np.cumsum(np.asarray(gaps, dtype=np.int64))
+    if t.size and draw(st.booleans()):
+        t += _INT64_MAX - t[-1]
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=t.size),
+                                max_size=12)))
+    bounds = [0, *cuts, t.size]
+    ev = _numbered(t)
+    return window, [ev[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+class TestSpans:
+    """Virtual mode feeds no batch as wide as the rate window: a wider
+    chunk is fed as consecutive views of itself."""
+
+    @given(case=_chunked())
+    @example(case=(10, [_numbered(np.array([0, 5, 10, 10, 10, 25]))]))
+    @example(case=(3, [_numbered(np.full(4, _INT64_MAX))]))
+    @example(case=(1, [_numbered(np.array([_INT64_MAX - 1, _INT64_MAX]))]))
+    @settings(max_examples=300, deadline=None)
+    def test_fed_batches_are_views_narrower_than_the_window(self, case):
+        window, chunks = case
+        fed = pipeline._spans(iter(chunks), window)
+        for chunk in chunks:
+            n = len(chunk)
+            if not n or chunk["t"][-1] - chunk["t"][0] < window:
+                batch, t = next(fed)
+                assert batch is chunk
+                assert np.array_equal(t, chunk["t"])
+                continue
+            pieces, got = [], 0
+            while got < n:
+                pieces.append(next(fed))
+                got += len(pieces[-1][0])
+            assert got == n
+            start = _address(chunk)
+            for i, (batch, t) in enumerate(pieces):
+                # a view of the chunk, right after the previous piece
+                assert len(batch) and _address(batch) == start
+                assert np.shares_memory(batch, chunk)
+                assert np.shares_memory(t, batch)
+                assert np.array_equal(t, batch["t"])
+                start += batch.nbytes
+                first = t.item(0)
+                assert t.item(-1) - first < window
+                if i + 1 < len(pieces):
+                    # cut at the edge its own first event sets
+                    assert pieces[i + 1][1].item(0) - first >= window
+            assert np.concatenate([b for b, _ in pieces]).tobytes() == \
+                chunk.tobytes()
+        assert next(fed, None) is None
+
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=400),
+                         min_size=1, max_size=2000),
+           chunk=st.integers(min_value=1, max_value=3000),
+           window=st.integers(min_value=1, max_value=5000),
+           a_evps=st.sampled_from([2e4, 1e12]))
+    @settings(max_examples=50, deadline=None)
+    def test_no_filtered_batch_spans_the_window(self, gaps, chunk, window,
+                                                a_evps):
+        spans = []
+        process = GammaFilter.process
+
+        def spy(self, events, **kwargs):
+            t = events["t"]
+            spans.append(int(t[-1] - t[0]) if len(t) else 0)
+            return process(self, events, **kwargs)
+
+        ev = _numbered(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        cfg = _config(gamma=GammaConfig(a_evps=a_evps, rate_window_us=window),
+                      consumer=ConsumerConfig(o_us=100, c_ns=100))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GammaFilter, "process", spy)
+            result = run(cfg, ArraySource(ev, chunk_size=chunk))
+        assert result.source_events == len(ev)
+        assert spans and max(spans) < window
+
+
 class TestVouchedOrder:
     """An ``ArraySource``, whose order the pipeline does not scan again,
     runs as the same chunks from a source it checks."""
@@ -915,7 +1014,7 @@ class TestVouchedOrder:
         process = GammaFilter.process
 
         def spy(self, events, **kwargs):
-            seen.append(kwargs)
+            seen.append((events, kwargs))
             return process(self, events, **kwargs)
 
         monkeypatch.setattr(GammaFilter, "process", spy)
@@ -924,7 +1023,13 @@ class TestVouchedOrder:
                                 (_Chunks([ev[:500], ev[500:]]), False)):
             seen.clear()
             run(_config(mode=mode), source)
-            assert seen and all(kw == {"checked": checked} for kw in seen)
+            assert seen
+            for events, kw in seen:
+                # the batch comes with its timestamps, as an int64 view
+                assert set(kw) == {"checked", "t"}
+                assert kw["checked"] is checked
+                assert kw["t"].dtype == np.int64
+                assert np.array_equal(kw["t"], events["t"])
 
 
 def _drain_keys(packager):
