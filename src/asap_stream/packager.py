@@ -3,14 +3,20 @@
 The packager accumulates filtered events and cuts packages of
 ``target_size`` events; a timeout bounds how long any event can sit in
 the buffer at low rates. After each package the consumer reports its
-processing time in microseconds, and the target size is re-solved so
-that processing time matches the package's temporal span.
+processing time in microseconds, the pipeline how long the package
+waited for the consumer (on the wall clock in realtime mode), and the
+target size is re-solved so that the next package spans the time the
+consumer stays busy.
 
 Size control fits an affine cost model ``proc ~= o + c * size`` by
 exponential averaging and sets the target to the synchronization fixed
 point ``N* = o / (1/R - c)`` (R = filtered event rate), scaled by a
 small headroom factor so the realized lag stays negative despite
-arrival jitter. Until the model has enough samples, a damped
+arrival jitter. After a package that waited ``d > 0`` the target is
+``R * (d + proc)`` where that is more, capped at ``R * T``, one timeout
+of events: the next package starts on an idle consumer, so a backlog
+drains in a package or two. The fit folds a report only on evidence,
+when it did not predict it. Until the model has enough samples, a damped
 multiplicative fallback ``target *= (proc / span) ** 0.5`` is used: for
 an affine consumer ``proc / span = o*R/N + c*R`` falls as N grows, so a
 package that took longer than it spans was too small. Each step moves
@@ -34,6 +40,9 @@ _INF = float("inf")
 
 #: Feedback samples required before the affine model drives the target.
 MODEL_WARMUP_SAMPLES = 5
+#: Relative distance within which a report's processing time is the
+#: ready fit's prediction ``o + c * size``: such a report is not folded.
+PREDICTED_REL = 1e-9
 
 
 def ProcessingFeedback(package_seq: int, size: int, span_us: int,
@@ -122,7 +131,7 @@ class AffineCostModel:
     """
 
     __slots__ = ("smoothing", "samples", "_m_s", "_m_p", "_m_ss", "_m_sp",
-                 "overhead_us", "per_event_us", "_fitted", "ready", "settled")
+                 "overhead_us", "per_event_us", "_fitted", "ready")
 
     def __init__(self, smoothing: float = 0.2):
         self.smoothing = float(smoothing)
@@ -132,11 +141,6 @@ class AffineCostModel:
         self._fitted = False
         #: Whether the fit drives the target: fitted, after the warm-up.
         self.ready = False
-        #: Whether the last fold left all four moments as they were, with
-        #: more than ``MODEL_WARMUP_SAMPLES`` samples. The fold is then a
-        #: fixed point of that report: folding it again changes nothing
-        #: but :attr:`samples`, neither the fit nor :attr:`ready`.
-        self.settled = False
 
     def update(self, size: int, processing_time_us: float) -> bool:
         """Fold one report in; returns :attr:`ready`."""
@@ -146,11 +150,6 @@ class AffineCostModel:
         m_p = self._m_p + a * (p - self._m_p)
         m_ss = self._m_ss + a * (s * s - self._m_ss)
         m_sp = self._m_sp + a * (s * p - self._m_sp)
-        # unchanged moments give the fit and the fitted flag the previous
-        # fold gave; past the warm-up, ``ready`` is that flag before and after
-        self.settled = (m_s == self._m_s and m_p == self._m_p
-                        and m_ss == self._m_ss and m_sp == self._m_sp
-                        and self.samples >= MODEL_WARMUP_SAMPLES)
         self._m_s, self._m_p, self._m_ss, self._m_sp = m_s, m_p, m_ss, m_sp
         self.samples += 1
         sq = m_s * m_s
@@ -211,10 +210,10 @@ class Packager:
             min(config.n_max, max(config.n_min, config.initial_size)))
         self.target_size = round(self._target)  # the next cut's size
         self.model = AffineCostModel(config.model_smoothing)
-        # (size, proc) of the last report when it settled the model and
-        # was solved: the same report again is counted without a fold
-        # (see update_target_size); None otherwise
-        self._settled: tuple[int, float] | None = None
+        # (h * N*, its rounded size, R in events per µs, the cap
+        # max(h * N*, R * T)), clamped, of the last solve: kept until the
+        # rate or the fit moves
+        self._solved: tuple[float, int, float, float] | None = None
         self._last_feedback_seq = -1
         # the post-filter rate the last ``append`` was handed, on which
         # the target is solved
@@ -331,7 +330,7 @@ class Packager:
             raise OrderingError(
                 f"batch starts at timestamp {first}, before the newest "
                 f"one already seen, {self._newest}")
-        self._settled = None   # the rate, an input of the solve, moves
+        self._solved = None   # the rate, an input of the solve, moves
         self._rate_evps = rate_evps
         self._batches.append((events, t))
         self._newest = t.item(-1)
@@ -397,10 +396,21 @@ class Packager:
         return None
 
     def update_target_size(self, seq: int, size: int, span_us: int,
-                           processing_time_us: float) -> None:
+                           processing_time_us: float, *,
+                           delay_us: float = 0.0) -> None:
         """Fold the processing time of package ``seq``, of ``size``
         events spanning ``span_us``, into the cost model and re-aim the
-        target.
+        target. ``delay_us`` is how long the package waited for the
+        consumer: the consumer's start minus the package's trigger, on
+        the run's clock (wall time in realtime mode, so it includes the
+        wake latency there).
+
+        While the fit is ready and a rate R is known, the target is
+        ``h * N*``, or, for a package that waited, the events that
+        arrive from its trigger to the end of its processing, ``R *
+        (delay_us + processing_time_us)``, where that is more: no more
+        than ``max(h * N*, R * T)``, one timeout ``T`` of events. A
+        package of that span starts on an idle consumer.
 
         While the fit is not ready, or no rate is known, the target is
         scaled by ``(processing_time_us / span_us) ** 0.5``: ``proc /
@@ -410,15 +420,15 @@ class Packager:
 
         An invalid report raises ``ValueError`` before any state changes.
         An out-of-order report (seq at or below the newest applied) is
-        ignored. A report with ``processing_time_us == span_us`` is at
-        the setpoint and leaves the target unchanged.
+        ignored. A ``delay_us`` that is not positive (or NaN) is no wait,
+        and an infinite one gives the cap. A report with
+        ``processing_time_us == span_us`` that did not wait is at the
+        setpoint and leaves the target unchanged.
 
-        A report that is solved and whose fold left the model unchanged
-        past its warm-up (:attr:`AffineCostModel.settled`) is remembered
-        by its ``(size, processing_time_us)``. Until another report is
-        folded or :meth:`append` moves the rate, a report with
-        that pair is only counted in ``model.samples``: its fold and its
-        solve would change nothing, whatever its span.
+        A report within :data:`PREDICTED_REL` of the ready fit's
+        prediction is only counted in ``model.samples``: folding it
+        would move no estimate. ``h * N*`` is solved once per rate and
+        fit, and solved again after :meth:`append` or a fold.
         """
         proc, span = processing_time_us, span_us
         if size < 1:
@@ -430,26 +440,47 @@ class Packager:
             return
         self._last_feedback_seq = seq
         model = self.model
-        if (size, proc) == self._settled:
-            model.samples += 1
+        solved = self._solved
+        # the report's distance from the fit's prediction, and the guard:
+        # a chained comparison costs no call to abs
+        off = proc - model.overhead_us - model.per_event_us * size
+        tol = PREDICTED_REL * proc
+        if model.ready and -tol <= off <= tol:
+            model.samples += 1   # no evidence: the fit stays as it is
+        else:
+            model.update(size, proc)
+            solved = self._solved = None
+        waited = delay_us > 0
+        if proc == span and not waited:
             return
-        self._settled = None
-        ready = model.update(size, proc)
-        if proc == span:
-            return
-        cfg = self.config
-        lo, hi = cfg.n_min, cfg.n_max
-        rate_evps = self._rate_evps or 0.0
-        if ready and rate_evps > 0:
-            target = cfg.headroom * predict_size(
+        if solved is None:
+            cfg = self.config
+            lo, hi = cfg.n_min, cfg.n_max
+            rate_evps = self._rate_evps or 0.0
+            if not (model.ready and rate_evps > 0):
+                if not (span > 0 and proc > 0):
+                    return  # span == 0: no ratio; the model has the sample
+                target = self._target * (proc / span) ** 0.5
+                target = target if target > lo else lo
+                self._target = target = target if target < hi else hi
+                self.target_size = round(target)
+                return
+            # h * N* and the cap, clamped: predict_size keeps N* >= n_min
+            base = cfg.headroom * predict_size(
                 rate_evps, model.overhead_us / _US, model.per_event_us / _US,
                 lo, hi)
-            if model.settled:
-                self._settled = (size, proc)
-        elif span > 0 and proc > 0:
-            target = self._target * (proc / span) ** 0.5
-        else:
-            return  # span == 0: no ratio; the model has the sample
-        target = target if target > lo else lo
-        self._target = target = target if target < hi else hi
-        self.target_size = round(target)
+            base = base if base < hi else hi
+            per_us = rate_evps / _US
+            cap = per_us * cfg.timeout_us
+            cap = cap if cap > base else base
+            self._solved = solved = (base, round(base), per_us,
+                                     cap if cap < hi else hi)
+        # h * N* and its rounded size unless the package waited
+        target, self.target_size, per_us, cap = solved
+        if waited:
+            # the events that arrive while the consumer stays busy
+            busy = per_us * (delay_us + proc)
+            if busy > target:
+                target = busy if busy < cap else cap
+                self.target_size = round(target)
+        self._target = target

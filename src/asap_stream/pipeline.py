@@ -279,8 +279,10 @@ class _Stages:
 
     def deliver(self, now_us: int | None = None) -> None:
         """Cut the packages the buffer completes, one at a time: run the
-        consumer on each, record its row and hand its processing time to
-        the controller before the next cut, so that it steers that cut.
+        consumer on each, record its row and hand its processing time
+        and queueing delay (the clock at the consumer's start minus the
+        cut's trigger) to the controller before the next cut, so that
+        they steer that cut.
 
         A row holds the clock at the cut, read before the consumer runs,
         and the drops since the previous package. With ``now_us``, the
@@ -309,7 +311,8 @@ class _Stages:
             record(pack_row(seq, size, span_us, proc_us, proc_us - span_us,
                             gamma, rate_raw, rate, filtered, overflowed,
                             cut_us, reason))
-            control(seq, size, span_us, proc_us)
+            control(seq, size, span_us, proc_us,
+                    delay_us=cut_us - cut.trigger_us)
             filtered = overflowed = 0
             cut = next_cut()
 

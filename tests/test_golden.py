@@ -8,7 +8,7 @@ every ``proc_us`` differs), a buffer small enough that the drop-oldest
 guard fires (non-zero ``drop_overflow``), and 1024-event chunks,
 unfiltered and filtered, in which most packages span several of the
 packager's appended batches, a ramp that falls through the discard
-bound, and a small-package run whose reports settle and repeat. A
+bound, and a small-package run whose reports the cost fit predicts. A
 change that is meant to alter no behaviour (a refactor, a faster hot
 path) must keep every digest. A change that alters behaviour on purpose
 updates the digest here and says why in CHANGES.md.
@@ -21,35 +21,36 @@ import pytest
 from asap_stream.cli import main
 
 GOLDEN_SHA256 = {
-    "fig3": "20919f5cf87c7ba3c0c693342e2d43080501b03ced91e539533f80e7cf912285",
-    "fig4": "941f146086700c5e5f11a36a5941a71303923d0c9211804d643cff78d6601e53",
+    "fig3": "52b38c898894b06b9dd0435450b8f64b045569512ecbecd9b9f26c889ce06d4a",
+    "fig4": "b5a337d9ce34bfe200d81b985dda39c08b27d14f127cd3b778e6742996f6ee8d",
     "constant":
-        "440d82516323a7478fb7c69e4f21c107492a8d4d9fe2a0103c2dd36ca12bc172",
-    # 459 packages, each with its own jitter draw
+        "c86a5d608c28aea5af754960cfc21d504009e8646cbbc360b4575ed3f710d1d3",
+    # 458 packages, each with its own jitter draw
     "constant-jitter":
-        "d3602ae5c40f4dbc37c5b6359bda11ebe19019c2166c4ad8e38cf5f448d900fe",
-    # 96 packages of about 9970 events and 94951 overflow drops
+        "f4cd9c509290e102b2180a96a95c4388eb655852b769717ff23793a703900365",
+    # 96 packages of about 9970 events and 86159 overflow drops
     "constant-overflow":
-        "48065d355420127122f348f5e6f0ea6cd5e56446ad92c7829be71cf5c128a341",
+        "6d6b12977651dd606c84408fc2076662698eb9c6231ee60aa1eaddc8a01c3177",
     # 478 packages of about 2100 events, most of them spanning two or
     # three 1024-event chunks
     "constant-chunks":
-        "aac71f2aa9eb4b9a94c7620ceb5ba2f603a62235f860f28ed69e37d8bbc3e10c",
-    # 804 packages and 694828 filter drops: packages spanning the kept
+        "8be0e464bdf62b8403354cac6d45fca562bbe26300feb8fe76b457f08c0fe93d",
+    # 802 packages and 694828 filter drops: packages spanning the kept
     # arrays of several chunks
     "constant-chunks-filtered":
-        "2815dc7c4071a5407d8598d5016cb2a99fff18c436aa20de507a9c1a691e7176",
-    # 841 packages and 6294622 filter drops on a ramp that falls through
+        "689958d50706013d461061889be51457e96d98fe321354f773a2271d94dd3a2f",
+    # 504 packages and 6294622 filter drops on a ramp that falls through
     # the discard bound: the rate window's kept side counts on its own
     # while batches lose events, and takes the raw side's count again
-    # once they are whole
+    # once they are whole; the backlog of the overload drains in
+    # packages that each span one timeout
     "ramp-down":
-        "58b0fbbe14a8b89227ca0e776428ad70ba3e95ef3f7ada16a649ad17ffd290ad",
-    # 12994 packages of about 23 events (o = 20 µs, c = 100 ns): the
-    # cost fit settles and most reports repeat one (size, proc) pair
-    # between appends, so size control counts them without a fold
+        "fcb3d64e7c554c733e173ab39e66b368db559b2b94d6b645cc47ad49bb142fd0",
+    # 12185 packages of about 23 events (o = 20 µs, c = 100 ns): once
+    # the cost fit is ready, almost every report is its prediction, so
+    # size control counts it without a fold
     "constant-small":
-        "1e0d75f5ff9b9c5833ca1efd882fc7fa1b472c162be92501503dbff6c8b54c03",
+        "cfd6c6ecf0f7ad4adf4936d0eb9251dbd12eb54ecd7dd7f30016520d1416eb09",
 }
 
 #: Runs that are not a bundled scenario as it stands: its name and the

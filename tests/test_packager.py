@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from asap_stream import (EVENT_DTYPE, AffineCostModel, ConfigurationError,
                          OrderingError, Packager, PackagerConfig,
                          SlidingRateEstimator, make_events, predict_size)
-from asap_stream.packager import MODEL_WARMUP_SAMPLES
+from asap_stream.packager import MODEL_WARMUP_SAMPLES, PREDICTED_REL
 
 
 def _events_at(timestamps):
@@ -73,17 +73,6 @@ class TestAffineCostModel:
         assert model.ready
         assert model.overhead_us == pytest.approx(1000.0, rel=0.01)
         assert model.per_event_us == pytest.approx(0.5, rel=0.01)
-
-    def test_settled_once_a_fold_moves_no_moment_past_the_warmup(self):
-        model = AffineCostModel(smoothing=0.5)
-        settled = []
-        for _ in range(MODEL_WARMUP_SAMPLES + 2):
-            model.update(100, 70.0)
-            settled.append(model.settled)
-        # the moments hold from the second fold on
-        assert settled == [False] * MODEL_WARMUP_SAMPLES + [True, True]
-        model.update(100, 70.5)
-        assert not model.settled
 
     def test_not_ready_before_warmup(self):
         model = AffineCostModel()
@@ -400,8 +389,9 @@ class TestDropOldest:
 
 
 class _SolveEveryTime:
-    """Reference size control: folds each new report into its own fit
-    and solves ``N*`` again on every one while the fit is ready."""
+    """Reference size control: folds each report its ready fit does not
+    predict into its own fit, and solves the size law again on every
+    report while the fit is ready."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -413,23 +403,42 @@ class _SolveEveryTime:
     def target_size(self):
         return round(self.target)
 
-    def update(self, seq, size, span, proc, rate_evps):
+    def update(self, seq, size, span, proc, rate_evps, delay=0.0):
         if seq <= self.newest:
             return
         self.newest = seq
-        ready = self.model.update(size, proc)
-        cfg = self.cfg
-        if proc == span:
+        model, cfg = self.model, self.cfg
+        if model.ready and abs(proc - model.overhead_us
+                               - model.per_event_us * size) \
+                <= PREDICTED_REL * proc:
+            model.samples += 1
+            ready = True
+        else:
+            ready = model.update(size, proc)
+        if proc == span and not delay > 0:
             return
         if ready and rate_evps:
-            target = cfg.headroom * predict_size(
-                rate_evps, self.model.overhead_us / 1e6,
-                self.model.per_event_us / 1e6, cfg.n_min, cfg.n_max)
+            target = _law(cfg, model, rate_evps, proc, delay)
         elif span > 0 and proc > 0:
             target = self.target * (proc / span) ** 0.5
         else:
             return
         self.target = min(cfg.n_max, max(cfg.n_min, target))
+
+
+def _law(cfg, model, rate_evps, proc, delay):
+    """The size law in closed form, before the final clamp: ``h * N*``,
+    or for a package that waited, the events of its busy time ``R * (d
+    + proc)`` where that is more, but no more than ``max(h * N*, R *
+    T)``."""
+    base = min(cfg.n_max, cfg.headroom * predict_size(
+        rate_evps, model.overhead_us / 1e6, model.per_event_us / 1e6,
+        cfg.n_min, cfg.n_max))
+    if not delay > 0:
+        return base
+    per_us = rate_evps / 1e6
+    return min(max(base, per_us * (delay + proc)),
+               max(base, per_us * cfg.timeout_us))
 
 
 def _assert_controls_alike(p, ref):
@@ -441,13 +450,13 @@ def _assert_controls_alike(p, ref):
             == [getattr(ref.model, f) for f in fields])
 
 
-def _run_control(ops, smoothing):
+def _run_control(ops, smoothing, timeout_us=10_000):
     """Apply ``ops`` (see the tests below) to a packager and to the
     reference, comparing their control after every report."""
     # a 100 µs rate window: a few dozen appended events give rates of
     # up to ~1e6 ev/s, where N* lies between the bounds
     cfg = PackagerConfig(n_min=4, n_max=400, initial_size=50,
-                         model_smoothing=smoothing)
+                         model_smoothing=smoothing, timeout_us=timeout_us)
     p = _Measured(cfg, window_us=100)
     ref = _SolveEveryTime(cfg)
     t, newest = 0, -1
@@ -457,14 +466,14 @@ def _run_control(ops, smoothing):
             p.append(_events_at(t + gap * np.arange(n)))
             t += gap * n
             continue
-        _, step, size, span, proc, repeat = op
+        _, step, size, span, proc, repeat, delay = op
         if proc == "span":
             proc = float(span)
         elif isinstance(proc, tuple):
             proc = max(0.0, proc[0] + proc[1] * size)
         for seq in range(newest + step, newest + step + repeat):
-            p.update_target_size(seq, size, span, proc)
-            ref.update(seq, size, span, proc, p._rate_evps)
+            p.update_target_size(seq, size, span, proc, delay_us=delay)
+            ref.update(seq, size, span, proc, p._rate_evps, delay)
             newest = max(newest, seq)
             _assert_controls_alike(p, ref)
 
@@ -588,91 +597,157 @@ class TestUpdateTargetSize:
         # the newest (stale at or below 0); a few sizes, so that the fit
         # can hold still. proc is at the setpoint, random, or on a line
         # ``o + c*size``: a negative ``o`` fits as 0, and a ``c`` beyond
-        # the event period saturates the solve
+        # the event period saturates the solve. Most reports did not
+        # wait; the others waited a little, or long enough to hit the cap
         st.tuples(st.just("report"), st.integers(-2, 2),
                   st.sampled_from([8, 23, 64]) | st.integers(1, 500),
                   st.integers(0, 2000),
                   st.sampled_from(["span", (20.0, 0.1), (-1.0, 0.5),
                                    (-1.0, 1.5)]) | st.floats(0, 1e4),
-                  st.integers(1, 6))), max_size=40),
+                  st.integers(1, 6),
+                  st.sampled_from([0.0, 0.0, 3.0, 300.0])
+                  | st.floats(0, 1e4))), max_size=40),
         # a fast gain lets a few reports of one size freeze the fit, so
         # that the rate alone moves between solves
-        smoothing=st.sampled_from([0.2, 0.99]))
+        smoothing=st.sampled_from([0.2, 0.99]),
+        # at 100 µs, R * T lies among the sizes the law reaches
+        timeout_us=st.sampled_from([100, 10_000]))
     # warm-up on two sizes, one size until the fit freezes, then only the
     # rate moves before the last report
-    @example(ops=[("append", 40, 1), ("report", 1, 8, 10, (20.0, 0.1), 3),
-                  ("report", 1, 64, 70, (20.0, 0.1), 3),
-                  ("report", 1, 8, 10, (20.0, 0.1), 6), ("append", 10, 2),
-                  ("report", 1, 8, 10, (20.0, 0.1), 1)], smoothing=0.99)
+    @example(ops=[("append", 40, 1), ("report", 1, 8, 10, (20.0, 0.1), 3, 0.0),
+                  ("report", 1, 64, 70, (20.0, 0.1), 3, 0.0),
+                  ("report", 1, 8, 10, (20.0, 0.1), 6, 0.0),
+                  ("append", 10, 2),
+                  ("report", 1, 8, 10, (20.0, 0.1), 1, 0.0)],
+             smoothing=0.99, timeout_us=10_000)
     # a rate near 1e6 ev/s and costs whose ``o`` fits as 0 throughout:
     # only ``c`` moves, across the 1 µs event period
     @example(ops=[("append", 40, 1)] * 3
-             + [("report", 1, size, 10, (-1.0, 1.5), 1)
+             + [("report", 1, size, 10, (-1.0, 1.5), 1, 0.0)
                 for size in (8, 64, 8, 64, 8, 64)]
-             + [("report", 1, size, 10, (-1.0, 0.5), 1) for size in (8, 64)],
-             smoothing=0.99)
+             + [("report", 1, size, 10, (-1.0, 0.5), 1, 0.0)
+                for size in (8, 64)],
+             smoothing=0.99, timeout_us=10_000)
     # the same rate and costs falling with size, whose ``c`` fits as 0
     # throughout: only ``o`` moves
     @example(ops=[("append", 40, 1)] * 3
-             + [("report", 1, size, 10, proc, 1) for size, proc in
+             + [("report", 1, size, 10, proc, 1, 0.0) for size, proc in
                 [(8, 100.0), (64, 10.0)] * 3 + [(8, 300.0)]],
-             smoothing=0.99)
+             smoothing=0.99, timeout_us=10_000)
+    # a ready fit, then predicted reports that waited: a short wait
+    # within h * N*, a longer one past it, one past the cap, and one at
+    # the setpoint, which the wait keeps from being skipped
+    @example(ops=[("append", 40, 2)]
+             + [("report", 1, size, 50, (20.0, 0.1), 1, 0.0)
+                for size in (8, 64, 8, 64, 8)]
+             + [("report", 1, 23, 50, (20.0, 0.1), 1, delay)
+                for delay in (1.0, 40.0, 5000.0)]
+             + [("report", 1, 23, 22, (20.0, 0.1), 1, 80.0)],
+             smoothing=0.2, timeout_us=100)
     @settings(max_examples=200, deadline=None)
-    def test_target_equals_a_solve_on_every_report(self, ops, smoothing):
-        _run_control(ops, smoothing)
+    def test_target_equals_a_solve_on_every_report(self, ops, smoothing,
+                                                   timeout_us):
+        _run_control(ops, smoothing, timeout_us)
 
     @given(ops=st.lists(st.one_of(
         st.tuples(st.just("append"), st.integers(1, 40),
                   st.integers(0, 2) | st.integers(0, 30)),
         # a run of one report, long enough for the fit's moments to reach
-        # their fixed point, or short; sizes, spans and procs come from
-        # small sets, so consecutive runs often repeat a (size, proc)
-        # pair at another span, at the setpoint or not
+        # their fixed point, or short; sizes, spans, procs and delays come
+        # from small sets, so consecutive runs often repeat a predicted
+        # (size, proc) pair at another span or delay, at the setpoint or
+        # not
         st.tuples(st.just("report"), st.integers(-1, 2),
                   st.sampled_from([8, 23, 64]),
                   st.sampled_from([0, 10, 23, 50, 70]),
                   st.sampled_from(["span", (20.0, 0.1), (-1.0, 1.5),
                                    50.0, 15.0]),
-                  st.sampled_from([1, 2, 200, 260]))), max_size=12),
-        smoothing=st.sampled_from([0.2, 0.5, 0.99]))
-    # a repeat in warm-up, a settled run, an append between two runs of
-    # the same report, then the report at its setpoint and at other spans
-    @example(ops=[("report", 1, 23, 50, (20.0, 0.1), 2),
-                  ("append", 40, 1), ("report", 1, 64, 70, (20.0, 0.1), 200),
-                  ("report", 1, 23, 50, (20.0, 0.1), 260),
-                  ("append", 20, 2), ("report", 1, 23, 50, (20.0, 0.1), 2),
-                  ("report", 1, 23, 22, (20.0, 0.1), 1),
-                  ("report", 1, 23, 0, (20.0, 0.1), 2),
-                  ("report", 1, 23, 70, (20.0, 0.1), 2)], smoothing=0.2)
+                  st.sampled_from([1, 2, 200, 260]),
+                  st.sampled_from([0.0, 30.0, 5000.0]))), max_size=12),
+        smoothing=st.sampled_from([0.2, 0.5, 0.99]),
+        timeout_us=st.sampled_from([100, 10_000]))
+    # a repeat in warm-up, a predicted run, an append between two runs of
+    # the same report, then the report at its setpoint and at other
+    # spans, and the run again after waits
+    @example(ops=[("report", 1, 23, 50, (20.0, 0.1), 2, 0.0),
+                  ("append", 40, 1),
+                  ("report", 1, 64, 70, (20.0, 0.1), 200, 0.0),
+                  ("report", 1, 23, 50, (20.0, 0.1), 260, 0.0),
+                  ("append", 20, 2),
+                  ("report", 1, 23, 50, (20.0, 0.1), 2, 0.0),
+                  ("report", 1, 23, 22, (20.0, 0.1), 1, 0.0),
+                  ("report", 1, 23, 0, (20.0, 0.1), 2, 0.0),
+                  ("report", 1, 23, 70, (20.0, 0.1), 2, 30.0),
+                  ("report", 1, 23, 50, (20.0, 0.1), 2, 0.0)],
+             smoothing=0.2, timeout_us=10_000)
     # a repeat with no rate yet, at the fallback, where its span matters
-    @example(ops=[("report", 1, 8, 50, 15.0, 200),
-                  ("report", 1, 8, 10, 15.0, 2)], smoothing=0.99)
+    @example(ops=[("report", 1, 8, 50, 15.0, 200, 0.0),
+                  ("report", 1, 8, 10, 15.0, 2, 0.0)],
+             smoothing=0.99, timeout_us=10_000)
     @settings(max_examples=100, deadline=None)
-    def test_repeated_reports_control_as_if_each_were_folded(self, ops,
-                                                             smoothing):
-        _run_control(ops, smoothing)
+    def test_repeated_reports_control_as_a_solve_on_every_report(
+            self, ops, smoothing, timeout_us):
+        _run_control(ops, smoothing, timeout_us)
 
-    def test_a_settled_report_repeated_is_counted_without_a_fold(
-            self, monkeypatch):
+    @given(o_us=st.floats(1.0, 1e4), c_r=st.floats(0.0, 0.99),
+           rate=st.floats(1e3, 1e7), delay=st.floats(0.0, 1e5),
+           timeout_us=st.integers(1, 10**6), size=st.integers(1, 10**5),
+           span=st.integers(0, 10**6) | st.none())
+    @example(o_us=1000.0, c_r=0.5, rate=1e6, delay=0.0, timeout_us=10_000,
+             size=2000, span=None)
+    # at the setpoint, a report that waited is not skipped
+    @example(o_us=1000.0, c_r=0.5, rate=1e6, delay=3000.0,
+             timeout_us=10_000, size=2000, span=2000)
+    @settings(max_examples=300, deadline=None)
+    def test_the_law_spans_the_busy_time(self, o_us, c_r, rate, delay,
+                                         timeout_us, size, span):
+        # an affine consumer with no jitter whose fit is ready: a report
+        # that did not wait aims at h * N*, one that waited at the
+        # events of its busy time, between h * N* and one timeout's worth
+        c_us = c_r / rate * 1e6
+        cfg = PackagerConfig(n_min=2, n_max=10**5, timeout_us=timeout_us)
+        p = Packager(cfg)
+        p.append(_events_at([0]), rate_evps=rate)
+        for seq, warmup in enumerate((10, 40, 20, 80, 30)):
+            p.update_target_size(seq, warmup, 0, o_us + c_us * warmup)
+        assert p.model.ready
+        proc = o_us + c_us * size
+        if span is None:   # the span of ``size`` events at the rate
+            span = round(size / rate * 1e6)
+        assume(span != proc or delay > 0)
+        p.update_target_size(5, size, span, proc, delay_us=delay)
+        assert p.model.samples == 6
+        expected = _law(cfg, p.model, rate, proc, delay)
+        assert p.target_size == round(min(cfg.n_max, max(cfg.n_min, expected)))
+
+    def test_a_predicted_report_is_counted_without_a_fold(self, monkeypatch):
         p = _Measured(PackagerConfig(initial_size=23))
         p.append(_events_at(np.arange(0, 1000)))
-        sizes = (20, 30) * 3 + (23,) * 300
-        for seq, size in enumerate(sizes):
+        for seq, size in enumerate((20, 30) * 3):
             p.update_target_size(seq, size, size, 20.0 + 0.1 * size)
-        assert p.model.settled
-        proc = 20.0 + 0.1 * 23
+        assert p.model.ready
+        moments = (p.model._m_s, p.model._m_p, p.model._m_ss, p.model._m_sp)
         folds = []
         update = AffineCostModel.update
         monkeypatch.setattr(AffineCostModel, "update",
                             lambda m, *a: folds.append(a) or update(m, *a))
-        seq = len(sizes)
-        for span in (22, 23, 0, 40):
-            p.update_target_size(seq, 23, span, proc)
+        seq = 6
+        # at any span and delay, and after an append moved the rate
+        for size, span, delay in ((23, 22, 0.0), (23, 0, 0.0), (40, 40, 9.0),
+                                  (23, 40, 500.0)):
+            p.update_target_size(seq, size, span, 20.0 + 0.1 * size,
+                                 delay_us=delay)
             seq += 1
+        p.append(_events_at([1000]))
+        p.update_target_size(seq, 23, 23, 22.3)
+        seq += 1
         assert folds == [] and p.model.samples == seq
-        p.append(_events_at([1000]))   # the rate moves
+        assert (p.model._m_s, p.model._m_p, p.model._m_ss,
+                p.model._m_sp) == moments
+        # off the prediction by more than the guard: folded
+        proc = 22.3 * (1 + 1e-6)
         p.update_target_size(seq, 23, 23, proc)
-        assert folds == [(23, proc)]
+        assert folds == [(23, proc)] and p.model.samples == seq + 1
 
     def test_unchanged_inputs_are_not_solved_again(self, monkeypatch):
         import asap_stream.packager as packager
@@ -684,19 +759,19 @@ class TestUpdateTargetSize:
         for seq, size in enumerate((100, 200, 300, 400, 500)):
             p.update_target_size(seq, size, 2 * size, 20.0 + 0.5 * size)
         assert p.model.ready and len(calls) == 1
-        # one size over and over: the fit moves until the size variance
-        # decays below its floor, then holds; the rate has not moved, so
-        # the settled memo counts the repeats without folding or solving
+        # predicted reports, waiting or not: neither the rate nor the fit
+        # moved, so the solve is reused
         for seq in range(5, 200):
-            p.update_target_size(seq, 500, 1000, 270.0)
-        fit, solves = (p.model.overhead_us, p.model.per_event_us), len(calls)
-        for seq in range(200, 210):
-            p.update_target_size(seq, 500, 1000, 270.0)
-        assert (p.model.overhead_us, p.model.per_event_us) == fit
-        assert len(calls) == solves
+            p.update_target_size(seq, 500, 1000, 270.0,
+                                 delay_us=float(seq % 3) * 400)
+        assert len(calls) == 1
         p.append(_events_at([10_000]))  # moves the rate
-        p.update_target_size(210, 500, 1000, 270.0)
-        assert len(calls) == solves + 1
+        p.update_target_size(200, 500, 1000, 270.0)
+        assert len(calls) == 2
+        p.update_target_size(201, 500, 1000, 271.0)  # a fold moves the fit
+        assert len(calls) == 3
+        p.update_target_size(202, 500, 1000, 270.0)  # off the new fit
+        assert len(calls) == 4
 
     def test_converges_to_fixed_point_with_affine_consumer(self):
         # closed loop against o=1ms, c=0.5us at a 1e6 ev/s arrival rate;
