@@ -720,6 +720,29 @@ class TestUpdateTargetSize:
         expected = _law(cfg, p.model, rate, proc, delay)
         assert p.target_size == round(min(cfg.n_max, max(cfg.n_min, expected)))
 
+    def test_a_settled_report_repeated_is_counted_without_a_fold(
+            self, monkeypatch):
+        p = _Measured(PackagerConfig(initial_size=23))
+        p.append(_events_at(np.arange(0, 1000)))
+        sizes = (20, 30) * 3 + (23,) * 300
+        for seq, size in enumerate(sizes):
+            p.update_target_size(seq, size, size, 20.0 + 0.1 * size)
+        assert p.model.ready
+        proc = 20.0 + 0.1 * 23
+        folds = []
+        update = AffineCostModel.update
+        monkeypatch.setattr(AffineCostModel, "update",
+                            lambda m, *a: folds.append(a) or update(m, *a))
+        seq = len(sizes)
+        for span in (22, 23, 0, 40):
+            p.update_target_size(seq, 23, span, proc)
+            seq += 1
+        assert folds == [] and p.model.samples == seq
+        # the rate moves, the fit does not: the repeat is still no evidence
+        p.append(_events_at([1000]))
+        p.update_target_size(seq, 23, 23, proc)
+        assert folds == [] and p.model.samples == seq + 1
+
     def test_a_predicted_report_is_counted_without_a_fold(self, monkeypatch):
         p = _Measured(PackagerConfig(initial_size=23))
         p.append(_events_at(np.arange(0, 1000)))
