@@ -158,10 +158,16 @@ class StreamSource:
     Sources are single-consumer: :meth:`chunks` is an exhaustible
     iterator and must not be pulled concurrently. An ``ordered`` source
     has checked its chunks' order, so the pipeline does not scan it again.
+    A source whose chunks are consecutive slices of one array, the
+    first starting at index 0, declares that array as :attr:`array`:
+    the pipeline then places each chunk in it by the lengths of the
+    chunks before it, and buffers adjacent batches as one view of it.
     """
 
     geometry: SensorGeometry = DAVIS346
     ordered = False
+    #: The array the chunks are consecutive slices of, or None.
+    array: np.ndarray | None = None
 
     def chunks(self) -> Iterator[np.ndarray]:
         raise NotImplementedError
@@ -177,7 +183,10 @@ class StreamSource:
 class ArraySource(StreamSource):
     """Stream over an in-memory event array, checked once, at
     construction, against ``geometry``. The array must not change
-    afterwards: its chunks are views whose order is not checked again."""
+    afterwards: its chunks are views whose order is not checked again.
+    They are consecutive slices of it from index 0, so it is declared
+    as :attr:`array`, and a package may be a view of it that crosses
+    chunk edges."""
 
     ordered = True
 
@@ -185,12 +194,12 @@ class ArraySource(StreamSource):
                  chunk_size: int = 65536):
         self._chunk = _chunk_events(chunk_size)
         validate_events(events, geometry)
-        self._events = events
+        self.array = events
         self.geometry = geometry
 
     def chunks(self) -> Iterator[np.ndarray]:
-        for i in range(0, len(self._events), self._chunk):
-            yield self._events[i:i + self._chunk]
+        for i in range(0, len(self.array), self._chunk):
+            yield self.array[i:i + self._chunk]
 
 
 class _PoissonSource(StreamSource):

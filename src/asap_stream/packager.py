@@ -182,12 +182,16 @@ class _Cut(EventPackage):
 class Packager:
     """Accumulates events and emits adaptively sized packages.
 
-    The buffer is a deque of the batches :meth:`append` received, each
-    kept as given with its ``t`` view, plus a head offset into the
-    oldest batch and a count of the buffered events. A package that lies
-    inside the oldest batch is handed out as a view of it, so such a cut
-    costs nothing per event; only a package that spans batches is
-    copied, once, from the bytes of its pieces into a new array. No
+    The buffer is a deque of entries, each a run of adjacent batches
+    that :meth:`append` received, kept with its ``t`` view, plus a head
+    offset into the oldest entry and a count of the buffered events. A
+    batch that :meth:`append` is told continues the newest entry in the
+    same parent array (``parent=``, ``start=``) extends that entry to
+    one longer view of the parent; any other batch starts an entry, kept
+    as given. A package that lies inside the oldest entry is handed out
+    as a view of it, so such a cut costs nothing per event, also across
+    the edges of the batches it spans; only a package that spans entries
+    is copied, once, from the bytes of its pieces into a new array. No
     batch is ever written: the caller's arrays stay as they were and
     emitted packages stay valid while later events arrive.
     """
@@ -195,15 +199,19 @@ class Packager:
     def __init__(self, config: PackagerConfig):
         config.validate()
         self.config = config
-        # (events, their ``t`` view) per appended batch, oldest first; the
-        # oldest batch, its ``t.item`` and its length are also cached
+        # (events, their ``t`` view) per entry, oldest first; the oldest
+        # entry, its ``t.item`` and its length are also cached
         self._batches: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        self._head = 0           # first buffered event in the oldest batch
+        self._head = 0           # first buffered event in the oldest entry
         #: The number of buffered events.
         self.buffered = 0
         #: The oldest buffered timestamp, None while nothing is buffered.
         self.oldest_arrival_us: int | None = None
         self._newest = -1 << 63  # newest appended timestamp (int64 min)
+        # (parent, its ``t`` view or None until a batch extends the run,
+        # start, stop) of the newest entry while it is the view
+        # ``parent[start:stop]``: what a batch must continue to extend it
+        self._run = None
         self._front()
         self._next_seq = 0
         self._target = float(
@@ -220,9 +228,9 @@ class Packager:
         self._rate_evps: float | None = None
 
     def _front(self) -> None:
-        """Cache the oldest batch, its ``t.item`` (one timestamp as a
+        """Cache the oldest entry, its ``t.item`` (one timestamp as a
         Python int), its length and :attr:`oldest_arrival_us`, after the
-        oldest batch changed."""
+        oldest entry changed. An empty buffer forgets the newest run."""
         if self._batches:
             events, t = self._batches[0]
             self._oldest, self._t_at, self._len = events, t.item, len(events)
@@ -230,11 +238,12 @@ class Packager:
         else:
             self._oldest, self._t_at, self._len = None, None, 0
             self.oldest_arrival_us = None
+            self._run = None   # no newest entry to extend
 
     def _t_item(self, i: int) -> int:
         """The timestamp of the ``i``-th buffered event (0 is the oldest),
-        found from the newest batch back: a size cut's last event lies in
-        the batch that completed it."""
+        found from the newest entry back: a size cut's last event lies in
+        the entry that completed it."""
         i -= self.buffered
         for _, t in reversed(self._batches):
             i += len(t)
@@ -244,13 +253,13 @@ class Packager:
 
     def _take(self, count: int) -> list[np.ndarray]:
         """Remove the ``count`` oldest buffered events (at most
-        :attr:`buffered`); returns them as the batches, or views of the
-        batches, that hold them, oldest first."""
+        :attr:`buffered`); returns them as the entries, or views of the
+        entries, that hold them, oldest first."""
         self.buffered -= count
         batches, head, events = self._batches, self._head, self._oldest
         pieces = []
         while head + count >= len(events):
-            # the rest of this batch: a whole one is taken unsliced
+            # the rest of this entry: a whole one is taken unsliced
             pieces.append(events[head:] if head else events)
             count -= len(events) - head
             batches.popleft()
@@ -300,11 +309,13 @@ class Packager:
         return n
 
     def append(self, events: np.ndarray, *, rate_evps: float,
-               t: np.ndarray | None = None) -> None:
+               t: np.ndarray | None = None,
+               parent: np.ndarray | None = None, start: int = 0) -> None:
         """Buffer events without cutting packages (see :meth:`next_emission`).
 
-        The batch is kept as given, not copied, and never written.
-        ``rate_evps`` is the post-filter event rate after this batch, as
+        The batch is kept as given, or as part of one longer view of its
+        parent (see below), not copied, and never written. ``rate_evps``
+        is the post-filter event rate after this batch, as
         :meth:`SlidingRateEstimator.fold_kept
         <asap_stream.gamma.SlidingRateEstimator.fold_kept>` measures it;
         the target is solved on it, as it is, until the next append.
@@ -317,10 +328,24 @@ class Packager:
         array or field view whose order was already checked, such as
         :attr:`GammaFilter.kept_t <asap_stream.gamma.GammaFilter.kept_t>`:
         only its start is checked.
+
+        ``parent``, when given, must be the array the batch is the slice
+        ``parent[start:start + len(events)]`` of. Like ``t`` it is
+        trusted: only that the slice fits inside ``parent`` is checked,
+        and a :class:`ValueError` is raised before any state changes if
+        it does not. A batch that starts where the newest entry, a view
+        ``parent[lo:start]`` of the same parent, stops extends that entry
+        to ``parent[lo:start + len(events)]``, with the same span of
+        ``parent["t"]``.
         """
         n = len(events)
         if n == 0:
             return
+        stop = start + n
+        if parent is not None and not 0 <= start <= len(parent) - n:
+            raise ValueError(
+                f"batch [{start}, {stop}) does not fit inside its parent "
+                f"of {len(parent)} events")
         if t is None:
             t = events["t"]
             if np.count_nonzero(t[1:] < t[:-1]):
@@ -332,10 +357,27 @@ class Packager:
                 f"one already seen, {self._newest}")
         self._solved = None   # the rate, an input of the solve, moves
         self._rate_evps = rate_evps
-        self._batches.append((events, t))
         self._newest = t.item(-1)
-        if not self.buffered:
-            self._front()   # the head is 0: emptying popped every batch
+        run = self._run
+        if (parent is not None and run is not None and run[3] == start
+                and run[0] is parent):
+            # continues the newest entry: one view of the parent spans both
+            _, parent_t, lo, _ = run
+            if parent_t is None:
+                parent_t = parent["t"]
+            events, t = parent[lo:stop], parent_t[lo:stop]
+            batches = self._batches
+            batches[-1] = events, t
+            self._run = parent, parent_t, lo, stop
+            if len(batches) == 1:
+                # the oldest entry grew: what ``_front`` caches but its
+                # head and oldest timestamp, which stay
+                self._oldest, self._t_at, self._len = events, t.item, len(t)
+        else:
+            self._batches.append((events, t))
+            self._run = None if parent is None else (parent, None, start, stop)
+            if not self.buffered:
+                self._front()   # the head is 0: emptying popped every entry
         self.buffered += n
 
     def next_emission(self) -> _Cut | None:

@@ -247,9 +247,14 @@ class _Stages:
         self._pending_overflow = 0
         self._rates = ()  # set by feed, before there is anything to cut
 
-    def feed(self, batch: np.ndarray, t: np.ndarray | None = None) -> None:
+    def feed(self, batch: np.ndarray, t: np.ndarray | None = None,
+             parent: np.ndarray | None = None, start: int = 0) -> None:
         """Admit one batch; ``t``, when given, is its timestamps as an
-        int64 view, which the filter then takes in place of its own."""
+        int64 view, which the filter then takes in place of its own.
+        ``parent``, when given, is the array the batch is the slice
+        ``parent[start:start + len(batch)]`` of: a batch kept whole is
+        appended with it, so that the packager extends the view of the
+        batch before it."""
         n = len(batch)
         if not n:
             return   # no event arrived: no stage changes
@@ -272,7 +277,10 @@ class _Stages:
             self.dropped_by_overflow += excess
             self._pending_overflow += excess
         rate = gfilter.window.fold_kept(kept_t)
-        packager.append(kept, t=kept_t, rate_evps=rate)
+        if kept is not batch:
+            parent = None   # a kept copy, or the batch without its head
+        packager.append(kept, t=kept_t, rate_evps=rate, parent=parent,
+                        start=start)
         # gamma and both rates change only here: read once per batch for
         # the rows of the packages it completes
         self._rates = (gfilter.gamma, gfilter.rate_raw_evps, rate)
@@ -338,45 +346,63 @@ class _Stages:
             final_gamma=self.gfilter.gamma)
 
 
-def _due(source: StreamSource, clock: Clock, wait):
+def _placed(source: StreamSource):
+    """The source's chunks, each with its parent array and its start in
+    it: the source's declared :attr:`~StreamSource.array` and the sum of
+    the lengths of the chunks before it, or the chunk itself and 0."""
+    array = source.array
+    if array is None:
+        for chunk in source.chunks():
+            yield chunk, chunk, 0
+        return
+    start = 0
+    for chunk in source.chunks():
+        yield chunk, array, start
+        start += len(chunk)
+
+
+def _due(placed, clock: Clock, wait):
     """Realtime mode's batches: at each wake, the events that are due.
 
     Before each batch ``wait`` moves the clock to the next event or to
     an earlier timeout deadline; the batch is every event the clock has
     then reached, so none is fed before it is due. Each comes with its
-    timestamps, a view of a contiguous copy of its chunk's."""
-    for chunk in source.chunks():
+    timestamps, a view of a contiguous copy of its chunk's, its parent
+    and its start there, from the chunks ``placed`` as :func:`_placed`
+    yields them."""
+    for chunk, parent, start in placed:
         t = np.ascontiguousarray(chunk["t"])
         fed = 0
         while fed < len(chunk):
             wait(int(t[fed]))
             due = int(t.searchsorted(int(clock.now_us), side="right"))
             if due > fed:
-                yield chunk[fed:due], t[fed:due]
+                yield chunk[fed:due], t[fed:due], parent, start + fed
                 fed = due
 
 
-def _spans(chunks, window_us: int):
-    """Virtual mode's batches: each chunk with its ``t`` field view, the
-    chunk itself when its timestamps span less than ``window_us``, else
-    consecutive views of it that each do, measured from their own first
-    event.
+def _spans(placed, window_us: int):
+    """Virtual mode's batches, from the chunks ``placed`` as
+    :func:`_placed` yields them: each chunk with its ``t`` field view,
+    the chunk itself when its timestamps span less than ``window_us``,
+    else consecutive views of it that each do, measured from their own
+    first event; each with its parent and its start there.
 
     Each edge is found by ``bisect_left`` on the ``t`` view, as the rate
     window's ``_slide`` does: ``searchsorted`` would copy a strided view
     whole. An edge is searched for only when it is at most the chunk's
     newest timestamp, so it stays in the int64 range."""
-    for chunk in chunks:
+    for chunk, parent, start in placed:
         t = chunk["t"]
         n = t.size
         if not n or t.item(-1) - t.item(0) < window_us:
-            yield chunk, t
+            yield chunk, t, parent, start
             continue
         newest, lo = t.item(-1), 0
         while lo < n:
             edge = t.item(lo) + window_us
             hi = n if newest < edge else bisect_left(t, edge, lo)
-            yield chunk[lo:hi], t[lo:hi]
+            yield chunk[lo:hi], t[lo:hi], parent, start + lo
             lo = hi
 
 
@@ -395,11 +421,12 @@ def run(config: PipelineConfig, source: StreamSource,
     realtime = config.mode == "realtime"
     clock = WallClock() if realtime else VirtualClock()
     stages = _Stages(config, consumer, clock, source.ordered)
-    batches = (_due(source, clock, stages.wait) if realtime
-               else _spans(source.chunks(), stages.gfilter.window.window_us))
+    placed = _placed(source)
+    batches = (_due(placed, clock, stages.wait) if realtime
+               else _spans(placed, stages.gfilter.window.window_us))
     feed, deliver = stages.feed, stages.deliver
-    for batch, t in batches:
-        feed(batch, t)
+    for batch, t, parent, start in batches:
+        feed(batch, t, parent, start)
         deliver()
     while stages.packager.buffered:
         stages.wait(None)
@@ -414,7 +441,7 @@ _SPLIT = struct.Struct(f"=q32s24s16sd{_ROW.size - 88}x")
 _HEAD = struct.Struct("=2q2d")
 _RATES = struct.Struct("=3d")
 _DROPS = struct.Struct("=2q")
-_HEAD_CACHE = 256     # distinct size..lag_us texts kept before clearing
+_HEAD_CACHE = 256     # the first distinct size..lag_us texts, kept
 _WRITE_BLOCK = 256    # CSV lines joined into one write
 
 
@@ -422,15 +449,17 @@ def _table_lines(packed):
     """The CSV lines of a table's packed rows. Equal bytes give equal
     reprs, so a part is formatted once for a run of rows with the same
     bytes (γ and the rates of one fed batch, the drops) or once per
-    distinct ``size..lag_us`` bytes, which a steady consumer repeats."""
+    distinct ``size..lag_us`` bytes, which a steady consumer repeats.
+    The first ``_HEAD_CACHE`` distinct heads are kept; a head met once
+    the cache is full is formatted for its row alone."""
     heads = {}
     rates_key = drops_key = None
     for seq, head_key, r_key, d_key, clk in _SPLIT.iter_unpack(packed):
         head = heads.get(head_key)
         if head is None:
-            if len(heads) >= _HEAD_CACHE:
-                heads.clear()
-            head = heads[head_key] = "%d,%d,%r,%r" % _HEAD.unpack(head_key)
+            head = "%d,%d,%r,%r" % _HEAD.unpack(head_key)
+            if len(heads) < _HEAD_CACHE:
+                heads[head_key] = head
         if r_key != rates_key:
             rates, rates_key = "%r,%r,%r" % _RATES.unpack(r_key), r_key
         if d_key != drops_key:

@@ -211,6 +211,10 @@ class TestChunkInvariance:
         assert np.array_equal(np.concatenate([ev[:0], *parts]), ev)
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
 def _emission_key(em):
     if em is None:
         return None
@@ -340,6 +344,104 @@ class TestViewSafety:
         assert not np.shares_memory(spanning, second)
         assert np.array_equal(spanning,
                               np.concatenate([first[100:], second[:50]]))
+
+    def test_adjacent_batches_of_one_parent_cut_as_one_view(self):
+        # batches that continue each other in one parent are one entry:
+        # a package across their edge is a view of the parent, and one
+        # across an entry that is not a view of it is joined as before
+        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        ev = _events_at(np.arange(400))
+        for lo, hi in ((0, 60), (60, 150), (150, 230)):
+            p.append(ev[lo:hi], rate_evps=1e6, parent=ev, start=lo)
+        assert len(p._batches) == 1 and p.buffered == 230
+        spanning = p.next_emission().package.events        # 0..99
+        assert _address(spanning) == _address(ev)
+        p.append(ev[230:260].copy(), rate_evps=1e6)        # no parent
+        p.append(ev[260:300], rate_evps=1e6, parent=ev, start=260)
+        inside = p.next_emission().package.events          # 100..199
+        joined = p.next_emission().package.events          # 200..299
+        assert _address(inside) == _address(ev[100:])
+        assert not np.shares_memory(joined, ev)
+        assert np.array_equal(joined, ev[200:300])
+        assert p.buffered == 0 and not p._batches
+
+    def test_a_batch_outside_its_parent_is_refused(self):
+        p = Packager(PackagerConfig(initial_size=100, timeout_us=10**9))
+        ev = _events_at(np.arange(100))
+        p.append(ev[:50], rate_evps=1e6, parent=ev, start=0)
+        before = (p.buffered, p._rate_evps, p._newest, list(p._batches))
+        for start in (-1, 51, 100):
+            with pytest.raises(ValueError, match="does not fit"):
+                p.append(ev[50:], rate_evps=2e6, parent=ev, start=start)
+            assert (p.buffered, p._rate_evps, p._newest,
+                    list(p._batches)) == before
+        p.append(ev[50:], rate_evps=2e6, parent=ev, start=50)
+        assert p.check_timeout(_NEVER).events.tobytes() == ev.tobytes()
+
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=50),
+                         max_size=300),
+           cuts=st.lists(st.tuples(
+               st.integers(min_value=0, max_value=300),
+               st.sampled_from(["placed", "unplaced", "copy"]),
+               st.sampled_from(["keep", "drain", "drop", "flush"]),
+               st.integers(min_value=0, max_value=60))),
+           target=st.integers(min_value=1, max_value=60),
+           timeout=st.integers(min_value=1, max_value=2_000))
+    @settings(max_examples=200, deadline=None)
+    def test_placed_batches_cut_as_unplaced_ones(self, gaps, cuts, target,
+                                                 timeout):
+        # handing each batch its place in the parent changes no cut, nor
+        # what drop-oldest and a flush take; when every batch is placed,
+        # every package is a view of the parent at its own offset
+        ev = _events_at(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        cfg = PackagerConfig(initial_size=target, timeout_us=timeout)
+        p, ref = Packager(cfg), Packager(cfg)
+        edges = sorted({(0, "placed", "keep", 0), *(
+            c for c in cuts if c[0] < len(ev))})
+        every_placed = all(kind == "placed" for _, kind, _, _ in edges)
+        bounds = [lo for lo, *_ in edges] + [len(ev)]
+        taken = 0   # events cut or dropped so far, in stream order
+
+        def check(p_cuts, ref_cuts):
+            nonlocal taken
+            assert [_emission_key(em) for em in p_cuts] == \
+                [_emission_key(em) for em in ref_cuts]
+            for em in p_cuts:
+                events = em.package.events
+                if every_placed:
+                    assert _address(events) == _address(ev[taken:])
+                taken += len(events)
+
+        for (lo, kind, then, k), hi in zip(edges, bounds[1:]):
+            if lo == hi:
+                continue
+            batch = ev[lo:hi]
+            rate = float(hi - lo)
+            if kind == "placed":
+                p.append(batch, rate_evps=rate, parent=ev, start=lo)
+            else:
+                p.append(batch.copy() if kind == "copy" else batch,
+                         rate_evps=rate)
+            ref.append(batch.copy(), rate_evps=rate)
+            assert p.buffered == ref.buffered
+            check([em] if (em := p.next_emission()) else [],
+                  [em] if (em := ref.next_emission()) else [])
+            if then == "drain":
+                check(_drain(p), _drain(ref))
+            elif then == "drop":
+                assert p.drop_oldest(k) == ref.drop_oldest(k)
+                taken = hi - p.buffered
+            elif then == "flush":
+                check(_drain(p), _drain(ref))
+                rest = p.check_timeout(_NEVER)
+                check([rest] if rest else [],
+                      [r] if (r := ref.check_timeout(_NEVER)) else [])
+            assert (p.buffered, p.oldest_arrival_us) == \
+                (ref.buffered, ref.oldest_arrival_us)
+        check(_drain(p), _drain(ref))
+        rest = p.check_timeout(_NEVER)
+        check([rest] if rest else [],
+              [r] if (r := ref.check_timeout(_NEVER)) else [])
 
     def test_append_does_not_write_into_the_callers_array(self):
         p = _Measured(PackagerConfig(initial_size=100, timeout_us=10**9))

@@ -138,25 +138,48 @@ class TestVirtualRun:
         assert abs(np.mean(post) - 5e6) <= 0.10 * 5e6
 
     def test_unfiltered_run_copies_no_event(self):
-        # at gamma = 1 the filter passes each chunk through and nearly
-        # every package (N* ~ 2000) lies inside one 65536-event chunk, so
-        # it is a view of the source's array: the run allocates far
-        # less than one chunk's bytes, 13 per event
+        # at gamma = 1 the filter passes each chunk through, and every
+        # package (N* ~ 2000), also one that spans two or three
+        # 1024-event chunks, is a view of the source's array at its own
+        # offset: the run allocates far less than one 65536-event
+        # chunk's bytes, 13 per event
         n = 1_000_000
         rng = np.random.default_rng(0)
         t = np.cumsum(rng.exponential(1.0, n)).astype(np.int64)
-        source = ArraySource(make_events(t, np.zeros(n), np.zeros(n),
-                                         np.ones(n)), chunk_size=65536)
+        events = make_events(t, np.zeros(n), np.zeros(n), np.ones(n))
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
-        tracemalloc.start()
-        try:
-            result = run(cfg, source)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.dropped_by_filter == 0
-        assert result.packaged_events == n
-        assert peak < 65536 * 13, f"peak {peak} bytes"
+        for chunk_size in (65536, 1024):
+            inner, delivered = pipeline.build_consumer(cfg), []
+
+            class Held:
+                def process(self, package, clock):
+                    delivered.append(package.events)
+                    return inner.process(package, clock)
+
+            source = ArraySource(events, chunk_size=chunk_size)
+            tracemalloc.start()
+            try:
+                result = run(cfg, source, Held())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.dropped_by_filter == 0
+            assert result.packaged_events == n
+            assert peak < 65536 * 13, f"peak {peak} bytes"
+            offset = spanning = 0
+            for package in delivered:
+                size = len(package)
+                assert np.shares_memory(package, events)
+                assert _address(package) == _address(events[offset:])
+                assert package.tobytes() == \
+                    events[offset:offset + size].tobytes()
+                end = offset + size - 1
+                spanning += offset // chunk_size != end // chunk_size
+                offset += size
+            assert offset == n
+            # at 1024-event chunks nearly every package crosses an edge
+            assert spanning > (len(delivered) * 9 // 10
+                               if chunk_size == 1024 else 0)
 
     def test_determinism_bytes(self, tmp_path):
         cfg = _config(consumer=ConsumerConfig(o_us=1000, c_ns=500))
@@ -452,7 +475,7 @@ class TestMetricsOutput:
         assert path.read_text().splitlines() == \
             [METRICS_HEADER] + [_reference_line(m) for m in rows]
 
-    def test_table_heads_repeat_after_the_cache_is_cleared(self, tmp_path):
+    def test_table_heads_repeat_after_the_cache_is_full(self, tmp_path):
         # more distinct size..lag_us heads than the cache keeps, then the
         # earliest heads again, each with its own seq and clock
         heads = [(n, 2 * n, n + 0.5, 0.5 - n)
@@ -918,12 +941,12 @@ class TestSpans:
     @settings(max_examples=300, deadline=None)
     def test_fed_batches_are_views_narrower_than_the_window(self, case):
         window, chunks = case
-        fed = pipeline._spans(iter(chunks), window)
+        fed = pipeline._spans(pipeline._placed(_Chunks(chunks)), window)
         for chunk in chunks:
             n = len(chunk)
             if not n or chunk["t"][-1] - chunk["t"][0] < window:
-                batch, t = next(fed)
-                assert batch is chunk
+                batch, t, parent, start = next(fed)
+                assert batch is chunk and parent is chunk and start == 0
                 assert np.array_equal(t, chunk["t"])
                 continue
             pieces, got = [], 0
@@ -931,22 +954,46 @@ class TestSpans:
                 pieces.append(next(fed))
                 got += len(pieces[-1][0])
             assert got == n
-            start = _address(chunk)
-            for i, (batch, t) in enumerate(pieces):
-                # a view of the chunk, right after the previous piece
-                assert len(batch) and _address(batch) == start
+            address, offset = _address(chunk), 0
+            for i, (batch, t, parent, start) in enumerate(pieces):
+                # a view of the chunk, right after the previous piece,
+                # placed in the chunk at its own offset
+                assert len(batch) and _address(batch) == address
+                assert parent is chunk and start == offset
                 assert np.shares_memory(batch, chunk)
                 assert np.shares_memory(t, batch)
                 assert np.array_equal(t, batch["t"])
-                start += batch.nbytes
+                address += batch.nbytes
+                offset += len(batch)
                 first = t.item(0)
                 assert t.item(-1) - first < window
                 if i + 1 < len(pieces):
                     # cut at the edge its own first event sets
                     assert pieces[i + 1][1].item(0) - first >= window
-            assert np.concatenate([b for b, _ in pieces]).tobytes() == \
+            assert np.concatenate([b for b, *_ in pieces]).tobytes() == \
                 chunk.tobytes()
         assert next(fed, None) is None
+
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=30),
+                         max_size=300),
+           chunk=st.integers(min_value=1, max_value=120),
+           window=st.integers(min_value=1, max_value=200))
+    @settings(max_examples=100, deadline=None)
+    def test_batches_of_an_array_source_are_placed_in_its_array(
+            self, gaps, chunk, window):
+        # every batch is the slice of the declared array at its start,
+        # and the batches tile the array in order
+        ev = _numbered(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        source = ArraySource(ev, chunk_size=chunk)
+        assert source.array is ev and StreamSource.array is None
+        offset = 0
+        for batch, t, parent, start in pipeline._spans(
+                pipeline._placed(source), window):
+            assert parent is ev and start == offset
+            assert np.shares_memory(batch, ev)
+            assert batch.tobytes() == ev[start:start + len(batch)].tobytes()
+            offset += len(batch)
+        assert offset == len(ev)
 
     @given(gaps=st.lists(st.integers(min_value=0, max_value=400),
                          min_size=1, max_size=2000),
@@ -1030,6 +1077,106 @@ class TestVouchedOrder:
                 assert kw["checked"] is checked
                 assert kw["t"].dtype == np.int64
                 assert np.array_equal(kw["t"], events["t"])
+
+
+class TestViewPath:
+    """A package that spans batches is a view of the source's declared
+    array where the batches continue each other in it, and a joined copy
+    otherwise: both paths write the same metrics."""
+
+    @given(gaps=st.lists(st.integers(min_value=0, max_value=20),
+                         min_size=1, max_size=1500),
+           chunk=st.one_of(st.just(1),
+                           st.integers(min_value=1, max_value=2000)),
+           window=st.sampled_from([50, 10_000]),
+           a_evps=st.sampled_from([2e4, 1e5, 1e12]),
+           capacity=st.integers(min_value=1, max_value=2000),
+           target=st.integers(min_value=1, max_value=300),
+           mode=st.sampled_from(["virtual", "realtime"]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    def test_views_write_the_metrics_of_copies(self, tmp_path, gaps, chunk,
+                                               window, a_evps, capacity,
+                                               target, mode):
+        # the same chunks from the array and as copies that declare no
+        # array; a 50 us window is narrower than most wide chunks, and
+        # a = 1e12 keeps gamma at 1, where the filter passes its batches
+        # through; realtime mode's logic runs on virtual time
+        ev = _numbered(np.cumsum(np.asarray(gaps, dtype=np.int64)))
+        cfg = _config(mode=mode,
+                      gamma=GammaConfig(a_evps=a_evps, rate_window_us=window),
+                      packager=PackagerConfig(initial_size=target,
+                                              timeout_us=2_000),
+                      consumer=ConsumerConfig(o_us=50.0, c_ns=500.0),
+                      input_buffer_capacity=capacity)
+        copies = _Chunks([ev[i:i + chunk].copy()
+                          for i in range(0, len(ev), chunk)])
+        assert copies.array is None
+        outcomes = []
+        append = Packager.append
+
+        def placed(self, events, *, parent=None, start=0, **kwargs):
+            # a batch comes with a parent only as the slice of it at start
+            if parent is not None:
+                assert np.shares_memory(events, parent)
+                assert events.tobytes() == \
+                    parent[start:start + len(events)].tobytes()
+            append(self, events, parent=parent, start=start, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "WallClock", VirtualClock)
+            patch.setattr(Packager, "append", placed)
+            for name, source in (("views", ArraySource(ev, chunk_size=chunk)),
+                                 ("copies", copies)):
+                result = run(cfg, source)
+                path = tmp_path / f"{name}.csv"
+                write_metrics_csv(path, result.metrics)
+                totals = dataclasses.asdict(result)
+                del totals["metrics"]
+                outcomes.append((path.read_bytes(), totals))
+        assert outcomes[0] == outcomes[1]
+
+    def test_realtime_warm_up_flush_is_one_view(self, monkeypatch):
+        # realtime mode feeds each wake's due events as a batch: about a
+        # thousand one-event batches precede the warm-up timeout flush.
+        # At gamma = 1 they continue each other in their chunk, so the
+        # flush is one view of it, taken without a join
+        monkeypatch.setattr(pipeline, "WallClock", VirtualClock)
+        source = ConstantRateSource(1e5, 0.1, seed=0)
+        chunks, pulled = [], source.chunks
+        monkeypatch.setattr(source, "chunks",
+                            lambda: (chunks.append(c) or c for c in pulled()))
+        appends, pieces = [], []
+        append, take = Packager.append, Packager._take
+
+        def counted(self, events, **kwargs):
+            appends.append(len(events))
+            return append(self, events, **kwargs)
+
+        def taken(self, count):
+            pieces.append(out := take(self, count))
+            return out
+
+        monkeypatch.setattr(Packager, "append", counted)
+        monkeypatch.setattr(Packager, "_take", taken)
+        cfg = _config(mode="realtime")
+        inner, delivered = pipeline.build_consumer(cfg), []
+
+        class Held:
+            def process(self, package, clock):
+                delivered.append((package, len(appends), len(pieces)))
+                return inner.process(package, clock)
+
+        result = run(cfg, source, Held())
+        assert result.dropped_by_filter == 0 and result.conservation_holds()
+        first, fed, takes = delivered[0]
+        assert first.reason == "timeout" and result.metrics[0].gamma == 1.0
+        assert fed > 500 and first.size > 500
+        # the flush is the first event on: a view of the first chunk
+        assert takes == 1 and len(pieces[0]) == 1
+        assert _address(first.events) == _address(chunks[0])
+        assert first.events.tobytes() == chunks[0][:first.size].tobytes()
 
 
 def _drain_keys(packager):
